@@ -86,12 +86,16 @@ def t_dk(d: int, k: int, eps: float) -> float:
     return d - solve_s(d, k, eps)
 
 
-def k_of_alpha(d: int, alpha: float) -> int:
-    """Dyadic hole depth matching Euclidean hole size alpha (the r = 1/4
-    translation route): ceil(log2(4 sqrt(d) / alpha))."""
+def k_of_alpha(d: int, alpha: float, r: float = 0.25) -> int:
+    """Dyadic hole depth matching Euclidean hole size alpha at homothety
+    ratio r, a power of two in (0, 1): any ball of radius alpha*r*2^-i
+    contains a dyadic cube of side 2^-(i+k) for k = ceil(log2(sqrt(d) /
+    (alpha r))).  r = 1/4 is the route of the dimension bound."""
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
-    return math.ceil(math.log2(4.0 * math.sqrt(d) / alpha))
+    if not 0.0 < r < 1.0 or math.frexp(r)[0] != 0.5:
+        raise ValueError(f"ratio must be a power of two in (0, 1), got {r}")
+    return math.ceil(math.log2(math.sqrt(d) / (alpha * r)))
 
 
 def t_dalpha(d: int, alpha: float, eps: float) -> float:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, bounds, oracle
-from .dimension import _trajectory_from_steps, sampled_trajectory
+from .dimension import _trajectory_from_steps
 from .measure import (
     _PATH_STREAM,
     Bernoulli,
@@ -28,12 +29,7 @@ from .measure import (
     spec_from_json,
     spec_to_json,
 )
-from .porosity import (
-    hole_depth_for,
-    por2_profile,
-    porous_retree,
-    run_translation_trials,
-)
+from .porosity import run_translation_trials, sample_porous_path, translation_report
 
 
 class ParameterError(ValueError):
@@ -122,31 +118,31 @@ def _cmd_solve(args) -> int:
 # simulate
 
 
+def _jobs(requested: int, tasks: int) -> int:
+    """Worker processes to start: never more than the tasks or the CPUs."""
+    return max(1, min(requested, tasks, os.cpu_count() or 1))
+
+
+def _map(fn, tasks: list[tuple], jobs: int):
+    """fn(*task) for each task, in order, in a pool of ``jobs`` processes."""
+    if jobs == 1:
+        return map(fn, *zip(*tasks))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
+
+
 def _simulate_one_path(spec: GeneratorSpec, k: int, eps: float, depth: int,
                        seed: int, index: int) -> tuple:
-    """Terminal statistics of one re-treed path (worker-safe)."""
+    """CSV row and trajectory of one re-treed path (worker-safe)."""
     base = build_tree_measure(spec, "uniform", depth * k + k,
                               max_level=depth * k + k)
-    view = porous_retree(base, k, eps)
     rng = derived_rng(seed, _PATH_STREAM, index)
-    steps = list(view.walk(rng, steps=depth))
+    steps, flags = sample_porous_path(base, k, eps, rng, depth)
     traj = _trajectory_from_steps(steps)
-    terminal = steps[-1][1].children[steps[-1][3]]
-    lineage = [terminal.ancestor(i) for i in range(terminal.level + 1)]
-    flags = [
-        p <= k for p in por2_profile(base, lineage, terminal.level, eps, cap=k)
-    ]
-    eta_hat = sum(flags) / len(flags)
-    porous_steps = int(traj.porous.sum())
-    return (
-        index,
-        traj.terminal_D,
-        float(traj.res_H[-1]),
-        float(traj.res_L[-1]),
-        eta_hat,
-        porous_steps,
-        int(traj.levels[-1]),
-    )
+    row = (index, depth, traj.terminal_D, float(traj.res_H[-1]), float(traj.res_L[-1]),
+           sum(flags) / len(flags), int(traj.porous.sum()), int(traj.levels[-1]),
+           "", "", "")
+    return row, traj
 
 
 def _cmd_simulate(args) -> int:
@@ -156,25 +152,24 @@ def _cmd_simulate(args) -> int:
     k = args.k if args.k is not None else 1
     eps = args.eps if args.eps is not None else 0.0
     seed = args.seed if args.seed is not None else spec.seed
+    if depth < 1:
+        raise ParameterError(f"--depth must be >= 1, got {depth}")
+    if paths < 1:
+        raise ParameterError(f"--paths must be >= 1, got {paths}")
     d = spec.d
     t = bounds.t_dk(d, k, eps)
 
     tasks = [(spec, k, eps, depth, seed, i) for i in range(paths)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_simulate_one_path_star, tasks))
-    else:
-        results = [_simulate_one_path(*t_) for t_ in tasks]
+    rows, traj_rows = [], []
+    for row, traj in _map(_simulate_one_path, tasks, _jobs(args.jobs, paths)):
+        rows.append(row)
+        if args.trajectories:
+            traj_rows.extend((row[0], *step) for step in traj.csv_rows())
 
-    dim_estimate = max(r[1] for r in results)
-    eta_hat = sum(r[4] for r in results) / len(results)
+    dim_estimate = max(r[2] for r in rows)
+    eta_hat = sum(r[5] for r in rows) / len(rows)
     bound = d - eta_hat * t
     passed = dim_estimate <= bound + args.slack
-
-    rows = [
-        (r[0], depth, r[1], r[2], r[3], r[4], r[5], r[6], "", "", "")
-        for r in results
-    ]
     rows.append(
         ("summary", depth, dim_estimate, "", "", eta_hat, "", "", t, bound, int(passed))
     )
@@ -207,15 +202,6 @@ def _cmd_simulate(args) -> int:
         rows,
     )
     if args.trajectories:
-        base = build_tree_measure(spec, "uniform", depth * k + k,
-                                  max_level=depth * k + k)
-        view = porous_retree(base, k, eps)
-        traj_rows = []
-        for i in range(paths):
-            rng = derived_rng(seed, _PATH_STREAM, i)
-            traj = sampled_trajectory(view, depth, rng)
-            for row in traj.csv_rows():
-                traj_rows.append((i, *row))
         write_csv(
             args.trajectories,
             "simulate-trajectories",
@@ -226,10 +212,6 @@ def _cmd_simulate(args) -> int:
     if not passed and args.strict:
         return 2
     return 0
-
-
-def _simulate_one_path_star(t_):
-    return _simulate_one_path(*t_)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +269,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _translate_chunk(spec: GeneratorSpec, r: float, alpha: float, eps: float,
-                     depth: int, seed: int, indices: tuple) -> list:
-    need = depth + hole_depth_for(alpha, r, spec.d)
+                     depth: int, seed: int, indices: range) -> list:
+    need = depth + bounds.k_of_alpha(spec.d, alpha, r)
     mu = build_tree_measure(spec, "uniform", need, max_level=need)
     return run_translation_trials(mu, r, alpha, eps, depth, seed, indices)
-
-
-def _translate_chunk_star(t_):
-    return _translate_chunk(*t_)
 
 
 def _cmd_translate(args) -> int:
@@ -305,37 +283,18 @@ def _cmd_translate(args) -> int:
     eps = args.eps if args.eps is not None else 0.0
     seed = args.seed if args.seed is not None else spec.seed
     r = args.ratio
-    k = hole_depth_for(alpha, r, spec.d)
 
-    if args.jobs > 1:
-        chunks = [
-            tuple(range(j, trials, args.jobs)) for j in range(args.jobs)
-        ]
-        tasks = [(spec, r, alpha, eps, depth, seed, c) for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(_translate_chunk_star, tasks))
-        results = sorted(
-            (tr for chunk in parts for tr in chunk), key=lambda tr: tr.trial
-        )
-    else:
-        results = _translate_chunk(spec, r, alpha, eps, depth, seed, range(trials))
-
-    fractions = [tr.fraction for tr in results]
-    mean_fraction = math.fsum(fractions) / len(fractions)
-    min_fraction = min(fractions)
-    threshold = None if args.eta is None else (1.0 - 2.0 * r) ** spec.d * args.eta
-    passed = None if threshold is None else mean_fraction >= threshold
+    jobs = _jobs(args.jobs, trials)
+    cuts = [j * trials // jobs for j in range(jobs + 1)]
+    tasks = [(spec, r, alpha, eps, depth, seed, range(lo, hi))
+             for lo, hi in zip(cuts, cuts[1:])]
+    results = [tr for chunk in _map(_translate_chunk, tasks, jobs) for tr in chunk]
+    report = translation_report(results, spec.d, r, alpha, eps, depth, args.eta)
 
     rows = [
-        (
-            tr.trial,
-            "|".join(_fmt(t) for t in tr.translation),
-            tr.fraction,
-            k,
-            eps,
-            depth,
-        )
-        for tr in results
+        (tr.trial, "|".join(_fmt(t) for t in tr.translation), tr.fraction, report.k,
+         eps, depth)
+        for tr in report.trials
     ]
     write_csv(
         args.out,
@@ -349,14 +308,14 @@ def _cmd_translate(args) -> int:
             "depth": depth,
             "seed": seed,
             "eta_target": "" if args.eta is None else args.eta,
-            "mean_fraction": mean_fraction,
-            "min_fraction": min_fraction,
-            "threshold": "" if threshold is None else threshold,
+            "mean_fraction": report.mean_fraction,
+            "min_fraction": report.min_fraction,
+            "threshold": "" if report.threshold is None else report.threshold,
         },
         ["trial", "t", "fraction", "k", "eps", "depth"],
         rows,
     )
-    if passed is False and args.strict:
+    if report.passed is False and args.strict:
         return 2
     return 0
 
@@ -372,6 +331,8 @@ def _cmd_hmin(args) -> int:
     eta = args.eta if args.eta is not None else 0.5
     hi = 2.0 ** -d
     points = args.points
+    if args.eps is None and points < 2:
+        raise ParameterError(f"--points must be >= 2, got {points}")
     rows = []
     eps_list = (
         [args.eps] if args.eps is not None else [j / (points - 1) * hi for j in range(points)]

@@ -3,7 +3,7 @@ mu-random paths.
 
 All per-node quantities are in nats.  Every dimension quotient uses the
 positive quantity log(1/side) in its denominator, so ratios land in [0, d];
-the per-step length increments Mbar_n = log(side(R_n)/side(R_{n+1})) telescope
+the per-step length increments L_n = log(side(R_n)/side(R_{n+1})) telescope
 to log(1/side(R_n)), which keeps the running quotient D_n and the terminal
 entropy-average estimator consistent.
 """
@@ -11,6 +11,7 @@ entropy-average estimator consistent.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,12 @@ class NodeStats:
     ratio: float
 
 
+def _entropy_and_lyapunov(level: int, children, dist: Weights) -> tuple[float, float]:
+    """H = E(-log w) and lambda = E(log side(parent)/side(child))."""
+    lam = math.fsum(w * (c.level - level) * LOG2 for w, c in zip(dist, children))
+    return entropy(dist), lam
+
+
 def node_stats(partition: CubePartition, dist: Weights) -> NodeStats:
     """H = E(-log w), lambda = E(log side(parent)/side(child)), ratio = H/lambda.
 
@@ -46,12 +53,7 @@ def node_stats(partition: CubePartition, dist: Weights) -> NodeStats:
             f"distribution has {len(dist)} entries for "
             f"{len(partition.children)} children"
         )
-    h = entropy(dist)
-    parent_level = partition.parent.level
-    lam = math.fsum(
-        w * (c.level - parent_level) * LOG2
-        for w, c in zip(dist, partition.children)
-    )
+    h, lam = _entropy_and_lyapunov(partition.parent.level, partition.children, dist)
     return NodeStats(H=h, lam=lam, ratio=0.0 if h == 0.0 else h / lam)
 
 
@@ -60,8 +62,8 @@ class PathTrajectory:
     """Per-step statistics along one lineage.
 
     Arrays are indexed by step; ``I[n]`` is the information -log of the
-    conditional weight taken at step n, ``L[n]`` the log length drop (equal to
-    ``Mbar[n]`` on the dyadic frame), ``D[n]`` the running entropy-average
+    conditional weight taken at step n, ``L[n]`` the log length drop
+    log(side(R_n)/side(R_{n+1})), ``D[n]`` the running entropy-average
     quotient after n+1 steps, and ``res_H``/``res_L`` the martingale residuals
     (1/n)(sum I - sum H) and (1/n)(sum L - sum lambda).
     """
@@ -71,7 +73,6 @@ class PathTrajectory:
     L: np.ndarray
     H: np.ndarray
     lam: np.ndarray
-    Mbar: np.ndarray
     porous: np.ndarray
     D: np.ndarray
     res_H: np.ndarray
@@ -84,67 +85,52 @@ class PathTrajectory:
     @property
     def terminal_D(self) -> float:
         """Terminal quotient from compensated sums."""
-        return math.fsum(self.H) / math.fsum(self.Mbar)
+        return math.fsum(self.H) / math.fsum(self.L)
 
     @property
     def porous_partial_sums(self) -> tuple[float, float]:
-        """(H_P, Mbar_P): entropy and length sums over porous steps."""
+        """(H_P, L_P): entropy and length sums over porous steps."""
         hp = math.fsum(h for h, p in zip(self.H, self.porous) if p)
-        mp = math.fsum(m for m, p in zip(self.Mbar, self.porous) if p)
+        mp = math.fsum(m for m, p in zip(self.L, self.porous) if p)
         return hp, mp
 
     def csv_rows(self):
-        """Rows n,I,L,H,lambda,Mbar,Dn,resH,resL,porous."""
+        """Rows n,I,L,H,lambda,Mbar,Dn,resH,resL,porous; the Mbar column,
+        the length drop on the dyadic frame, repeats L."""
         for n in range(self.steps):
-            yield (
-                n,
-                self.I[n],
-                self.L[n],
-                self.H[n],
-                self.lam[n],
-                self.Mbar[n],
-                self.D[n],
-                self.res_H[n],
-                self.res_L[n],
-                int(self.porous[n]),
-            )
+            yield (n, self.I[n], self.L[n], self.H[n], self.lam[n], self.L[n],
+                   self.D[n], self.res_H[n], self.res_L[n], int(self.porous[n]))
 
 
 def _trajectory_from_steps(steps) -> PathTrajectory:
-    n = len(steps)
-    I = np.empty(n)
-    L = np.empty(n)
-    H = np.empty(n)
-    lam = np.empty(n)
-    porous = np.zeros(n, dtype=bool)
-    levels = np.empty(n + 1, dtype=np.int64)
-    for i, (node, part, w, idx) in enumerate(steps):
-        child = part.children[idx]
+    # typed arrays: appends cost less than numpy item writes, and memory
+    # stays at 8 bytes per value on walks of 10^4-10^5 steps
+    I, L, H, lam, levels, porous = (array(code) for code in "ddddqb")
+    for node, part, w, idx in steps:
         wi = w[idx]
         if wi <= 0.0:
             raise ValueError("path steps through a zero-weight child")
-        I[i] = -math.log(wi)
-        L[i] = (child.level - node.level) * LOG2
-        H[i] = entropy(w)
-        lam[i] = math.fsum(
-            wj * (c.level - node.level) * LOG2 for wj, c in zip(w, part.children)
-        )
-        porous[i] = part.hole is not None
-        levels[i] = node.level
-    levels[n] = steps[-1][1].children[steps[-1][3]].level if n else 0
-    Mbar = L.copy()
+        h, lyap = _entropy_and_lyapunov(node.level, part.children, w)
+        I.append(-math.log(wi))
+        L.append((part.children[idx].level - node.level) * LOG2)
+        H.append(h)
+        lam.append(lyap)
+        porous.append(part.hole is not None)
+        levels.append(node.level)
+    n = len(I)
+    levels.append(steps[-1][1].children[steps[-1][3]].level if n else 0)
+    I, L, H, lam = (np.frombuffer(a) for a in (I, L, H, lam))
     counts = np.arange(1, n + 1, dtype=float)
-    D = np.cumsum(H) / np.cumsum(Mbar)
+    D = np.cumsum(H) / np.cumsum(L)
     res_H = (np.cumsum(I) - np.cumsum(H)) / counts
     res_L = (np.cumsum(L) - np.cumsum(lam)) / counts
     return PathTrajectory(
-        levels=levels,
+        levels=np.frombuffer(levels, dtype=np.int64),
         I=I,
         L=L,
         H=H,
         lam=lam,
-        Mbar=Mbar,
-        porous=porous,
+        porous=np.frombuffer(porous, dtype=bool),
         D=D,
         res_H=res_H,
         res_L=res_L,

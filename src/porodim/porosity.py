@@ -1,12 +1,13 @@
 """Dyadic porosity detection and porous-scale statistics.
 
 The central test: a node Q is porous at (k, eps) when some dyadic descendant
-at relative depth k carries at most an eps-fraction of Q's mass.  Around that
-test this module provides the hole-depth function por2, the porous/uniform
-re-treeing that drives dimension-drop experiments, per-scale fraction
-bookkeeping, an approximate (one-sided) Euclidean porosity estimator, and the
-random-translation experiment that transfers Euclidean porosity to the dyadic
-frame.
+at relative depth k carries at most an eps-fraction of Q's mass.  One
+LineageClassifier per lineage answers that test and the hole-depth function
+por2 from the same realized nodes.  Around it this module provides the
+porous/uniform re-treeing that drives dimension-drop experiments, per-scale
+fraction bookkeeping, an approximate (one-sided) Euclidean porosity
+estimator, and the random-translation experiment that transfers Euclidean
+porosity to the dyadic frame.
 """
 
 from __future__ import annotations
@@ -14,8 +15,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .dyadic import CubeAddress, CubePartition, porous_split, subdivide_uniform
+import numpy as np
+
+from .bounds import k_of_alpha
+from .dyadic import CubeAddress, CubePartition, porous_split
 from .measure import (
     _PATH_STREAM,
     _TRIAL_STREAM,
@@ -73,22 +78,6 @@ def _require_dyadic(mu: TreeMeasure) -> None:
         )
 
 
-def _extend_frontier(
-    mu: TreeMeasure, frontier: dict[CubeAddress, float]
-) -> dict[CubeAddress, float]:
-    """One dyadic level deeper; zero-ratio nodes expand without realization."""
-    new: dict[CubeAddress, float] = {}
-    for node, ratio in frontier.items():
-        if ratio == 0.0:
-            for j in range(1 << node.d):
-                new[node.uniform_child(j)] = 0.0
-        else:
-            part, w = mu.offspring(node)
-            for child, wj in zip(part.children, w):
-                new[child] = ratio * wj
-    return new
-
-
 def _min_entry(frontier: dict[CubeAddress, float]) -> tuple[CubeAddress, float]:
     """Smallest ratio; ties broken by lexicographic address order."""
     best_addr, best = None, math.inf
@@ -98,16 +87,89 @@ def _min_entry(frontier: dict[CubeAddress, float]) -> tuple[CubeAddress, float]:
     return best_addr, best
 
 
+class LineageClassifier:
+    """Porosity decisions on the nodes of a lineage of one dyadic measure.
+
+    Each node's offspring is realized once; each queried node q keeps its
+    conditional-mass frontiers (level j maps the depth-j descendants R to
+    mu(R)/mu(q)), built lazily.  The porous test at (k, eps) reads frontier
+    k, por2 the first frontier whose minimum is <= eps.  Holes persist to
+    deeper levels, so por2 <= k exactly when q is porous at (k, eps).
+
+    The memo is a cache only: a query at level n drops all nodes above level
+    n, so memory along a path does not grow with depth.  Queries should go
+    down the lineage; one that goes back up realizes again.
+    """
+
+    def __init__(self, mu: TreeMeasure):
+        _require_dyadic(mu)
+        self.mu = mu
+        self._level = 0
+        self._offspring: dict[tuple, tuple[CubePartition, Weights]] = {}
+        self._frontiers: dict[tuple, list[dict[CubeAddress, float]]] = {}
+
+    def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
+        key = (q.level, q.coords)  # hashes in C, unlike a CubeAddress
+        hit = self._offspring.get(key)
+        if hit is None:
+            hit = self._offspring[key] = self.mu.offspring(q)
+        return hit
+
+    def frontiers(self, q: CubeAddress, depth: int) -> list[dict[CubeAddress, float]]:
+        """q's frontiers at levels 1..depth (or more, when built before)."""
+        if q.level > self._level:
+            self._level = q.level
+            for memo in (self._offspring, self._frontiers):
+                for key in [key for key in memo if key[0] < q.level]:
+                    del memo[key]
+        frontiers = self._frontiers.setdefault((q.level, q.coords), [])
+        while len(frontiers) < depth:
+            frontiers.append(self._deeper(frontiers[-1] if frontiers else {q: 1.0}))
+        return frontiers
+
+    def _deeper(self, frontier: dict[CubeAddress, float]) -> dict[CubeAddress, float]:
+        """One dyadic level deeper; zero-ratio nodes expand without realization."""
+        new: dict[CubeAddress, float] = {}
+        for node, ratio in frontier.items():
+            if ratio == 0.0:
+                for j in range(1 << node.d):
+                    new[node.uniform_child(j)] = 0.0
+            else:
+                part, w = self.offspring(node)
+                for child, wj in zip(part.children, w):
+                    new[child] = ratio * wj
+        return new
+
+    def por2(self, q: CubeAddress, eps: float, cap: int) -> float:
+        """Least j <= cap whose frontier holds an eps-hole, else math.inf."""
+        for j in range(1, cap + 1):
+            if _min_entry(self.frontiers(q, j)[j - 1])[1] <= eps:
+                return j
+        return math.inf
+
+    def retree(self, k: int, eps: float) -> TreeMeasure:
+        """The porous re-tree view at (k, eps); see porous_retree."""
+        base = self.mu
+
+        def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
+            check, frontiers = _classify_full(self, q, k, eps)
+            if not check.porous:
+                return self.offspring(q)
+            part = porous_split(q, check.hole, k, base.max_level)
+            return part, tuple(
+                frontiers[child.level - q.level - 1][child] for child in part.children
+            )
+
+        return TreeMeasure(base.d, base.depth, realizer, max_level=base.max_level,
+                           dyadic_splits=False, base=base)
+
+
 def _classify_full(
-    mu: TreeMeasure, q: CubeAddress, k: int, eps: float
+    clf: LineageClassifier, q: CubeAddress, k: int, eps: float
 ) -> tuple[PorosityCheck, list[dict[CubeAddress, float]]]:
-    """Classification plus the per-level conditional-mass frontiers 1..k."""
-    frontiers = []
-    frontier = {q: 1.0}
-    for _ in range(k):
-        frontier = _extend_frontier(mu, frontier)
-        frontiers.append(frontier)
-    hole, ratio = _min_entry(frontiers[-1])
+    """Classification plus q's conditional-mass frontiers (levels 1..k at least)."""
+    frontiers = clf.frontiers(q, k)
+    hole, ratio = _min_entry(frontiers[k - 1])
     if ratio <= eps:
         return PorosityCheck(True, hole, ratio), frontiers
     return PorosityCheck(False, None, None), frontiers
@@ -123,10 +185,9 @@ def classify_porous(
     reproducible.  The caller is responsible for q having positive mass;
     conditional ratios below q are well defined regardless.
     """
-    _require_dyadic(mu)
+    clf = LineageClassifier(mu)
     _warn_if_inadmissible(k, eps, mu.d)
-    check, _ = _classify_full(mu, q, k, eps)
-    return check
+    return _classify_full(clf, q, k, eps)[0]
 
 
 def por2_depth(
@@ -142,13 +203,7 @@ def por2_depth(
     never a number).  Once a hole exists at depth j it persists at all deeper
     depths, so the first hit is the minimum.
     """
-    _require_dyadic(mu)
-    frontier = {x_path[n]: 1.0}
-    for j in range(1, cap + 1):
-        frontier = _extend_frontier(mu, frontier)
-        if _min_entry(frontier)[1] <= eps:
-            return j
-    return math.inf
+    return LineageClassifier(mu).por2(x_path[n], eps, cap)
 
 
 def por2_profile(
@@ -159,21 +214,15 @@ def por2_profile(
     cap: int = DEFAULT_POR2_CAP,
 ) -> tuple[float, ...]:
     """por2 at every level 0..n_max-1 along the lineage."""
-    return tuple(por2_depth(mu, x_path, n, eps, cap) for n in range(n_max))
+    clf = LineageClassifier(mu)
+    return tuple(clf.por2(x_path[n], eps, cap) for n in range(n_max))
 
 
 # ---------------------------------------------------------------------------
 # Porous re-treeing (the partition operator driving the dimension bound)
 
 
-def porous_retree(
-    base: TreeMeasure,
-    k: int,
-    eps: float,
-    depth: int | None = None,
-    *,
-    cache: bool = False,
-) -> TreeMeasure:
+def porous_retree(base: TreeMeasure, k: int, eps: float) -> TreeMeasure:
     """View of ``base`` re-treed by the porous/uniform partition policy.
 
     Porous nodes split into the depth-k hole plus the per-level cubes
@@ -181,29 +230,22 @@ def porous_retree(
     conditional masses of the children under ``base``.  The view is
     2^-k-regular.
     """
-    _require_dyadic(base)
+    clf = LineageClassifier(base)
     _warn_if_inadmissible(k, eps, base.d)
+    return clf.retree(k, eps)
 
-    def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
-        check, frontiers = _classify_full(base, q, k, eps)
-        if not check.porous:
-            part = subdivide_uniform(q, base.max_level)
-            return part, base.offspring_weights(q)
-        part = porous_split(q, check.hole, k, base.max_level)
-        w = tuple(
-            frontiers[child.level - q.level - 1][child] for child in part.children
-        )
-        return part, w
 
-    return TreeMeasure(
-        base.d,
-        base.depth if depth is None else depth,
-        realizer,
-        max_level=base.max_level,
-        cache=cache,
-        dyadic_splits=False,
-        base=base,
-    )
+def _project(view: TreeMeasure, x_path: list[CubeAddress], k: int):
+    """Steps of porous_walk, one at a time."""
+    top = len(x_path) - 1
+    cur = x_path[0]
+    while cur.level + k <= top:
+        part, w = view.offspring(cur)
+        idx = next((j for j, c in enumerate(part.children) if x_path[c.level] == c), None)
+        if idx is None:
+            raise ValueError("lineage is not consistent with the re-tree")
+        yield cur, part, w, idx
+        cur = part.children[idx]
 
 
 def porous_walk(
@@ -215,21 +257,29 @@ def porous_walk(
     stops as soon as the lineage might be too shallow to identify the next
     child (a porous step can descend k levels at once).
     """
-    steps = []
-    top = len(x_path) - 1
-    cur = x_path[0]
-    while cur.level + k <= top:
-        part, w = view.offspring(cur)
-        idx = None
-        for j, child in enumerate(part.children):
-            if x_path[child.level] == child:
-                idx = j
-                break
-        if idx is None:
-            raise ValueError("lineage is not consistent with the re-tree")
-        steps.append((cur, part, w, idx))
-        cur = part.children[idx]
-    return steps
+    return list(_project(view, x_path, k))
+
+
+def sample_porous_path(
+    base: TreeMeasure, k: int, eps: float, seed: int | np.random.Generator, steps: int
+) -> tuple[list[tuple[CubeAddress, CubePartition, Weights, int]], list[bool]]:
+    """One walk of the porous re-tree of ``base`` and its porous levels.
+
+    Returns the walk steps (node, partition, weights, chosen child index) and
+    ``flags[n]``: is the lineage's level-n cube porous at (k, eps), for every
+    level n below the terminal one.  Walk nodes take the flag from their
+    split; a level inside a porous jump is tested by por2 <= k, which stops
+    at the first hole.  Each node is realized once.
+    """
+    clf = LineageClassifier(base)
+    walk, flags = [], []
+    for node, part, w, idx in clf.retree(k, eps).walk(seed, steps):
+        walk.append((node, part, w, idx))
+        flags.append(part.hole is not None)
+        child = part.children[idx]
+        for level in range(node.level + 1, child.level):
+            flags.append(clf.por2(child.ancestor(level), eps, k) <= k)
+    return walk, flags
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +320,7 @@ def porous_fraction_trajectory(
     ``dyadic_fraction[n-1]`` is (1/n) |{i in [n] : por2(mu, x, i, eps) <= k}|;
     the rstep fields track the induced porous/uniform walk.
     """
-    _require_dyadic(mu)
+    clf = LineageClassifier(mu)
     _warn_if_inadmissible(k, eps, mu.d)
     if n_max is None:
         n_max = min(len(x_path) - 1, mu.max_level) - k
@@ -284,30 +334,32 @@ def porous_fraction_trajectory(
     # The sentinel cap cannot reach past the realizable depth.
     cap = max(k, DEFAULT_POR2_CAP if por2_cap is None else por2_cap)
     cap = min(cap, mu.max_level - n_max)
-    por2 = por2_profile(mu, x_path, n_max, eps, cap)
-    flags = tuple(p <= k for p in por2)
-    running = []
-    hits = 0
-    for n, flag in enumerate(flags, start=1):
-        hits += flag
-        running.append(hits / n)
-
-    view = porous_retree(mu, k, eps)
-    walk = porous_walk(view, x_path[: n_max + k + 1], k)
+    por2: list[float] = []
     rflags, ncounts, levels, eta = [], [], [], []
     nonporous = 0
-    for node, part, w, idx in walk:
+    # One pass down the lineage: each re-tree step, then por2 at the dyadic
+    # levels it spans, so the classifier realizes every node once.
+    view = clf.retree(k, eps)
+    for node, part, _, idx in _project(view, x_path[: n_max + k + 1], k):
+        child = part.children[idx]
+        por2.extend(
+            clf.por2(x_path[n], eps, cap)
+            for n in range(node.level, min(child.level, n_max))
+        )
         porous = part.hole is not None
         rflags.append(porous)
         nonporous += not porous
         ncounts.append(nonporous)
-        levels.append(part.children[idx].level)
+        levels.append(child.level)
         eta.append(1.0 - nonporous / levels[-1])
+    por2.extend(clf.por2(x_path[n], eps, cap) for n in range(len(por2), n_max))
+    flags = tuple(p <= k for p in por2)
+    running = (hits / n for n, hits in enumerate(accumulate(flags), start=1))
 
     return ScaleReport(
         k=k,
         eps=eps,
-        por2=por2,
+        por2=tuple(por2),
         dyadic_flags=flags,
         dyadic_fraction=tuple(running),
         rstep_porous=tuple(rflags),
@@ -462,14 +514,6 @@ class TranslationReport:
     passed: bool | None
 
 
-def hole_depth_for(alpha: float, r: float, d: int) -> int:
-    """Dyadic hole depth matching Euclidean holes: any ball of radius
-    alpha*r*2^-i contains a dyadic cube of side 2^-(i+k) for this k."""
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
-    return math.ceil(abs(math.log2(alpha * r / math.sqrt(d))))
-
-
 def run_translation_trials(
     mu: TreeMeasure,
     r: float,
@@ -485,7 +529,7 @@ def run_translation_trials(
     if not 1 <= depth <= 50:
         raise ValueError("depth must lie in [1, 50] so grid translations stay exact")
     d = mu.d
-    k = hole_depth_for(alpha, r, d)
+    k = k_of_alpha(d, alpha, r)
     if depth <= k:
         raise ValueError(f"depth {depth} too small to resolve k={k} hole levels")
     out = []
@@ -520,22 +564,26 @@ def translation_experiment(
     measured mean-porosity level of ``mu``; when given, the report checks the
     mean fraction against (1-2r)^d * eta_target.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     out = run_translation_trials(mu, r, alpha, eps, depth, seed, range(trials))
-    k = hole_depth_for(alpha, r, mu.d)
-    fractions = [tr.fraction for tr in out]
+    return translation_report(out, mu.d, r, alpha, eps, depth, eta_target)
+
+
+def translation_report(
+    trials: list[TranslationTrial],
+    d: int,
+    r: float,
+    alpha: float,
+    eps: float,
+    depth: int,
+    eta_target: float | None = None,
+) -> TranslationReport:
+    """Mean and minimum fraction over the trials, and the check against
+    (1-2r)^d * eta_target when a target is given."""
+    if not trials:
+        raise ValueError("trials must be >= 1")
+    fractions = [tr.fraction for tr in trials]
     mean_fraction = math.fsum(fractions) / len(fractions)
-    threshold = None if eta_target is None else (1.0 - 2.0 * r) ** mu.d * eta_target
+    threshold = None if eta_target is None else (1.0 - 2.0 * r) ** d * eta_target
     passed = None if threshold is None else mean_fraction >= threshold
-    return TranslationReport(
-        k=k,
-        eps=eps,
-        ratio=r,
-        depth=depth,
-        trials=tuple(out),
-        mean_fraction=mean_fraction,
-        min_fraction=min(fractions),
-        threshold=threshold,
-        passed=passed,
-    )
+    return TranslationReport(k_of_alpha(d, alpha, r), eps, r, depth, tuple(trials),
+                             mean_fraction, min(fractions), threshold, passed)

@@ -122,6 +122,19 @@ class TestAlphaRoute:
         with pytest.raises(ValueError):
             k_of_alpha(2, 0.7)
 
+    def test_k_of_alpha_ratio(self):
+        # halving r deepens the matching hole by one level; r = 1/4 is the default
+        for d in (1, 2, 3):
+            for alpha in (0.01, 0.1, 0.25, 0.5):
+                assert k_of_alpha(d, alpha, 0.25) == k_of_alpha(d, alpha)
+                for m in range(1, 6):
+                    assert k_of_alpha(d, alpha, 2.0**-m) == k_of_alpha(d, alpha) + m - 2
+
+    def test_ratio_not_power_of_two(self):
+        for r in (0.3, 0.0, 1.0, 2.0, -0.25):
+            with pytest.raises(ValueError, match=f"power of two in \\(0, 1\\), got {r}$"):
+                k_of_alpha(1, 0.25, r)
+
 
 class TestConstantsAndBound:
     def test_c2(self):

@@ -3,7 +3,17 @@ import math
 
 import pytest
 
-from porodim.cli import main
+from porodim.cli import _fmt, _simulate_one_path, main
+from porodim.dimension import sampled_trajectory
+from porodim.measure import (
+    _PATH_STREAM,
+    CascadeDirichlet,
+    GeneratorSpec,
+    build_tree_measure,
+    derived_rng,
+    spec_from_json,
+)
+from porodim.porosity import porous_retree
 
 
 def run(tmp_path, *argv):
@@ -131,6 +141,91 @@ class TestSimulate:
         assert set(lines[0]) == {
             "path", "n", "I", "L", "H", "lambda", "Mbar", "Dn", "resH", "resL", "porous",
         }
+        assert all(row["Mbar"] == row["L"] for row in lines)
+
+    def test_trajectory_rows_match_sampled_trajectory(self, tmp_path):
+        # the rows come from the simulated walks; an independent single-pass
+        # trajectory of the same re-tree and path seeds must reproduce them
+        cfg = tmp_path / "dirichlet.json"
+        cfg.write_text(json.dumps(
+            {"d": 2, "generator": {"type": "dirichlet", "concentration": [2.0] * 4}}
+        ))
+        traj = tmp_path / "traj.csv"
+        depth, paths, k, eps, seed = 40, 3, 2, 0.0125, 13
+        code, _ = run(
+            tmp_path, "simulate", "--config", str(cfg), "--k", str(k),
+            "--eps", str(eps), "--depth", str(depth), "--paths", str(paths),
+            "--seed", str(seed), "--trajectories", str(traj),
+        )
+        assert code == 0
+        spec, _ = spec_from_json(cfg.read_text())
+        spec = GeneratorSpec(spec.d, spec.model, seed)
+        base = build_tree_measure(spec, "uniform", depth * k + k,
+                                  max_level=depth * k + k)
+        view = porous_retree(base, k, eps)
+        expected = []
+        for i in range(paths):
+            t = sampled_trajectory(view, depth, derived_rng(seed, _PATH_STREAM, i))
+            assert 0 < t.porous.sum() < depth  # both kinds of step occur
+            expected.extend(",".join(_fmt(x) for x in (i, *row)) for row in t.csv_rows())
+        assert body(traj.read_text()).splitlines()[1:] == expected
+
+    def test_each_node_realized_once(self, monkeypatch):
+        import porodim.measure
+
+        calls = {}
+        real = porodim.measure.node_weights
+
+        def counting(spec, q):
+            calls[q] = calls.get(q, 0) + 1
+            return real(spec, q)
+
+        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        spec = GeneratorSpec(2, CascadeDirichlet((2.0,) * 4), 106)
+        for k, eps in ((1, 0.05), (2, 0.0125), (3, 0.00078)):
+            calls.clear()
+            row, _ = _simulate_one_path(spec, k, eps, 60, 106, 0)
+            porous_steps, level = row[6], row[7]
+            assert 0 < porous_steps < 60
+            assert len(calls) >= level
+            assert set(calls.values()) == {1}
+
+    def test_jobs_clamped_to_tasks_and_cpus(self, tmp_path, monkeypatch):
+        workers = []
+
+        class RecordingPool:
+            """Records the requested worker count and maps in-process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("porodim.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("porodim.cli.os.cpu_count", lambda: 4)
+        sim = ["simulate", "--gen", "bernoulli", "--d", "1", "--weights",
+               "0.3,0.7", "--k", "1", "--eps", "0.3", "--depth", "20", "--seed", "3"]
+        tr = ["translate", "--gen", "cantor_middle_half", "--alpha", "0.25",
+              "--eps", "0", "--depth", "10", "--seed", "4"]
+        for argv, expected in (
+            ([*sim, "--paths", "3", "--jobs", "10000"], [3]),
+            ([*sim, "--paths", "6", "--jobs", "10000"], [4]),
+            ([*sim, "--paths", "6", "--jobs", "2"], [2]),
+            ([*sim, "--paths", "6", "--jobs", "1"], []),
+            ([*tr, "--trials", "2", "--jobs", "10000"], [2]),
+            ([*tr, "--trials", "7", "--jobs", "10000"], [4]),
+        ):
+            workers.clear()
+            code, _ = run(tmp_path, *argv)
+            assert code == 0
+            assert workers == expected
 
 
 class TestOracle:
@@ -218,6 +313,31 @@ class TestErrors:
         cfg.write_text('{"generator": {"type": "uniform"}}')
         code, _ = run(tmp_path, "simulate", "--config", str(cfg), "--k", "1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--gen", "uniform", "--depth", "0", "--paths", "2"], "--depth"),
+            (["simulate", "--gen", "uniform", "--depth", "5", "--paths", "0"], "--paths"),
+            (["translate", "--gen", "cantor_middle_half", "--trials", "0"], "--trials"),
+            (["hmin", "--points", "1"], "--points"),
+        ],
+    )
+    def test_empty_size_exit_1_one_line(self, tmp_path, capsys, argv, flag):
+        code = main([*argv, "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert flag.lstrip("-") in err
+        assert "Traceback" not in err
+
+    def test_bad_ratio_reports_given_value(self, tmp_path, capsys):
+        code = main(["translate", "--gen", "cantor_middle_half", "--ratio", "0.3",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ratio must be a power of two in (0, 1), got 0.3\n"
+        )
 
     def test_inadmissible_eps_exit_1(self, tmp_path):
         # t_dk undefined for eps > 2^-kd: reported as a parameter error

@@ -89,7 +89,6 @@ class TestTrajectory:
 
     def test_dyadic_frame_identities(self, bern_quarter):
         traj = sampled_trajectory(bern_quarter, 30, 9)
-        assert np.array_equal(traj.Mbar, traj.L)
         assert np.allclose(traj.lam, LOG2)
         assert np.all(traj.I >= 0.0)
         assert np.all(traj.res_L == 0.0)
@@ -131,7 +130,7 @@ class TestTrajectory:
         assert set(jumps.tolist()) <= {1, 2}
         hp, mp = traj.porous_partial_sums
         assert hp == pytest.approx(math.fsum(traj.H))
-        assert mp == pytest.approx(math.fsum(traj.Mbar))
+        assert mp == pytest.approx(math.fsum(traj.L))
 
     def test_csv_rows_shape(self, bern_quarter):
         traj = sampled_trajectory(bern_quarter, 5, 1)

@@ -2,20 +2,25 @@ import math
 
 import pytest
 
+from porodim.bounds import k_of_alpha
 from porodim.dyadic import CubeAddress, root
 from porodim.measure import (
+    _PATH_STREAM,
     Bernoulli,
     CascadeDirichlet,
+    CascadeFiniteMixture,
     Uniform,
     UnrealizedNodeError,
+    derived_rng,
 )
 from porodim.porosity import (
     classify_porous,
     euclid_por_lower_bound,
-    hole_depth_for,
     por2_depth,
     porous_fraction_trajectory,
     porous_retree,
+    porous_walk,
+    sample_porous_path,
     translation_experiment,
 )
 
@@ -131,6 +136,74 @@ class TestFractionTrajectory:
         assert rep.dyadic_flags == tuple(p <= 2 for p in rep.por2)
 
 
+def _brute_porous(mu, q, k, eps):
+    """Porous test from products of dyadic conditionals, node by node."""
+    ratios = {q: 1.0}
+    for _ in range(k):
+        deeper = {}
+        for node, ratio in ratios.items():
+            part, w = mu.offspring(node)
+            for child, wj in zip(part.children, w):
+                deeper[child] = ratio * wj
+        ratios = deeper
+    return min(ratios.values()) <= eps
+
+
+_MIXTURE = CascadeFiniteMixture(((0.5, 0.5), (0.1, 0.9)), (0.5, 0.5))
+_DIRICHLET = CascadeDirichlet((2.0,) * 4)
+
+
+class TestLineageClassifier:
+    # eps per k chosen so that a path has both porous and non-porous levels
+    @pytest.mark.parametrize(
+        "d, model, eps_of_k",
+        [
+            (1, _MIXTURE, {1: 0.1, 2: 0.0125, 3: 0.00625}),
+            (2, _DIRICHLET, {1: 0.05, 2: 0.0125, 3: 0.00078}),
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_walk_flags_match_reference(self, d, model, eps_of_k, k):
+        eps, steps = eps_of_k[k], 30
+        mu = make_measure(d, model, depth=steps * k + k, seed=106)
+        walk, flags = sample_porous_path(
+            mu, k, eps, derived_rng(106, _PATH_STREAM, 0), steps
+        )
+        assert len(walk) == steps
+        last = walk[-1][1].children[walk[-1][3]]
+        lineage = [last.ancestor(n) for n in range(last.level + 1)]
+        assert len(flags) == last.level
+        assert 0 < sum(flags) < len(flags)
+        for n, flag in enumerate(flags):
+            assert flag == (por2_depth(mu, lineage, n, eps, cap=k) <= k)
+            assert flag == classify_porous(mu, lineage[n], k, eps).porous
+            assert flag == _brute_porous(mu, lineage[n], k, eps)
+        for node, part, _, idx in walk:
+            assert (part.hole is not None) == flags[node.level]
+            jump = part.children[idx].level - node.level
+            assert jump == 1 or part.hole is not None
+
+    def test_fraction_trajectory_realizes_each_node_once(self, monkeypatch):
+        import porodim.measure
+
+        calls = {}
+        real = porodim.measure.node_weights
+
+        def counting(spec, q):
+            calls[q] = calls.get(q, 0) + 1
+            return real(spec, q)
+
+        mu = make_measure(2, _DIRICHLET, seed=9, depth=40)
+        path = mu.sample_path(10, steps=40)
+        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        rep = porous_fraction_trajectory(mu, path, 2, 0.0125, n_max=30, por2_cap=4)
+        assert calls and set(calls.values()) == {1}
+        monkeypatch.undo()
+        assert rep.por2 == tuple(por2_depth(mu, path, n, 0.0125, 4) for n in range(30))
+        walk = porous_walk(porous_retree(mu, 2, 0.0125), path[:33], 2)
+        assert rep.rstep_porous == tuple(part.hole is not None for _, part, _, _ in walk)
+
+
 class TestRetree:
     def test_weights_sum_to_one(self):
         mu = make_measure(1, Bernoulli((0.1, 0.9)))
@@ -210,8 +283,8 @@ class TestEuclid:
 
 class TestTranslation:
     def test_hole_depth_formula(self):
-        assert hole_depth_for(0.25, 0.25, 1) == 4
-        assert hole_depth_for(0.25, 0.25, 2) == math.ceil(math.log2(16 * math.sqrt(2)))
+        assert k_of_alpha(1, 0.25, 0.25) == 4
+        assert k_of_alpha(2, 0.25, 0.25) == math.ceil(math.log2(16 * math.sqrt(2)))
 
     def test_point_mass_all_scales(self):
         pt = make_measure(1, Bernoulli((1.0, 0.0)), depth=20)
