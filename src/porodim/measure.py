@@ -4,7 +4,9 @@ sampling, and exact pushforwards under dyadic homotheties.
 A tree measure assigns every realized node a partition of its cube and a
 probability vector over the partition's children (the conditional mass
 splits); the mass of a node is the product of the conditional weights along
-its lineage.  Realization is lazy: node data is produced on demand by a
+its lineage.  That product underflows deep in the tree, so pushforwards and
+porosity tests work with masses relative to an ancestor cube instead.
+Realization is lazy: node data is produced on demand by a
 deterministic realizer keyed by (seed, node address) through a counter-based
 generator (numpy Philox), so parallel and serial builds agree bit for bit and
 rebuilding with the same seed is identical.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,10 +36,10 @@ _NODE_STREAM = 0
 _PATH_STREAM = 1
 _TRIAL_STREAM = 2
 
-#: Above this lineage length, masses are accumulated in log space.
-_LOG_SPACE_DEPTH = 40
-
 _WEIGHT_SUM_TOL = 1e-12
+
+#: Verdicts of a ``_descend`` visitor on a node.
+_DROP, _TAKE, _SPLIT = range(3)
 
 
 class UnrealizedNodeError(LookupError):
@@ -164,10 +166,6 @@ class GeneratorSpec:
         if not isinstance(m, GeneratorModel):
             raise TypeError(f"unknown generator model {m!r}")
 
-    @property
-    def is_random(self) -> bool:
-        return isinstance(self.model, (CascadeFiniteMixture, CascadeDirichlet))
-
 
 def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
     """Offspring vector at node ``q``; a pure function of (spec, q)."""
@@ -220,7 +218,6 @@ class TreeMeasure:
         max_level: int | None = None,
         cache: bool = False,
         dyadic_splits: bool = True,
-        base: "TreeMeasure | None" = None,
     ):
         if depth < 0:
             raise ValueError("depth must be >= 0")
@@ -237,8 +234,6 @@ class TreeMeasure:
         self._cache = cache or realizer is None
         #: True when every partition is the uniform dyadic split.
         self.dyadic_splits = dyadic_splits
-        #: For derived trees (porous re-trees), the underlying dyadic measure.
-        self.base = base
 
     def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
         """Partition and conditional offspring vector at ``q``."""
@@ -285,14 +280,12 @@ class TreeMeasure:
         return out
 
     def mass(self, q: CubeAddress) -> float:
-        """Product of conditional weights along the lineage; mass(root) = 1."""
-        ws = self.lineage_weights(q)
-        if len(ws) <= _LOG_SPACE_DEPTH:
-            m = 1.0
-            for w in ws:
-                m *= w
-            return m
-        return math.exp(self.log_mass(q))
+        """Product of conditional weights along the lineage; mass(root) = 1.
+
+        The product underflows to 0.0 on deep lineages (level ~540 for 1/4
+        splits); ``log_mass`` does not.
+        """
+        return math.prod(self.lineage_weights(q), start=1.0)
 
     def log_mass(self, q: CubeAddress) -> float:
         """log of mass(q); -inf for exact-zero nodes."""
@@ -418,29 +411,34 @@ def spec_from_json(data: str | dict) -> tuple[GeneratorSpec, int | None]:
     See docs/generator-config.schema.json for the documented schema.
     """
     obj = json.loads(data) if isinstance(data, str) else data
+    typ = None
     try:
         d = int(obj["d"])
         gen = obj["generator"]
         typ = gen["type"]
+        if typ == "uniform":
+            model: GeneratorModel = Uniform()
+        elif typ == "bernoulli":
+            model = Bernoulli(tuple(gen["weights"]))
+        elif typ == "mixture":
+            comps = tuple(tuple(item["weights"]) for item in gen["mixture"])
+            probs = tuple(item["prob"] for item in gen["mixture"])
+            model = CascadeFiniteMixture(comps, probs)
+        elif typ == "dirichlet":
+            model = CascadeDirichlet(tuple(gen["concentration"]))
+        elif typ == "cantor_middle_half":
+            model = CantorMiddleHalf()
+        else:
+            raise ValueError(f"unknown generator type {typ!r}")
+        seed = int(obj.get("seed", 0))
+        depth = obj.get("depth")
+        depth = None if depth is None else int(depth)
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed generator config (expected {_SCHEMA_HINT})") from exc
-    if typ == "uniform":
-        model: GeneratorModel = Uniform()
-    elif typ == "bernoulli":
-        model = Bernoulli(tuple(gen["weights"]))
-    elif typ == "mixture":
-        comps = tuple(tuple(item["weights"]) for item in gen["mixture"])
-        probs = tuple(item["prob"] for item in gen["mixture"])
-        model = CascadeFiniteMixture(comps, probs)
-    elif typ == "dirichlet":
-        model = CascadeDirichlet(tuple(gen["concentration"]))
-    elif typ == "cantor_middle_half":
-        model = CantorMiddleHalf()
-    else:
-        raise ValueError(f"unknown generator type {typ!r}")
-    seed = int(obj.get("seed", 0))
-    depth = obj.get("depth")
-    return GeneratorSpec(d, model, seed), (None if depth is None else int(depth))
+        named = "" if typ is None else f" for type {typ!r}"
+        raise ValueError(
+            f"malformed generator config{named} (expected {_SCHEMA_HINT})"
+        ) from exc
+    return GeneratorSpec(d, model, seed), depth
 
 
 def spec_to_json(spec: GeneratorSpec, depth: int | None = None) -> str:
@@ -509,37 +507,64 @@ class Homothety:
         return nums, grid
 
 
-def _box_mass(
-    mu: TreeMeasure, lo: tuple[int, ...], hi: tuple[int, ...], scale: int
-) -> float:
-    """mu of the box prod [lo_i 2^-scale, hi_i 2^-scale), exactly on addresses.
+def _descend(
+    mu: TreeMeasure,
+    start: CubeAddress,
+    where: Callable[[CubeAddress, float], int],
+) -> Iterator[tuple[CubeAddress, float]]:
+    """Yield the (node, mass) pairs below ``start`` that ``where`` takes,
+    with masses relative to mu(start).
 
-    Recurses through the source tree; a node is either disjoint from the box,
+    ``where(node, mass)`` returns _TAKE (yield the node), _DROP (skip its
+    subtree) or _SPLIT (visit its children).  An explicit stack replaces
+    recursion, so depth costs no stack frames; a split zero-mass node expands
+    into its uniform children at mass 0 without being realized.
+    """
+    stack = [(start, 1.0)]
+    while stack:
+        node, node_mass = stack.pop()
+        verdict = where(node, node_mass)
+        if verdict == _TAKE:
+            yield node, node_mass
+        elif verdict == _SPLIT and node_mass == 0.0:
+            stack.extend((node.uniform_child(j), 0.0) for j in range(1 << node.d))
+        elif verdict == _SPLIT:
+            part, w = mu.offspring(node)
+            stack.extend((ch, node_mass * wj) for ch, wj in zip(part.children, w))
+
+
+def _box_mass(
+    mu: TreeMeasure,
+    anchor: CubeAddress,
+    lo: tuple[int, ...],
+    hi: tuple[int, ...],
+    scale: int,
+) -> float:
+    """mu(box) / mu(anchor) for the box prod [lo_i 2^-scale, hi_i 2^-scale)
+    inside the cube ``anchor``, exactly on addresses.
+
+    Descends from the anchor; a node is either disjoint from the box,
     contained in it, or splits further (box corners are integers at ``scale``,
     so level-``scale`` nodes never straddle).
     """
-    d = mu.d
     if any(h <= l for l, h in zip(lo, hi)):
         return 0.0
 
-    def rec(node: CubeAddress, node_mass: float) -> float:
+    def where(node: CubeAddress, node_mass: float) -> int:
         if node_mass == 0.0:
-            return 0.0
+            return _DROP
         shift = scale - node.level
         inside = True
         for c, l, h in zip(node.coords, lo, hi):
             nlo = c << shift
             nhi = nlo + (1 << shift)
             if nhi <= l or h <= nlo:
-                return 0.0
+                return _DROP
             if not (l <= nlo and nhi <= h):
                 inside = False
-        if inside:
-            return node_mass
-        part, w = mu.offspring(node)
-        return sum(rec(ch, node_mass * wj) for ch, wj in zip(part.children, w))
+        return _TAKE if inside else _SPLIT
 
-    return rec(mu.root, 1.0)
+    return math.fsum(m for _, m in _descend(mu, anchor, where))
 
 
 def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
@@ -549,7 +574,9 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     Total mass is preserved; dyadic cubes of side 2^-m map onto dyadic cubes
     of side 2^-(m + log2(1/ratio)) whenever the translation lies on the
     matching grid, and masses come out exact because box/cube intersections
-    are resolved in integer coordinates.
+    are resolved in integer coordinates.  A node's weights are the masses of
+    its children's source boxes relative to the source cube anchoring its own
+    box, so they do not underflow with depth.
     """
     if not mu.dyadic_splits:
         raise ValueError("apply_homothety needs a dyadic-split source measure")
@@ -568,45 +595,35 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
             f"{need}, above its maximum {mu.max_level}"
         )
 
-    masses: dict[CubeAddress, float] = {}
-
-    def nu_mass(q: CubeAddress) -> float:
-        hit = masses.get(q)
-        if hit is not None:
-            return hit
-        n = q.level
-        scale = max(n - m, t_grid - m, 0)
-        lo, hi = [], []
-        for c, tn in zip(q.coords, t_num):
-            l = (c << (scale + m - n)) - (tn << (scale + m - t_grid))
-            lo.append(l)
-            hi.append(l + (1 << (scale + m - n)))
-        # Clip to the source domain [0, 2^scale)^d.
-        dom = 1 << scale
-        lo = tuple(max(l, 0) for l in lo)
-        hi = tuple(min(x, dom) for x in hi)
-        val = _box_mass(mu, lo, hi, scale)
-        masses[q] = val
-        return val
-
-    masses[root(mu.d)] = 1.0
+    def source_box(q: CubeAddress) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """q's preimage at source level ``scale``, clipped to [0, 2^scale)^d."""
+        scale = max(q.level - m, t_grid - m, 0)
+        shift = scale + m - q.level
+        lo = [(c << shift) - (tn << (scale + m - t_grid))
+              for c, tn in zip(q.coords, t_num)]
+        hi = tuple(min(l + (1 << shift), 1 << scale) for l in lo)
+        return tuple(max(l, 0) for l in lo), hi, scale
 
     def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
         part = subdivide_uniform(q, depth)
-        parent_mass = nu_mass(q)
-        child_masses = [nu_mass(c) for c in part.children]
-        if parent_mass <= 0.0:
-            raise UnrealizedNodeError(
-                f"zero-mass node {q.serialize()} is not expanded"
-            )
+        lo, hi, scale = source_box(q)
+        parent_mass = 0.0
+        if all(l < h for l, h in zip(lo, hi)):
+            # the anchor: the deepest source cube containing the box
+            level = scale - max((l ^ (h - 1)).bit_length() for l, h in zip(lo, hi))
+            anchor = CubeAddress(level, tuple(l >> (scale - level) for l in lo))
+            parent_mass = _box_mass(mu, anchor, lo, hi, scale)
+        # Relative masses cannot see a zero-mass anchor; its lineage can.
+        if parent_mass == 0.0 or 0.0 in mu.lineage_weights(anchor):
+            raise UnrealizedNodeError(f"zero-mass node {q.serialize()} is not expanded")
+        child_masses = [_box_mass(mu, anchor, *source_box(c)) for c in part.children]
         total = math.fsum(child_masses)
         if abs(total - parent_mass) > 1e-10 * parent_mass:
             raise ArithmeticError(
                 f"mass conservation violated at {q.serialize()}: "
                 f"{total} vs {parent_mass}"
             )
-        w = tuple(cm / total for cm in child_masses)
-        return part, w
+        return part, tuple(cm / total for cm in child_masses)
 
     return TreeMeasure(
         mu.d, depth, realizer, max_level=depth, cache=True, dyadic_splits=True

@@ -19,6 +19,10 @@ from .bounds import LOG2, psi, solve_s
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Fixed-point iteration M <- (1 - damping) M + damping g(M): damping,
+#: tolerance on M, iteration cap.
+_DAMPING, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER = 0.5, 1e-12, 10_000
+
 
 def alpha_vector(d: int, k: int) -> tuple[float, ...]:
     """Relative side lengths of porous-split offspring: 2^d - 1 copies of
@@ -174,9 +178,6 @@ def maximize_bruteforce(
     k: int,
     eps: float,
     grid: int = 500,
-    *,
-    polish: bool = True,
-    allow_large: bool = False,
 ) -> BruteForceResult:
     """Grid-maximize the reduced objective over the constrained simplex, then
     sharpen with coordinate-wise golden-section ascent.
@@ -185,10 +186,10 @@ def maximize_bruteforce(
     of the implicit-equation solver: nothing here assumes the geometric-decay
     structure of the maximizer.
     """
-    if not allow_large and (d > 2 or k > 3):
+    if d > 2 or k > 3:
         raise ValueError(
             f"grid^k enumeration for d={d}, k={k} is expensive; "
-            f"pass allow_large=True to force it"
+            f"the brute force covers d <= 2 and k <= 3"
         )
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -227,31 +228,30 @@ def maximize_bruteforce(
 
     func = _objective_free(d, k, eps)
     z = list(best_free)
-    if polish:
-        for _ in range(60):
-            improved = False
-            for i in range(len(z)):
-                if i == len(z) - 1:
-                    lo_i = 0.0
-                    hi_i = min(eps, 1.0 - L * math.fsum(z[:-1]))
-                else:
-                    lo_i = 0.0
-                    others = math.fsum(z[:-1]) - z[i]
-                    hi_i = (1.0 - z[-1]) / L - others
-                if hi_i <= lo_i:
-                    continue
+    for _ in range(60):
+        improved = False
+        for i in range(len(z)):
+            if i == len(z) - 1:
+                lo_i = 0.0
+                hi_i = min(eps, 1.0 - L * math.fsum(z[:-1]))
+            else:
+                lo_i = 0.0
+                others = math.fsum(z[:-1]) - z[i]
+                hi_i = (1.0 - z[-1]) / L - others
+            if hi_i <= lo_i:
+                continue
 
-                def along(x, i=i):
-                    trial = z.copy()
-                    trial[i] = x
-                    return func(trial)
+            def along(x, i=i):
+                trial = z.copy()
+                trial[i] = x
+                return func(trial)
 
-                xi = _golden_section(along, lo_i, hi_i)
-                if along(xi) > func(z) + 1e-14:
-                    z[i] = xi
-                    improved = True
-            if not improved:
-                break
+            xi = _golden_section(along, lo_i, hi_i)
+            if along(xi) > func(z) + 1e-14:
+                z[i] = xi
+                improved = True
+        if not improved:
+            break
     p = z[-1]
     qk = (1.0 - p) / L - math.fsum(z[:-1])
     point = ReducedPoint(d, k, (*z[:-1], max(qk, 0.0)), p)
@@ -267,15 +267,7 @@ class FixedPointResult:
     iterations: int
 
 
-def fixed_point_candidate(
-    d: int,
-    k: int,
-    eps: float,
-    *,
-    damping: float = 0.5,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> FixedPointResult:
+def fixed_point_candidate(d: int, k: int, eps: float) -> FixedPointResult:
     """Iterate M -> g_eps(A(M) 2^{-M i}) to its fixed point.
 
     The candidate maximizer has per-level masses decaying geometrically with
@@ -293,9 +285,9 @@ def fixed_point_candidate(
         return reduced_objective(d, k, q, eps)
 
     m = 0.9 * d
-    for it in range(1, max_iter + 1):
-        m_new = (1.0 - damping) * m + damping * step(m)
-        if abs(m_new - m) < tol:
+    for it in range(1, _FIXED_POINT_MAX_ITER + 1):
+        m_new = (1.0 - _DAMPING) * m + _DAMPING * step(m)
+        if abs(m_new - m) < _FIXED_POINT_TOL:
             m = m_new
             break
         m = m_new

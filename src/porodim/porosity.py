@@ -22,11 +22,15 @@ import numpy as np
 from .bounds import k_of_alpha
 from .dyadic import CubeAddress, CubePartition, porous_split
 from .measure import (
+    _DROP,
     _PATH_STREAM,
+    _SPLIT,
+    _TAKE,
     _TRIAL_STREAM,
     Homothety,
     TreeMeasure,
     Weights,
+    _descend,
     apply_homothety,
     derived_rng,
 )
@@ -161,7 +165,7 @@ class LineageClassifier:
             )
 
         return TreeMeasure(base.d, base.depth, realizer, max_level=base.max_level,
-                           dyadic_splits=False, base=base)
+                           dyadic_splits=False)
 
 
 def _classify_full(
@@ -430,19 +434,15 @@ def euclid_por_lower_bound(
         )
     r2 = r * r
 
-    def ball_mass_lower(node: CubeAddress, node_mass: float) -> float:
+    def ball_where(node: CubeAddress, node_mass: float) -> int:
         if node_mass == 0.0 or _cube_outside_ball(node, x, r2):
-            return 0.0
+            return _DROP
         if _cube_inside_ball(node, x, r2):
-            return node_mass
-        if node.level >= m_max:
-            return 0.0  # boundary cube dropped: stay a lower bound
-        part, w = mu.offspring(node)
-        return math.fsum(
-            ball_mass_lower(c, node_mass * wj) for c, wj in zip(part.children, w)
-        )
+            return _TAKE
+        # boundary cubes at the resolution are dropped: stay a lower bound
+        return _SPLIT if node.level < m_max else _DROP
 
-    mu_ball = ball_mass_lower(mu.root, 1.0)
+    mu_ball = math.fsum(m for _, m in _descend(mu, mu.root, ball_where))
     if mu_ball <= 0.0:
         raise ValueError(
             "no positive lower bound on the ball mass at this resolution; "
@@ -450,25 +450,14 @@ def euclid_por_lower_bound(
         )
     threshold = eps * mu_ball
 
-    holes: list[CubeAddress] = []
-
-    def collect(node: CubeAddress, node_mass: float) -> None:
+    def hole_where(node: CubeAddress, node_mass: float) -> int:
         if _cube_outside_ball(node, x, r2):
-            return
+            return _DROP
         if _cube_inside_ball(node, x, r2) and node_mass <= threshold:
-            holes.append(node)
-            return
-        if node.level >= m_max:
-            return
-        if node_mass == 0.0:
-            for j in range(1 << d):
-                collect(node.uniform_child(j), 0.0)
-            return
-        part, w = mu.offspring(node)
-        for c, wj in zip(part.children, w):
-            collect(c, node_mass * wj)
+            return _TAKE
+        return _SPLIT if node.level < m_max else _DROP
 
-    collect(mu.root, 1.0)
+    holes = [node for node, _ in _descend(mu, mu.root, hole_where)]
     if not holes:
         return 0.0
 

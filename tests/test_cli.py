@@ -315,6 +315,37 @@ class TestErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "generator, extra",
+        [
+            ({"type": "bernoulli"}, {}),
+            ({"type": "mixture", "mixture": [{"weights": [0.5, 0.5]}]}, {}),
+            ({"type": "dirichlet"}, {}),
+            ({"type": "bernoulli", "weights": 0.5}, {}),
+            ({"type": "uniform"}, {"depth": [3]}),
+        ],
+    )
+    def test_malformed_generator_config_one_line(
+        self, tmp_path, capsys, generator, extra
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"d": 1, "generator": generator, **extra}))
+        code, _ = run(tmp_path, "simulate", "--config", str(cfg), "--k", "1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "malformed generator config" in err and generator["type"] in err
+        assert "Traceback" not in err
+
+    def test_oracle_beyond_brute_force_states_limit(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "oracle", "--d", "3", "--k", "1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "error: grid^k enumeration for d=3, k=1 is expensive; "
+            "the brute force covers d <= 2 and k <= 3\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["simulate", "--gen", "uniform", "--depth", "0", "--paths", "2"], "--depth"),

@@ -94,6 +94,10 @@ class TestBuildAndMass:
         lw = mu.lineage_weights(q)
         assert mu.log_mass(q) == pytest.approx(math.fsum(math.log(w) for w in lw))
 
+    def test_deep_mass_is_the_exact_product(self):
+        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=600)
+        assert mu.mass(CubeAddress(500, (0,))) == 2.0**-1000
+
     def test_explicit_node_map(self):
         from porodim.dyadic import subdivide_uniform
         from porodim.measure import from_nodes
@@ -218,24 +222,47 @@ class TestHomothety:
 
     def test_zero_mass_nodes_not_expanded(self, cantor):
         nu = apply_homothety(cantor, Homothety(0.25, (0.0,)), 10)
-        gap = CubeAddress(4, (5,))  # inside the image's middle gap
-        assert nu.mass(gap) == 0.0
-        with pytest.raises(UnrealizedNodeError, match="zero-mass"):
-            nu.offspring(gap)
+        # 4:5 lies outside the image, so its source box clips away; 4:1 is the
+        # image of the source gap cube 2:1, whose own split is (1/2, 1/2)
+        for gap in (CubeAddress(4, (5,)), CubeAddress(4, (1,))):
+            assert nu.mass(gap) == 0.0
+            with pytest.raises(UnrealizedNodeError, match="zero-mass"):
+                nu.offspring(gap)
 
-    def test_agrees_with_exhaustive_enumeration(self):
+    def test_deep_walk_has_no_recursion_limit(self):
+        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
+        nu = apply_homothety(mu, Homothety(0.125, (0.0,)), 600)
+        assert len(nu.sample_path(1, steps=600)) == 601
+
+    def test_deep_weights_do_not_underflow(self):
+        # the source cube 557:0 has mass 2^-1114, which is 0.0 as a float
+        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
+        nu = apply_homothety(mu, Homothety(0.125, (0.0,)), 600)
+        assert nu.offspring_weights(CubeAddress(560, (0,))) == (0.25, 0.75)
+
+    @pytest.mark.parametrize(
+        "ratio, t",
+        [
+            (0.125, 0.3125),  # m = 3, t = 5/16
+            (0.25, 0.0),
+            (0.25, 0.6875),
+            (0.0625, 0.40625),
+            (0.0625, 0.9375),  # the image ends at 1
+        ],
+    )
+    def test_agrees_with_exhaustive_enumeration(self, ratio, t):
         # independent oracle: the image of a level-L source cube under
         # x -> 2^-m x + t is the level-(L+m) dyadic cube shifted by t, so
         # pushforward masses are plain sums over an exhaustive enumeration
         mu = make_measure(1, CascadeDirichlet((0.7, 0.7)), depth=16, seed=13)
-        h = Homothety(0.125, (0.3125,))  # m = 3, t = 5/16
+        h = Homothety(ratio, (t,))
         nu = apply_homothety(mu, h, 10)
         (tn,), t_grid = h.translation_grid()
         m = h.log2_ratio
         for n in (1, 2, 4, 6):
             for coord in range(1 << n):
                 q = CubeAddress(n, (coord,))
-                L = max(n, t_grid) - m
+                L = max(n, t_grid, m) - m
                 total = math.fsum(
                     mu.mass(CubeAddress(L, (c,)))
                     for c in range(1 << L)

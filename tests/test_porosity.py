@@ -275,6 +275,14 @@ class TestEuclid:
         with pytest.raises(ValueError, match="positive"):
             euclid_por_lower_bound(cantor, (0.4375,), 0.01, 0.0, 8)
 
+    def test_deep_radius(self):
+        # B(0, 2^-400) holds the cube 400:0; below it the left cubes 401:0,
+        # 402:2, 403:6 and 404:14 carry at most 0.3 of its mass and merge
+        # into a run of 15/16 of its side
+        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
+        assert euclid_por_lower_bound(mu, (0.0,), 2.0**-400, 0.0, 16) == 0.0
+        assert euclid_por_lower_bound(mu, (0.0,), 2.0**-400, 0.3, 16) == 15 / 32
+
     def test_2d_point_mass(self):
         pt = make_measure(2, Bernoulli((1.0, 0.0, 0.0, 0.0)))
         a = euclid_por_lower_bound(pt, (0.0, 0.0), 0.25, 0.0, 16)
