@@ -18,7 +18,13 @@ import numpy as np
 
 from .bounds import LOG2, psi
 from .dyadic import CubeAddress, CubePartition
-from .measure import _PATH_STREAM, TreeMeasure, Weights, derived_rng
+from .measure import (
+    _PATH_STREAM,
+    TreeMeasure,
+    UnrealizedNodeError,
+    Weights,
+    derived_rng,
+)
 from .porosity import PorosityParams, porous_retree, porous_walk
 
 
@@ -137,15 +143,6 @@ def _trajectory_from_steps(steps) -> PathTrajectory:
     )
 
 
-def _steps_along(mu: TreeMeasure, path: list[CubeAddress]):
-    steps = []
-    for node, nxt in zip(path, path[1:]):
-        part, w = mu.offspring(node)
-        idx = part.children.index(nxt)
-        steps.append((node, part, w, idx))
-    return steps
-
-
 def path_trajectory(
     mu: TreeMeasure,
     path: list[CubeAddress],
@@ -159,7 +156,12 @@ def path_trajectory(
     at (classifier.k, classifier.eps), so porous steps jump k levels.
     """
     if classifier is None:
-        steps = _steps_along(mu, path)
+        try:
+            steps = list(mu.steps_to(path[-1])) if path else []
+        except UnrealizedNodeError as exc:
+            raise ValueError(f"path is not a lineage of the measure: {exc}") from exc
+        if [node for node, *_ in steps] != path[:-1]:
+            raise ValueError("path is not a lineage of the measure")
     else:
         view = porous_retree(mu, classifier.k, classifier.eps)
         steps = porous_walk(view, path, classifier.k)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,9 +50,9 @@ def _u64(seed: int) -> int:
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
-def node_rng(seed: int, q: CubeAddress, stream: int = _NODE_STREAM) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream, node address)."""
-    entropy = (_u64(seed), stream, q.level, *q.coords)
+def node_rng(seed: int, q: CubeAddress) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, node stream, node address)."""
+    entropy = (_u64(seed), _NODE_STREAM, q.level, *q.coords)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -201,8 +201,8 @@ class TreeMeasure:
     """An immutable measure realized as a partition tree.
 
     ``realizer(q) -> (CubePartition, Weights)`` supplies node data on demand;
-    explicit trees pass ``nodes`` instead.  ``depth`` bounds the number of
-    tree steps along any path, ``max_level`` the dyadic level of any node.
+    explicit trees pass ``nodes`` instead.  ``depth`` bounds the dyadic level
+    of any node, and so the number of tree steps along any path.
 
     Concurrent reads are safe: realizers are deterministic, so readers racing
     to fill the cache compute identical values and the last write wins.
@@ -215,7 +215,6 @@ class TreeMeasure:
         realizer: Callable[[CubeAddress], tuple[CubePartition, Weights]] | None = None,
         *,
         nodes: dict[CubeAddress, tuple[CubePartition, Weights]] | None = None,
-        max_level: int | None = None,
         cache: bool = False,
         dyadic_splits: bool = True,
     ):
@@ -226,7 +225,6 @@ class TreeMeasure:
         self.root = root(d)
         self.d = d
         self.depth = depth
-        self.max_level = depth if max_level is None else max_level
         self._realizer = realizer
         self._nodes: dict[CubeAddress, tuple[CubePartition, Weights]] = (
             dict(nodes) if nodes else {}
@@ -242,10 +240,9 @@ class TreeMeasure:
             return hit
         if self._realizer is None:
             raise UnrealizedNodeError(f"node {q.serialize()} is not realized")
-        if q.level >= self.max_level:
+        if q.level >= self.depth:
             raise UnrealizedNodeError(
-                f"node {q.serialize()} is at the measure's maximum level "
-                f"{self.max_level}"
+                f"node {q.serialize()} is at the measure's maximum level {self.depth}"
             )
         part, w = self._realizer(q)
         if self._cache:
@@ -255,28 +252,37 @@ class TreeMeasure:
     def offspring_weights(self, q: CubeAddress) -> Weights:
         return self.offspring(q)[1]
 
-    def lineage_weights(self, q: CubeAddress) -> list[float]:
-        """Conditional weights along the lineage root -> q."""
-        out = []
-        cur = self.root
-        while cur.level < q.level:
+    def steps_to(self, target: CubeAddress, last: int | None = None,
+                 start: CubeAddress | None = None):
+        """The lineage from ``start`` (default the root) toward ``target`` as
+        ``walk`` steps (node, partition, weights, idx).
+
+        Only nodes at levels <= ``last`` (default target.level - 1) take a
+        step; the bound is checked before a node is realized.  Raises
+        UnrealizedNodeError when no child of a node contains ``target``.
+        """
+        if last is None:
+            last = target.level - 1
+        cur = self.root if start is None else start
+        while cur.level <= last:
             part, w = self.offspring(cur)
-            for idx, child in enumerate(part.children):
-                if child.contains(q):
-                    out.append(w[idx])
-                    cur = child
-                    break
-            else:
+            idx = next((j for j, ch in enumerate(part.children) if ch.contains(target)),
+                       None)
+            if idx is None:
                 raise UnrealizedNodeError(
-                    f"{q.serialize()} is not on this measure's node lattice"
+                    f"{target.serialize()} is not on this measure's node lattice"
                 )
-            if out[-1] == 0.0 and cur != q:
-                # Zero-mass subtrees are truncated: stop realizing, the
-                # remaining factors cannot change the zero product.
-                out.append(0.0)
-                return out
-        if cur != q:
-            raise UnrealizedNodeError(f"{q.serialize()} is not a node of this tree")
+            yield cur, part, w, idx
+            cur = part.children[idx]
+
+    def lineage_weights(self, q: CubeAddress) -> list[float]:
+        """Conditional weights along the lineage root -> q, up to the first
+        zero: zero-mass subtrees are not realized."""
+        out = []
+        for _, _, w, idx in self.steps_to(q):
+            out.append(w[idx])
+            if w[idx] == 0.0:
+                break
         return out
 
     def mass(self, q: CubeAddress) -> float:
@@ -378,14 +384,7 @@ def build_tree_measure(
     def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
         return subdivide_uniform(q, cap), node_weights(spec, q)
 
-    return TreeMeasure(
-        spec.d,
-        depth,
-        realizer,
-        max_level=depth,
-        cache=False,
-        dyadic_splits=True,
-    )
+    return TreeMeasure(spec.d, depth, realizer, cache=False, dyadic_splits=True)
 
 
 def from_nodes(
@@ -508,19 +507,19 @@ class Homothety:
 
 
 def _descend(
-    mu: TreeMeasure,
-    start: CubeAddress,
+    offspring: Callable[[CubeAddress], tuple[CubePartition, Weights]],
+    start: Iterable[tuple[CubeAddress, float]],
     where: Callable[[CubeAddress, float], int],
 ) -> Iterator[tuple[CubeAddress, float]]:
-    """Yield the (node, mass) pairs below ``start`` that ``where`` takes,
-    with masses relative to mu(start).
+    """Yield the (node, mass) pairs at or below the ``start`` pairs that
+    ``where`` takes; a child's mass is its parent's times its weight.
 
     ``where(node, mass)`` returns _TAKE (yield the node), _DROP (skip its
     subtree) or _SPLIT (visit its children).  An explicit stack replaces
     recursion, so depth costs no stack frames; a split zero-mass node expands
     into its uniform children at mass 0 without being realized.
     """
-    stack = [(start, 1.0)]
+    stack = list(start)
     while stack:
         node, node_mass = stack.pop()
         verdict = where(node, node_mass)
@@ -529,7 +528,7 @@ def _descend(
         elif verdict == _SPLIT and node_mass == 0.0:
             stack.extend((node.uniform_child(j), 0.0) for j in range(1 << node.d))
         elif verdict == _SPLIT:
-            part, w = mu.offspring(node)
+            part, w = offspring(node)
             stack.extend((ch, node_mass * wj) for ch, wj in zip(part.children, w))
 
 
@@ -564,7 +563,7 @@ def _box_mass(
                 inside = False
         return _TAKE if inside else _SPLIT
 
-    return math.fsum(m for _, m in _descend(mu, anchor, where))
+    return math.fsum(m for _, m in _descend(mu.offspring, [(anchor, 1.0)], where))
 
 
 def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
@@ -589,10 +588,10 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
             raise ValueError("image support would leave the unit cube")
     # Deepest source level any realization can touch.
     need = max(depth, t_grid) - m
-    if need > mu.max_level:
+    if need > mu.depth:
         raise ValueError(
             f"pushforward to depth {depth} needs the source realized to level "
-            f"{need}, above its maximum {mu.max_level}"
+            f"{need}, above its maximum {mu.depth}"
         )
 
     def source_box(q: CubeAddress) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -604,6 +603,20 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
         hi = tuple(min(l + (1 << shift), 1 << scale) for l in lo)
         return tuple(max(l, 0) for l in lo), hi, scale
 
+    positive = {mu.root}  # source cubes known to carry mass
+
+    def has_mass(anchor: CubeAddress) -> bool:
+        """mu(anchor) > 0, testing only the weights below the nearest
+        ancestor known to carry mass; relative masses cannot see a zero there."""
+        known = anchor
+        while known not in positive:
+            known = known.ancestor(known.level - 1)
+        for _, part, w, idx in mu.steps_to(anchor, start=known):
+            if w[idx] == 0.0:
+                return False
+            positive.add(part.children[idx])
+        return True
+
     def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
         part = subdivide_uniform(q, depth)
         lo, hi, scale = source_box(q)
@@ -613,8 +626,7 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
             level = scale - max((l ^ (h - 1)).bit_length() for l, h in zip(lo, hi))
             anchor = CubeAddress(level, tuple(l >> (scale - level) for l in lo))
             parent_mass = _box_mass(mu, anchor, lo, hi, scale)
-        # Relative masses cannot see a zero-mass anchor; its lineage can.
-        if parent_mass == 0.0 or 0.0 in mu.lineage_weights(anchor):
+        if parent_mass == 0.0 or not has_mass(anchor):
             raise UnrealizedNodeError(f"zero-mass node {q.serialize()} is not expanded")
         child_masses = [_box_mass(mu, anchor, *source_box(c)) for c in part.children]
         total = math.fsum(child_masses)
@@ -625,6 +637,4 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
             )
         return part, tuple(cm / total for cm in child_masses)
 
-    return TreeMeasure(
-        mu.d, depth, realizer, max_level=depth, cache=True, dyadic_splits=True
-    )
+    return TreeMeasure(mu.d, depth, realizer, cache=True, dyadic_splits=True)

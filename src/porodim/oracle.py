@@ -18,6 +18,7 @@ import numpy as np
 from .bounds import LOG2, psi, solve_s
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-10
 
 #: Fixed-point iteration M <- (1 - damping) M + damping g(M): damping,
 #: tolerance on M, iteration cap.
@@ -155,13 +156,13 @@ def _objective_free(d: int, k: int, eps: float):
     return func
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Argmax of a unimodal-ish f on [lo, hi]."""
+def _golden_section(f, lo: float, hi: float) -> float:
+    """Argmax of a unimodal-ish f on [lo, hi], to within _GOLDEN_TOL."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d_ = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d_)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc >= fd:
             b, d_, fd = d_, c, fc
             c = b - _GOLDEN * (b - a)

@@ -132,17 +132,12 @@ class LineageClassifier:
         return frontiers
 
     def _deeper(self, frontier: dict[CubeAddress, float]) -> dict[CubeAddress, float]:
-        """One dyadic level deeper; zero-ratio nodes expand without realization."""
-        new: dict[CubeAddress, float] = {}
-        for node, ratio in frontier.items():
-            if ratio == 0.0:
-                for j in range(1 << node.d):
-                    new[node.uniform_child(j)] = 0.0
-            else:
-                part, w = self.offspring(node)
-                for child, wj in zip(part.children, w):
-                    new[child] = ratio * wj
-        return new
+        """One dyadic level deeper."""
+        level = next(iter(frontier)).level + 1
+        return dict(_descend(
+            self.offspring, frontier.items(),
+            lambda node, _: _TAKE if node.level == level else _SPLIT,
+        ))
 
     def por2(self, q: CubeAddress, eps: float, cap: int) -> float:
         """Least j <= cap whose frontier holds an eps-hole, else math.inf."""
@@ -159,13 +154,12 @@ class LineageClassifier:
             check, frontiers = _classify_full(self, q, k, eps)
             if not check.porous:
                 return self.offspring(q)
-            part = porous_split(q, check.hole, k, base.max_level)
+            part = porous_split(q, check.hole, k, base.depth)
             return part, tuple(
                 frontiers[child.level - q.level - 1][child] for child in part.children
             )
 
-        return TreeMeasure(base.d, base.depth, realizer, max_level=base.max_level,
-                           dyadic_splits=False)
+        return TreeMeasure(base.d, base.depth, realizer, dyadic_splits=False)
 
 
 def _classify_full(
@@ -239,19 +233,6 @@ def porous_retree(base: TreeMeasure, k: int, eps: float) -> TreeMeasure:
     return clf.retree(k, eps)
 
 
-def _project(view: TreeMeasure, x_path: list[CubeAddress], k: int):
-    """Steps of porous_walk, one at a time."""
-    top = len(x_path) - 1
-    cur = x_path[0]
-    while cur.level + k <= top:
-        part, w = view.offspring(cur)
-        idx = next((j for j, c in enumerate(part.children) if x_path[c.level] == c), None)
-        if idx is None:
-            raise ValueError("lineage is not consistent with the re-tree")
-        yield cur, part, w, idx
-        cur = part.children[idx]
-
-
 def porous_walk(
     view: TreeMeasure, x_path: list[CubeAddress], k: int
 ) -> list[tuple[CubeAddress, CubePartition, Weights, int]]:
@@ -261,7 +242,7 @@ def porous_walk(
     stops as soon as the lineage might be too shallow to identify the next
     child (a porous step can descend k levels at once).
     """
-    return list(_project(view, x_path, k))
+    return list(view.steps_to(x_path[-1], last=len(x_path) - 1 - k))
 
 
 def sample_porous_path(
@@ -327,24 +308,25 @@ def porous_fraction_trajectory(
     clf = LineageClassifier(mu)
     _warn_if_inadmissible(k, eps, mu.d)
     if n_max is None:
-        n_max = min(len(x_path) - 1, mu.max_level) - k
+        n_max = min(len(x_path) - 1, mu.depth) - k
     if n_max < 1:
         raise ValueError("lineage too shallow for any porous-scale statistics")
-    if n_max + k > mu.max_level:
+    if n_max + k > mu.depth:
         raise ValueError(
             f"probing depth {k} below level {n_max} exceeds the measure's "
-            f"maximum level {mu.max_level}"
+            f"maximum level {mu.depth}"
         )
     # The sentinel cap cannot reach past the realizable depth.
     cap = max(k, DEFAULT_POR2_CAP if por2_cap is None else por2_cap)
-    cap = min(cap, mu.max_level - n_max)
+    cap = min(cap, mu.depth - n_max)
     por2: list[float] = []
     rflags, ncounts, levels, eta = [], [], [], []
     nonporous = 0
     # One pass down the lineage: each re-tree step, then por2 at the dyadic
     # levels it spans, so the classifier realizes every node once.
-    view = clf.retree(k, eps)
-    for node, part, _, idx in _project(view, x_path[: n_max + k + 1], k):
+    path = x_path[: n_max + k + 1]
+    steps = clf.retree(k, eps).steps_to(path[-1], last=len(path) - 1 - k)
+    for node, part, _, idx in steps:
         child = part.children[idx]
         por2.extend(
             clf.por2(x_path[n], eps, cap)
@@ -427,10 +409,10 @@ def euclid_por_lower_bound(
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     m_max = max(0, math.floor(math.log2(resolution / r)))
-    if m_max > mu.max_level:
+    if m_max > mu.depth:
         raise ValueError(
             f"resolution needs dyadic level {m_max}, beyond the measure's "
-            f"maximum {mu.max_level}"
+            f"maximum {mu.depth}"
         )
     r2 = r * r
 
@@ -442,7 +424,8 @@ def euclid_por_lower_bound(
         # boundary cubes at the resolution are dropped: stay a lower bound
         return _SPLIT if node.level < m_max else _DROP
 
-    mu_ball = math.fsum(m for _, m in _descend(mu, mu.root, ball_where))
+    whole = [(mu.root, 1.0)]
+    mu_ball = math.fsum(m for _, m in _descend(mu.offspring, whole, ball_where))
     if mu_ball <= 0.0:
         raise ValueError(
             "no positive lower bound on the ball mass at this resolution; "
@@ -457,7 +440,7 @@ def euclid_por_lower_bound(
             return _TAKE
         return _SPLIT if node.level < m_max else _DROP
 
-    holes = [node for node, _ in _descend(mu, mu.root, hole_where)]
+    holes = [node for node, _ in _descend(mu.offspring, whole, hole_where)]
     if not holes:
         return 0.0
 

@@ -9,10 +9,11 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from porodim.bounds import LOG2, psi, solve_s, t_dk
 from porodim.cli import main
-from porodim.dimension import hmin_and_converse, sampled_trajectory
+from porodim.dimension import estimate_packing_dim, hmin_and_converse, sampled_trajectory
 from porodim.measure import (
     Bernoulli,
     CantorMiddleHalf,
@@ -20,6 +21,7 @@ from porodim.measure import (
     _PATH_STREAM,
     build_tree_measure,
     derived_rng,
+    spec_from_json,
 )
 from porodim.oracle import fixed_point_candidate, maximize_bruteforce
 from porodim.porosity import translation_experiment
@@ -197,6 +199,49 @@ def test_criterion_09_bound_verification(tmp_path):
     report(9, all_ok and dt < 300.0,
            f"10 cascade runs all within bound+slack ({'; '.join(details[:3])}...), "
            f"in {dt:.1f}s")
+
+
+def _digamma(x: float) -> float:
+    """The digamma function for x > 0: recurrence up to x >= 10, then the
+    asymptotic series (error below 1e-13 there)."""
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    u = 1.0 / (x * x)
+    series = u * (1 / 12 - u * (1 / 120 - u * (1 / 252 - u * (1 / 240 - u / 132))))
+    return acc + math.log(x) - 0.5 / x - series
+
+
+def test_criterion_09_analytic_targets():
+    # Two-sided beside criterion 9's one-sided bound: on the dyadic frame a
+    # cascade's quotient is the mean of i.i.d. H(W)/log 2 over the walk's
+    # nodes, so it converges to E[H(W)]/log 2 (Kahane-Peyriere).  The
+    # tolerance is 4 standard errors of the mean of 8 paths, from the
+    # per-path sd at this depth: 0.0096 measured for the Dirichlet, 0.0059
+    # exact for the mixture (0.004 measured), rounded up.
+    euler_gamma = 0.5772156649015329
+    assert _digamma(1.0) == pytest.approx(-euler_gamma, abs=1e-12)
+    assert _digamma(0.5) == pytest.approx(-euler_gamma - 2 * LOG2, abs=1e-12)
+    depth, paths = 2000, 8
+    mix_cfg, dir_cfg = CASCADE_BATTERY[0][0], CASCADE_BATTERY[5][0]
+    mix = mix_cfg["generator"]["mixture"]
+    mix_target = sum(
+        item["prob"] * math.fsum(psi(w) for w in item["weights"]) for item in mix
+    ) / LOG2
+    conc = dir_cfg["generator"]["concentration"]
+    total = sum(conc)
+    dir_target = math.fsum(
+        a / total * (_digamma(total + 1) - _digamma(a + 1)) for a in conc
+    ) / LOG2
+    for cfg, target, per_path_sd in ((mix_cfg, mix_target, 0.006),
+                                     (dir_cfg, dir_target, 0.010)):
+        spec, _ = spec_from_json(cfg)
+        mu = build_tree_measure(spec, "uniform", depth, max_level=depth)
+        est = estimate_packing_dim(mu, depth, paths, cfg["seed"])
+        tol = 4.0 * per_path_sd / math.sqrt(paths)
+        print(f"seed {cfg['seed']}: mean {est.mean:.5f}, target {target:.5f}, tol {tol:.4f}")
+        assert abs(est.mean - target) <= tol
 
 
 def test_criterion_10_translation_monte_carlo():

@@ -144,7 +144,7 @@ class TestSamplePath:
         def realizer(q):
             return subdivide_uniform(q, 10), (0.0, 0.0)
 
-        broken = TreeMeasure(1, 5, realizer, max_level=5)
+        broken = TreeMeasure(1, 5, realizer)
         with pytest.raises(ValueError, match="all-zero"):
             broken.sample_path(1, steps=2)
 
@@ -233,6 +233,21 @@ class TestHomothety:
         mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
         nu = apply_homothety(mu, Homothety(0.125, (0.0,)), 600)
         assert len(nu.sample_path(1, steps=600)) == 601
+
+    def test_zero_mass_check_is_linear_in_depth(self, monkeypatch):
+        import porodim.measure as measure
+
+        calls = []
+        realize = measure.node_weights
+        monkeypatch.setattr(
+            measure, "node_weights", lambda spec, q: calls.append(q) or realize(spec, q)
+        )
+        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
+        nu = apply_homothety(mu, Homothety(0.125, (0.0,)), 600)
+        nu.sample_path(1, steps=600)
+        # each step's box masses and anchor check realize a few source nodes;
+        # re-checking every anchor's lineage from the root would be quadratic
+        assert len(calls) <= 3 * 600
 
     def test_deep_weights_do_not_underflow(self):
         # the source cube 557:0 has mass 2^-1114, which is 0.0 as a float
