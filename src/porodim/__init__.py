@@ -46,8 +46,6 @@ from .measure import (
     Uniform,
     apply_homothety,
     build_tree_measure,
-    mass,
-    sample_path,
     spec_from_json,
     spec_to_json,
 )

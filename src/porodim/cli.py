@@ -20,10 +20,7 @@ from . import __version__, bounds, oracle
 from .dimension import _trajectory_from_steps
 from .measure import (
     _PATH_STREAM,
-    Bernoulli,
-    CantorMiddleHalf,
     GeneratorSpec,
-    Uniform,
     build_tree_measure,
     derived_rng,
     spec_from_json,
@@ -63,29 +60,35 @@ def write_csv(path, command: str, params: dict, header: list[str], rows) -> None
             fh.write(text)
 
 
-def _load_spec(args) -> GeneratorSpec:
-    if args.config:
+def _load_spec(args, default_depth: int) -> tuple[GeneratorSpec, int]:
+    """The measure and path depth: --gen and its flags become the same JSON
+    object a --config file holds; --depth, then the config's, then the default."""
+    if args.config is not None:
+        if args.d is not None or args.weights is not None:
+            raise ParameterError("--config defines the measure; drop --d and --weights")
         with open(args.config) as fh:
-            spec, cfg_depth = spec_from_json(fh.read())
-        if args.depth is None and cfg_depth is not None:
-            args.depth = cfg_depth
-        if args.seed is not None:
-            spec = GeneratorSpec(spec.d, spec.model, args.seed)
-        return spec
-    if args.gen is None:
-        raise ParameterError("need --config or --gen to define a measure")
-    d = args.d if args.d is not None else 1
-    seed = args.seed if args.seed is not None else 0
-    if args.gen == "uniform":
-        return GeneratorSpec(d, Uniform(), seed)
-    if args.gen == "bernoulli":
-        if not args.weights:
-            raise ParameterError("--gen bernoulli needs --weights w0,w1,...")
-        w = tuple(float(x) for x in args.weights.split(","))
-        return GeneratorSpec(d, Bernoulli(w), seed)
-    if args.gen == "cantor_middle_half":
-        return GeneratorSpec(1, CantorMiddleHalf(), seed)
-    raise ParameterError(f"unknown generator {args.gen!r}; use --config for cascades")
+            config = fh.read()
+    elif (args.weights is None) == (args.gen == "bernoulli"):
+        raise ParameterError(
+            "--weights w0,w1,... goes with --gen bernoulli, and only with it")
+    else:
+        gen: dict = {"type": args.gen}
+        if args.weights is not None:
+            gen["weights"] = [float(x) for x in args.weights.split(",")]
+        config = {"d": 1 if args.d is None else args.d, "generator": gen}
+    spec, cfg_depth = spec_from_json(config)
+    if args.seed is not None:
+        spec = GeneratorSpec(spec.d, spec.model, args.seed)
+    if args.depth is not None:
+        return spec, args.depth
+    return spec, default_depth if cfg_depth is None else cfg_depth
+
+
+def _cases(args, default: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The one (d, k) pair given by --d and --k, or the default table."""
+    if (args.d is None) != (args.k is None):
+        raise ParameterError("--d and --k go together: give both or neither")
+    return default if args.d is None else [(args.d, args.k)]
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +96,7 @@ def _load_spec(args) -> GeneratorSpec:
 
 
 def _cmd_solve(args) -> int:
-    pairs = (
-        [(args.d, args.k)]
-        if args.d is not None and args.k is not None
-        else [(2, 1), (2, 2)]
-    )
+    pairs = _cases(args, [(2, 1), (2, 2)])
     rows = []
     for d, k in pairs:
         for row in bounds.solve_table(d, k, args.points):
@@ -146,12 +145,8 @@ def _simulate_one_path(spec: GeneratorSpec, k: int, eps: float, depth: int,
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load_spec(args)
-    depth = args.depth if args.depth is not None else 1000
-    paths = args.paths if args.paths is not None else 20
-    k = args.k if args.k is not None else 1
-    eps = args.eps if args.eps is not None else 0.0
-    seed = args.seed if args.seed is not None else spec.seed
+    spec, depth = _load_spec(args, 1000)
+    paths, k, eps, seed = args.paths, args.k, args.eps, spec.seed
     if depth < 1:
         raise ParameterError(f"--depth must be >= 1, got {depth}")
     if paths < 1:
@@ -186,19 +181,8 @@ def _cmd_simulate(args) -> int:
             "seed": seed,
             "slack": args.slack,
         },
-        [
-            "path",
-            "depth",
-            "Dn",
-            "resH",
-            "resL",
-            "eta_hat",
-            "porous_steps",
-            "M_n",
-            "t",
-            "bound",
-            "pass",
-        ],
+        ["path", "depth", "Dn", "resH", "resL", "eta_hat", "porous_steps", "M_n", "t",
+         "bound", "pass"],
         rows,
     )
     if args.trajectories:
@@ -219,10 +203,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.d is not None and args.k is not None:
-        cases = [(args.d, args.k)]
-    else:
-        cases = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    cases = _cases(args, [(1, 1), (1, 2), (2, 1), (2, 2)])
     rows = []
     for d, k in cases:
         hi = 2.0 ** (-k * d)
@@ -239,26 +220,15 @@ def _cmd_oracle(args) -> int:
                     row["value_candidate"],
                     row["value_solver"],
                     row["gap"],
-                    "q="
-                    + "|".join(_fmt(x) for x in am.q)
-                    + ";p="
-                    + _fmt(am.p),
+                    "q=" + "|".join(_fmt(x) for x in am.q) + ";p=" + _fmt(am.p),
                 )
             )
     write_csv(
         args.out,
         "oracle",
         {"cases": ";".join(f"{d}:{k}" for d, k in cases), "grid": args.grid},
-        [
-            "d",
-            "k",
-            "eps",
-            "value_bruteforce",
-            "value_candidate",
-            "value_solver",
-            "gap",
-            "argmax",
-        ],
+        ["d", "k", "eps", "value_bruteforce", "value_candidate", "value_solver", "gap",
+         "argmax"],
         rows,
     )
     return 0
@@ -276,13 +246,8 @@ def _translate_chunk(spec: GeneratorSpec, r: float, alpha: float, eps: float,
 
 
 def _cmd_translate(args) -> int:
-    spec = _load_spec(args)
-    depth = args.depth if args.depth is not None else 12
-    trials = args.trials if args.trials is not None else 100
-    alpha = args.alpha if args.alpha is not None else 0.25
-    eps = args.eps if args.eps is not None else 0.0
-    seed = args.seed if args.seed is not None else spec.seed
-    r = args.ratio
+    spec, depth = _load_spec(args, 12)
+    trials, alpha, eps, seed, r = args.trials, args.alpha, args.eps, spec.seed, args.ratio
 
     jobs = _jobs(args.jobs, trials)
     cuts = [j * trials // jobs for j in range(jobs + 1)]
@@ -327,10 +292,8 @@ def _cmd_translate(args) -> int:
 def _cmd_hmin(args) -> int:
     from .dimension import hmin_and_converse
 
-    d = args.d if args.d is not None else 1
-    eta = args.eta if args.eta is not None else 0.5
+    d, eta, points = args.d, args.eta, args.points
     hi = 2.0 ** -d
-    points = args.points
     if args.eps is None and points < 2:
         raise ParameterError(f"--points must be >= 2, got {points}")
     rows = []
@@ -353,74 +316,99 @@ def _cmd_hmin(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise ParameterError: one stderr line and exit 1."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
+def _measure_flags(p, depth: int) -> None:
+    """The measure and path flags shared by simulate and translate."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="generator config JSON file")
+    source.add_argument("--gen", choices=("uniform", "bernoulli", "cantor_middle_half"),
+                        help="inline generator")
+    p.add_argument("--d", type=int, help="ambient dimension for --gen (default 1)")
+    p.add_argument("--weights", help="comma-separated weights for --gen bernoulli")
+    p.add_argument("--seed", type=int, help="master seed (default: the config's, else 0)")
+    p.add_argument("--depth", type=int,
+                   help=f"path depth (default: the config's, else {depth})")
+    p.add_argument("--eps", type=float, default=0.0, help="hole mass threshold")
+    p.add_argument("--out", help="output CSV path (default stdout)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at most)")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 2 when the pass-criterion fails")
+
+
+def _table_flags(p) -> None:
+    """--out, and the --jobs that the serial tables accept and ignore."""
+    p.add_argument("--out", help="output CSV path (default stdout)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="ignored: the table runs serially; accepted because "
+                        "perfbench/workloads.py passes --jobs 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="porodim",
         description="Porosity and packing-dimension experiments on dyadic tree measures",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--d", type=int, default=None, help="ambient dimension")
-        p.add_argument("--k", type=int, default=None, help="dyadic hole depth")
-        p.add_argument("--alpha", type=float, default=None, help="Euclidean hole size")
-        p.add_argument("--eps", type=float, default=None, help="hole mass threshold")
-        p.add_argument("--eta", type=float, default=None, help="porous-scale fraction")
-        p.add_argument("--depth", type=int, default=None, help="path depth / grid depth")
-        p.add_argument("--paths", type=int, default=None, help="number of sampled paths")
-        p.add_argument("--trials", type=int, default=None, help="number of trials")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--config", default=None, help="generator config JSON file")
-        p.add_argument("--gen", default=None,
-                       help="inline generator: uniform | bernoulli | cantor_middle_half")
-        p.add_argument("--weights", default=None, help="comma-separated weights for --gen bernoulli")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
-        p.add_argument("--slack", type=float, default=0.05,
-                       help="bound-check slack for finite-depth estimates")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 2 when a pass-criterion fails")
+    p = sub.add_parser("solve", help="dimension-drop curve table")
+    _table_flags(p)
+    p.add_argument("--d", type=int, help="ambient dimension (with --k; default d=2, k=1,2)")
+    p.add_argument("--k", type=int, help="dyadic hole depth (with --d)")
+    p.add_argument("--points", type=int, default=101, help="grid points per curve")
+    p.set_defaults(func=_cmd_solve)
 
-    p_solve = sub.add_parser("solve", help="dimension-drop curve table")
-    common(p_solve)
-    p_solve.add_argument("--points", type=int, default=101, help="grid points per curve")
-    p_solve.set_defaults(func=_cmd_solve)
+    p = sub.add_parser("simulate", help="path simulation with bound check")
+    _measure_flags(p, 1000)
+    p.add_argument("--paths", type=int, default=20, help="number of sampled paths")
+    p.add_argument("--k", type=int, default=1, help="dyadic hole depth")
+    p.add_argument("--slack", type=float, default=0.05,
+                   help="bound-check slack for finite-depth estimates")
+    p.add_argument("--trajectories",
+                   help="also write full per-step trajectories to this CSV")
+    p.set_defaults(func=_cmd_simulate)
 
-    p_sim = sub.add_parser("simulate", help="path simulation with bound check")
-    common(p_sim)
-    p_sim.add_argument("--trajectories", default=None,
-                       help="also write full per-step trajectories to this CSV")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p = sub.add_parser("oracle", help="brute force vs solver comparison")
+    _table_flags(p)
+    p.add_argument("--d", type=int, help="ambient dimension (with --k; default battery)")
+    p.add_argument("--k", type=int, help="dyadic hole depth (with --d)")
+    p.add_argument("--eps", type=float,
+                   help="one hole mass threshold (default 0, 2^-kd/2 and 2^-kd)")
+    p.add_argument("--grid", type=int, default=500, help="grid points per free dimension")
+    p.set_defaults(func=_cmd_oracle)
 
-    p_or = sub.add_parser("oracle", help="brute force vs solver comparison")
-    common(p_or)
-    p_or.add_argument("--grid", type=int, default=500, help="grid points per free dimension")
-    p_or.set_defaults(func=_cmd_oracle)
+    p = sub.add_parser("translate", help="random-translation porosity transfer")
+    _measure_flags(p, 12)
+    p.add_argument("--trials", type=int, default=100, help="number of trials")
+    p.add_argument("--alpha", type=float, default=0.25, help="Euclidean hole size")
+    p.add_argument("--ratio", type=float, default=0.25,
+                   help="homothety ratio r (power of two)")
+    p.add_argument("--eta", type=float, help="porous-scale fraction to check")
+    p.set_defaults(func=_cmd_translate)
 
-    p_tr = sub.add_parser("translate", help="random-translation porosity transfer")
-    common(p_tr)
-    p_tr.add_argument("--ratio", type=float, default=0.25,
-                      help="homothety ratio r (power of two)")
-    p_tr.set_defaults(func=_cmd_translate)
-
-    p_hm = sub.add_parser("hmin", help="minimal-entropy converse table")
-    common(p_hm)
-    p_hm.add_argument("--points", type=int, default=33, help="eps grid points")
-    p_hm.set_defaults(func=_cmd_hmin)
+    p = sub.add_parser("hmin", help="minimal-entropy converse table")
+    _table_flags(p)
+    p.add_argument("--d", type=int, default=1, help="ambient dimension")
+    p.add_argument("--eta", type=float, default=0.5, help="porous-scale fraction")
+    p.add_argument("--eps", type=float, help="one hole mass threshold (default a grid)")
+    p.add_argument("--points", type=int, default=33, help="eps grid points")
+    p.set_defaults(func=_cmd_hmin)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags; the contract is 1 for parameter errors
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help and --version print and exit while parsing
+        return 0
     except (ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

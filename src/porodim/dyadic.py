@@ -12,11 +12,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-#: Default cap on dyadic levels.  2^-60 is far below any experiment's
-#: resolution; callers that genuinely need deeper trees pass a larger cap.
-DEFAULT_MAX_LEVEL = 60
-
-
 @dataclass(frozen=True)
 class CubeAddress:
     """A dyadic cube: ``level`` steps down the full dyadic tree, at ``coords``."""
@@ -161,15 +156,8 @@ class PorousSplit:
 PartitionRule = UniformDyadic | PorousSplit
 
 
-def subdivide_uniform(
-    parent: CubeAddress, max_level: int = DEFAULT_MAX_LEVEL
-) -> CubePartition:
+def subdivide_uniform(parent: CubeAddress) -> CubePartition:
     """Split ``parent`` into its 2^d dyadic children."""
-    if parent.level + 1 > max_level:
-        raise ValueError(
-            f"subdividing level {parent.level} exceeds the configured "
-            f"maximum level {max_level}"
-        )
     level = parent.level + 1
     coords = parent.coords
     children = tuple(
@@ -179,12 +167,7 @@ def subdivide_uniform(
     return CubePartition(parent, children)
 
 
-def porous_split(
-    parent: CubeAddress,
-    hole: CubeAddress,
-    k: int,
-    max_level: int = DEFAULT_MAX_LEVEL,
-) -> CubePartition:
+def porous_split(parent: CubeAddress, hole: CubeAddress, k: int) -> CubePartition:
     """Split ``parent`` into the depth-k ``hole`` plus, for each level
     j = 1..k, the 2^d - 1 cubes at depth j not containing the hole.
 
@@ -197,11 +180,6 @@ def porous_split(
         raise ValueError(
             f"hole {hole.serialize()} is not a depth-{k} descendant "
             f"of {parent.serialize()}"
-        )
-    if parent.level + k > max_level:
-        raise ValueError(
-            f"porous split to level {parent.level + k} exceeds the configured "
-            f"maximum level {max_level}"
         )
     children: list[CubeAddress] = []
     spine = [hole.ancestor(parent.level + j) for j in range(k + 1)]  # spine[0] = parent
@@ -218,17 +196,15 @@ def porous_split(
     return CubePartition(parent, tuple(children), hole=hole)
 
 
-def make_partition(
-    parent: CubeAddress, rule: PartitionRule, max_level: int = DEFAULT_MAX_LEVEL
-) -> CubePartition:
+def make_partition(parent: CubeAddress, rule: PartitionRule) -> CubePartition:
     """Apply a partition rule at ``parent``."""
     if isinstance(rule, UniformDyadic):
-        return subdivide_uniform(parent, max_level)
+        return subdivide_uniform(parent)
     if isinstance(rule, PorousSplit):
         if len(rule.hole_offset) != parent.d:
             raise ValueError("hole offset dimension does not match the cube")
         hole = parent.descendant(rule.hole_offset, rule.k)
-        return porous_split(parent, hole, rule.k, max_level)
+        return porous_split(parent, hole, rule.k)
     raise TypeError(f"unknown partition rule {rule!r}")
 
 
@@ -236,7 +212,6 @@ def cube_at(
     d: int,
     path_digits: tuple[int, ...],
     rule_history: tuple[PartitionRule, ...],
-    max_level: int = DEFAULT_MAX_LEVEL,
 ) -> CubeAddress:
     """Walk from the root, applying each rule and picking the digit-th child.
 
@@ -247,7 +222,7 @@ def cube_at(
         raise ValueError("digits and rules must have equal length")
     cur = root(d)
     for digit, rule in zip(path_digits, rule_history):
-        part = make_partition(cur, rule, max_level)
+        part = make_partition(cur, rule)
         if not 0 <= digit < len(part.children):
             raise ValueError(
                 f"digit {digit} out of range for a partition with "

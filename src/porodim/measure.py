@@ -21,13 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dyadic import (
-    DEFAULT_MAX_LEVEL,
-    CubeAddress,
-    CubePartition,
-    root,
-    subdivide_uniform,
-)
+from .dyadic import CubeAddress, CubePartition, root, subdivide_uniform
 
 Weights = tuple[float, ...]
 
@@ -37,6 +31,11 @@ _PATH_STREAM = 1
 _TRIAL_STREAM = 2
 
 _WEIGHT_SUM_TOL = 1e-12
+
+#: Default cap on ``build_tree_measure`` depths.  2^-60 is far below any
+#: experiment's resolution; callers that genuinely need deeper trees pass a
+#: larger ``max_level``.
+DEFAULT_MAX_LEVEL = 60
 
 #: Verdicts of a ``_descend`` visitor on a node.
 _DROP, _TAKE, _SPLIT = range(3)
@@ -345,16 +344,6 @@ class TreeMeasure:
         return path
 
 
-def mass(mu: TreeMeasure, q: CubeAddress) -> float:
-    return mu.mass(q)
-
-
-def sample_path(
-    mu: TreeMeasure, seed: int | np.random.Generator, steps: int | None = None
-) -> list[CubeAddress]:
-    return mu.sample_path(seed, steps)
-
-
 def build_tree_measure(
     spec: GeneratorSpec,
     rule: str = "uniform",
@@ -382,7 +371,7 @@ def build_tree_measure(
         )
 
     def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
-        return subdivide_uniform(q, cap), node_weights(spec, q)
+        return subdivide_uniform(q), node_weights(spec, q)
 
     return TreeMeasure(spec.d, depth, realizer, cache=False, dyadic_splits=True)
 
@@ -618,7 +607,7 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
         return True
 
     def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
-        part = subdivide_uniform(q, depth)
+        part = subdivide_uniform(q)
         lo, hi, scale = source_box(q)
         parent_mass = 0.0
         if all(l < h for l, h in zip(lo, hi)):

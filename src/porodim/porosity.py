@@ -154,7 +154,7 @@ class LineageClassifier:
             check, frontiers = _classify_full(self, q, k, eps)
             if not check.porous:
                 return self.offspring(q)
-            part = porous_split(q, check.hole, k, base.depth)
+            part = porous_split(q, check.hole, k)
             return part, tuple(
                 frontiers[child.level - q.level - 1][child] for child in part.children
             )

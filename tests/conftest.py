@@ -3,10 +3,23 @@ import pytest
 from porodim.measure import (
     Bernoulli,
     CantorMiddleHalf,
+    CascadeDirichlet,
+    CascadeFiniteMixture,
     GeneratorSpec,
     Uniform,
     build_tree_measure,
 )
+
+#: (d, model, seed) of dyadic measures at d = 1, 2: product measures,
+#: finite-mixture cascades and Dirichlet cascades
+SPECS = [
+    (1, Bernoulli((0.25, 0.75)), 0),
+    (2, Bernoulli((0.1, 0.4, 0.4, 0.1)), 0),
+    (1, CascadeFiniteMixture(((0.5, 0.5), (0.1, 0.9)), (0.5, 0.5)), 101),
+    (2, CascadeFiniteMixture(((0.25,) * 4, (0.05, 0.35, 0.3, 0.3)), (0.5, 0.5)), 108),
+    (1, CascadeDirichlet((0.4, 0.4)), 103),
+    (2, CascadeDirichlet((0.5,) * 4), 106),
+]
 
 
 def make_measure(d, model, depth=30, seed=0):

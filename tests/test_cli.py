@@ -1,9 +1,12 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from porodim.cli import _fmt, _simulate_one_path, main
+from porodim.cli import _fmt, _simulate_one_path, build_parser, main
 from porodim.dimension import sampled_trajectory
 from porodim.measure import (
     _PATH_STREAM,
@@ -306,7 +309,39 @@ class TestErrors:
 
     def test_bad_flag_exit_1(self, capsys):
         assert main(["simulate", "--nonsense"]) == 1
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--d", "1"],
+            ["solve", "--k", "2"],
+            ["oracle", "--d", "1"],
+            ["simulate", "--config", "{cfg}", "--gen", "uniform"],
+            ["simulate", "--config", "{cfg}", "--d", "2"],
+            ["translate", "--config", "{cfg}", "--weights", "0.5,0.5"],
+            ["simulate", "--gen", "uniform", "--weights", "0.5,0.5"],
+            ["simulate", "--gen", "bernoulli"],
+            ["simulate", "--gen", "cantor_middle_half", "--d", "2"],
+            ["simulate", "--gen", "uniform", "--alpha", "0.1"],
+            ["translate", "--gen", "cantor_middle_half", "--k", "5"],
+            ["solve", "--paths", "3"],
+            ["oracle", "--seed", "1"],
+            ["hmin", "--strict"],
+        ],
+    )
+    def test_ignored_or_conflicting_flag_exit_1(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text('{"d": 1, "generator": {"type": "uniform"}}')
+        argv = [str(cfg) if a == "{cfg}" else a for a in argv]
+        code = main([*argv, "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_bad_config_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -377,3 +412,21 @@ class TestErrors:
             "--k", "1", "--eps", "0.4", "--depth", "30", "--paths", "2",
         )
         assert code == 1
+
+
+def readme_commands() -> list[str]:
+    """Every ``porodim ...`` command in README's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("porodim "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 6
+    for line in commands:
+        build_parser().parse_args(shlex.split(line)[1:])  # raises on a bad flag

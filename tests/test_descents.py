@@ -11,25 +11,10 @@ from hypothesis import strategies as st
 
 from porodim.dimension import path_trajectory
 from porodim.dyadic import CubeAddress
-from porodim.measure import (
-    Bernoulli,
-    CascadeDirichlet,
-    CascadeFiniteMixture,
-    Homothety,
-    apply_homothety,
-)
+from porodim.measure import Homothety, apply_homothety
 from porodim.porosity import porous_retree
 
-from conftest import make_measure
-
-SPECS = [
-    (1, Bernoulli((0.25, 0.75)), 0),
-    (2, Bernoulli((0.1, 0.4, 0.4, 0.1)), 0),
-    (1, CascadeFiniteMixture(((0.5, 0.5), (0.1, 0.9)), (0.5, 0.5)), 101),
-    (2, CascadeFiniteMixture(((0.25,) * 4, (0.05, 0.35, 0.3, 0.3)), (0.5, 0.5)), 108),
-    (1, CascadeDirichlet((0.4, 0.4)), 103),
-    (2, CascadeDirichlet((0.5,) * 4), 106),
-]
+from conftest import SPECS, make_measure
 
 specs = st.sampled_from(SPECS)
 #: (k, eps as a fraction of 2^-kd); 1.0 is the threshold itself, 0.0 the

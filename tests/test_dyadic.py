@@ -35,13 +35,6 @@ def test_uniform_split_address_arithmetic():
     assert all(c.level == 3 for c in part.children)
 
 
-def test_uniform_split_level_overflow():
-    deep = CubeAddress(60, (0,))
-    with pytest.raises(ValueError, match="maximum level"):
-        subdivide_uniform(deep)
-    assert subdivide_uniform(deep, max_level=61).children[0].level == 61
-
-
 def test_porous_split_child_count():
     # d=2, k=3: 1 + 3*3 = 10 children
     parent = root(2)
@@ -135,7 +128,7 @@ def test_porous_split_invariants(d, k, data):
     coords = tuple(data.draw(st.integers(0, (1 << level) - 1)) for _ in range(d))
     parent = CubeAddress(level, coords)
     rel = tuple(data.draw(st.integers(0, (1 << k) - 1)) for _ in range(d))
-    part = porous_split(parent, parent.descendant(rel, k), k, max_level=10)
+    part = porous_split(parent, parent.descendant(rel, k), k)
     assert len(part.children) == ((1 << d) - 1) * k + 1
     validate_partition(part)
     # volume conservation, exact in integers, is part of validate_partition;
@@ -148,6 +141,6 @@ def test_porous_split_invariants(d, k, data):
 @given(d=st.integers(1, 3), level=st.integers(0, 5), data=st.data())
 def test_uniform_split_invariants(d, level, data):
     coords = tuple(data.draw(st.integers(0, (1 << level) - 1)) for _ in range(d))
-    part = subdivide_uniform(CubeAddress(level, coords), max_level=10)
+    part = subdivide_uniform(CubeAddress(level, coords))
     assert len(part.children) == 1 << d
     validate_partition(part)

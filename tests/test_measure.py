@@ -103,7 +103,7 @@ class TestBuildAndMass:
         from porodim.measure import from_nodes
 
         r = root(1)
-        part = subdivide_uniform(r, 5)
+        part = subdivide_uniform(r)
         mu = from_nodes(1, {r: (part, (0.25, 0.75))}, depth=1)
         assert mu.mass(CubeAddress(1, (1,))) == 0.75
         assert mu.dyadic_splits
@@ -142,7 +142,7 @@ class TestSamplePath:
         from porodim.measure import TreeMeasure
 
         def realizer(q):
-            return subdivide_uniform(q, 10), (0.0, 0.0)
+            return subdivide_uniform(q), (0.0, 0.0)
 
         broken = TreeMeasure(1, 5, realizer)
         with pytest.raises(ValueError, match="all-zero"):
