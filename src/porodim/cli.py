@@ -316,6 +316,17 @@ def _cmd_hmin(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _worker_count(text: str) -> int:
+    """The --jobs type: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 class _Parser(argparse.ArgumentParser):
     """Parse errors raise ParameterError: one stderr line and exit 1."""
 
@@ -336,7 +347,8 @@ def _measure_flags(p, depth: int) -> None:
                    help=f"path depth (default: the config's, else {depth})")
     p.add_argument("--eps", type=float, default=0.0, help="hole mass threshold")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (at most)")
+    p.add_argument("--jobs", type=_worker_count, default=1,
+                   help="worker processes (at most)")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when the pass-criterion fails")
 
@@ -344,7 +356,7 @@ def _measure_flags(p, depth: int) -> None:
 def _table_flags(p) -> None:
     """--out, and the --jobs that the serial tables accept and ignore."""
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_worker_count, default=1,
                    help="ignored: the table runs serially; accepted because "
                         "perfbench/workloads.py passes --jobs 1")
 

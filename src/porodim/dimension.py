@@ -13,16 +13,18 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .bounds import LOG2, psi
-from .dyadic import CubeAddress, CubePartition
+from .dyadic import CubeAddress, CubePartition, subdivide_uniform
 from .measure import (
     _PATH_STREAM,
     TreeMeasure,
     UnrealizedNodeError,
     Weights,
+    _path_rng,
     derived_rng,
 )
 from .porosity import PorosityParams, porous_retree, porous_walk
@@ -123,23 +125,28 @@ def _trajectory_from_steps(steps) -> PathTrajectory:
         lam.append(lyap)
         porous.append(part.hole is not None)
         levels.append(node.level)
-    n = len(I)
-    levels.append(steps[-1][1].children[steps[-1][3]].level if n else 0)
-    I, L, H, lam = (np.frombuffer(a) for a in (I, L, H, lam))
-    counts = np.arange(1, n + 1, dtype=float)
-    D = np.cumsum(H) / np.cumsum(L)
-    res_H = (np.cumsum(I) - np.cumsum(H)) / counts
-    res_L = (np.cumsum(L) - np.cumsum(lam)) / counts
+    levels.append(steps[-1][1].children[steps[-1][3]].level if I else 0)
+    return _assemble(
+        np.frombuffer(levels, dtype=np.int64),
+        *(np.frombuffer(a) for a in (I, L, H, lam)),
+        np.frombuffer(porous, dtype=bool),
+    )
+
+
+def _assemble(levels, I, L, H, lam, porous) -> PathTrajectory:
+    """The trajectory from its per-step columns: running quotient and
+    martingale residuals."""
+    counts = np.arange(1, len(I) + 1, dtype=float)
     return PathTrajectory(
-        levels=np.frombuffer(levels, dtype=np.int64),
+        levels=levels,
         I=I,
         L=L,
         H=H,
         lam=lam,
-        porous=np.frombuffer(porous, dtype=bool),
-        D=D,
-        res_H=res_H,
-        res_L=res_L,
+        porous=porous,
+        D=np.cumsum(H) / np.cumsum(L),
+        res_H=(np.cumsum(I) - np.cumsum(H)) / counts,
+        res_L=(np.cumsum(L) - np.cumsum(lam)) / counts,
     )
 
 
@@ -190,11 +197,48 @@ class DimensionEstimate:
 def sampled_trajectory(
     mu: TreeMeasure, depth: int, seed: int | np.random.Generator
 ) -> PathTrajectory:
-    """Sample one lineage and record its trajectory in a single pass."""
+    """Sample one lineage and record its trajectory in a single pass.
+
+    A product measure (``mu.product_weights`` set) is walked in numpy; its
+    trajectory equals the one of ``mu.walk`` bit for bit.
+    """
+    if mu.product_weights is not None:
+        return _product_trajectory(mu, depth, seed)
     steps = list(mu.walk(seed, steps=depth))
     if not steps:
         raise ValueError("empty walk")
     return _trajectory_from_steps(steps)
+
+
+def _product_trajectory(
+    mu: TreeMeasure, depth: int, seed: int | np.random.Generator
+) -> PathTrajectory:
+    """``walk``'s draws and cumulative search on the one offspring vector of
+    a product measure, done for all steps at once; no node is realized."""
+    if depth > mu.depth:
+        raise UnrealizedNodeError(
+            f"a {depth}-step walk passes the measure's maximum level {mu.depth}"
+        )
+    if depth == 0:
+        raise ValueError("empty walk")
+    us = _path_rng(seed).random(depth)
+    w = mu.product_weights
+    positive = [j for j, wj in enumerate(w) if wj > 0.0]
+    cum = list(accumulate(w[j] for j in positive))  # walk's accumulation order
+    pick = np.searchsorted(cum, us * math.fsum(w), side="right")
+    np.minimum(pick, len(positive) - 1, out=pick)  # walk's fallback
+    info = np.array([-math.log(w[j]) for j in positive])
+    # every node splits uniformly, one level down, with the same weights
+    root = mu.root
+    h, lyap = _entropy_and_lyapunov(root.level, subdivide_uniform(root).children, w)
+    return _assemble(
+        np.arange(depth + 1, dtype=np.int64),
+        info[pick],
+        np.full(depth, LOG2),
+        np.full(depth, h),
+        np.full(depth, lyap),
+        np.zeros(depth, dtype=bool),
+    )
 
 
 def estimate_packing_dim(
@@ -235,8 +279,8 @@ def hmin_and_converse(d: int, eps: float, eta: float) -> ConverseBound:
 
     H_min(2^-d) = d log 2: the floor forces the uniform vector.
     """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    if not 1 <= d <= 1023:
+        raise ValueError(f"need 1 <= d <= 1023, where 2^d - 1 is a float, got {d}")
     hi = 2.0 ** -d
     if not 0.0 <= eps <= hi * (1.0 + 1e-12):
         raise ValueError(f"eps must lie in [0, 2^-d] = [0, {hi}], got {eps}")

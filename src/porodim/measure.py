@@ -61,6 +61,13 @@ def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def _path_rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """The generator a walk draws from: ``seed`` itself, or path 0 of an int."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return derived_rng(seed, _PATH_STREAM, 0)
+
+
 def _check_weights(w: Sequence[float], n: int, what: str) -> Weights:
     w = tuple(float(x) for x in w)
     if len(w) != n:
@@ -231,6 +238,8 @@ class TreeMeasure:
         self._cache = cache or realizer is None
         #: True when every partition is the uniform dyadic split.
         self.dyadic_splits = dyadic_splits
+        #: The offspring vector every node shares (product measures), else None.
+        self.product_weights: Weights | None = None
 
     def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
         """Partition and conditional offspring vector at ``q``."""
@@ -306,13 +315,12 @@ class TreeMeasure:
 
         Each child is drawn with its conditional probability, so the visited
         lineage is distributed as the cubes around a mu-random point.
+        ``dimension.sampled_trajectory`` repeats these draws and this search
+        in numpy for product measures; the two must change together.
         """
         if steps is None:
             steps = self.depth
-        rng = seed if isinstance(seed, np.random.Generator) else derived_rng(
-            seed, _PATH_STREAM, 0
-        )
-        us = rng.random(steps)
+        us = _path_rng(seed).random(steps)
         cur = self.root
         for n in range(steps):
             part, w = self.offspring(cur)
@@ -373,7 +381,10 @@ def build_tree_measure(
     def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
         return subdivide_uniform(q), node_weights(spec, q)
 
-    return TreeMeasure(spec.d, depth, realizer, cache=False, dyadic_splits=True)
+    mu = TreeMeasure(spec.d, depth, realizer, cache=False, dyadic_splits=True)
+    if isinstance(spec.model, (Uniform, Bernoulli)):
+        mu.product_weights = node_weights(spec, mu.root)
+    return mu
 
 
 def from_nodes(

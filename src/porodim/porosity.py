@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bounds import k_of_alpha
+from .bounds import _check_eps, k_of_alpha
 from .dyadic import CubeAddress, CubePartition, porous_split
 from .measure import (
     _DROP,
@@ -502,6 +502,7 @@ def run_translation_trials(
         raise ValueError("depth must lie in [1, 50] so grid translations stay exact")
     d = mu.d
     k = k_of_alpha(d, alpha, r)
+    _check_eps(d, k, eps)
     if depth <= k:
         raise ValueError(f"depth {depth} too small to resolve k={k} hole levels")
     out = []

@@ -330,6 +330,9 @@ class TestErrors:
             ["solve", "--paths", "3"],
             ["oracle", "--seed", "1"],
             ["hmin", "--strict"],
+            ["simulate", "--gen", "uniform", "--jobs", "0"],
+            ["translate", "--gen", "cantor_middle_half", "--jobs", "-1"],
+            ["solve", "--jobs", "0"],
         ],
     )
     def test_ignored_or_conflicting_flag_exit_1(self, tmp_path, capsys, argv):
@@ -404,6 +407,30 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "error: ratio must be a power of two in (0, 1), got 0.3\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hmin", "--d", "1024"],
+            ["hmin", "--d", "2000"],
+            # k(1/4, 1/4) = 4 at d = 1, so eps must lie in [0, 2^-4]
+            ["translate", "--gen", "cantor_middle_half", "--eps", "nan"],
+            ["translate", "--gen", "cantor_middle_half", "--eps", "-1"],
+            ["translate", "--gen", "cantor_middle_half", "--eps", "0.125"],
+        ],
+    )
+    def test_out_of_range_value_exit_1_one_line(self, tmp_path, capsys, argv):
+        code = main([*argv, "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_hmin_largest_d(self, tmp_path):
+        code, text = run(tmp_path, "hmin", "--d", "1023")
+        assert code == 0
+        assert len(rows_of(text)) == 33
 
     def test_inadmissible_eps_exit_1(self, tmp_path):
         # t_dk undefined for eps > 2^-kd: reported as a parameter error

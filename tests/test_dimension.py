@@ -1,10 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porodim.bounds import LOG2, psi, solve_s
 from porodim.dimension import (
+    PathTrajectory,
+    _trajectory_from_steps,
     estimate_packing_dim,
     hmin_and_converse,
     node_stats,
@@ -13,15 +18,22 @@ from porodim.dimension import (
 )
 from porodim.dyadic import porous_split, root, subdivide_uniform
 from porodim.measure import (
+    _PATH_STREAM,
     Bernoulli,
+    CantorMiddleHalf,
     CascadeDirichlet,
     CascadeFiniteMixture,
     GeneratorSpec,
+    Homothety,
+    Uniform,
+    UnrealizedNodeError,
+    apply_homothety,
     build_tree_measure,
+    derived_rng,
 )
-from porodim.porosity import PorosityParams
+from porodim.porosity import PorosityParams, porous_retree
 
-from conftest import make_measure
+from conftest import SPECS, make_measure
 
 BERNOULLI_DIM = (psi(0.25) + psi(0.75)) / LOG2  # 0.811278...
 
@@ -137,6 +149,130 @@ class TestTrajectory:
         rows = list(traj.csv_rows())
         assert len(rows) == 5
         assert len(rows[0]) == 10
+
+
+def scalar_trajectory(mu, depth, seed):
+    """The reference: ``_trajectory_from_steps`` over the scalar walk."""
+    return _trajectory_from_steps(list(mu.walk(seed, steps=depth)))
+
+
+def assert_same_bytes(a: PathTrajectory, b: PathTrajectory) -> None:
+    for field in dataclasses.fields(PathTrajectory):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
+        assert x.tobytes() == y.tobytes(), field.name
+
+
+class Draws(np.random.Generator):
+    """A generator whose ``random(n)`` returns the first n given draws, so a
+    test can reach the ties and the top draw a seeded generator hits with
+    probability 2^-53."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, size=None):
+        return self.draws[:size].copy()
+
+
+@st.composite
+def product_models(draw):
+    """(d, model) for d = 1, 2: Uniform, or Bernoulli with zero entries."""
+    d = draw(st.sampled_from([1, 2]))
+    n = 1 << d
+    raw = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=n, max_size=n)
+               .filter(any))
+    if draw(st.booleans()):
+        return d, Uniform()
+    total = sum(raw)
+    return d, Bernoulli(tuple(x / total for x in raw))
+
+
+class TestProductTrajectory:
+    """Product measures take the numpy path; the scalar walk is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=product_models(), seed=st.integers(0, 2**64 - 1),
+           depth=st.integers(1, 300))
+    def test_equals_scalar_walk(self, model, seed, depth):
+        d, m = model
+        mu = make_measure(d, m, depth=depth)
+        assert mu.product_weights is not None
+        assert_same_bytes(sampled_trajectory(mu, depth, seed),
+                          scalar_trajectory(mu, depth, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=product_models(), data=st.data())
+    def test_equals_scalar_walk_on_edge_draws(self, model, data):
+        # draws at the cumulative sums (ties), their neighbours, 0 and the top draw
+        d, m = model
+        mu = make_measure(d, m, depth=40)
+        w = mu.product_weights
+        total, acc, edges = math.fsum(w), 0.0, [0.0, 1.0 - 2.0**-53]
+        for wj in w:
+            acc += wj
+            u = acc / total
+            edges += [u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)]
+        draws = data.draw(st.lists(
+            st.sampled_from([u for u in edges if u < 1.0])
+            | st.floats(0.0, 1.0, exclude_max=True),
+            min_size=1, max_size=40,
+        ))
+        assert_same_bytes(sampled_trajectory(mu, len(draws), Draws(draws)),
+                          scalar_trajectory(mu, len(draws), Draws(draws)))
+
+    @pytest.mark.parametrize("last, draw, child", [
+        # the top draw exceeds every cumulative weight, and the walk falls
+        # back to the last positive child
+        (0.0, 1.0 - 2.0**-53, 2),
+        # a draw at the accumulated third cumulative weight, just below the
+        # exact one, goes on to child 3
+        (1e-13, (0.7 + 0.2 + 0.1) / math.fsum((0.7, 0.2, 0.1, 1e-13)), 3),
+    ])
+    def test_fallback_and_accumulation_order(self, last, draw, child):
+        # 0.7 + 0.2 + 0.1 accumulates to 1 - 2^-53, below the exact sum
+        w = (0.7, 0.2, 0.1, last)
+        mu = make_measure(2, Bernoulli(w), depth=2)
+        draws = [draw, 0.7]  # the second ties the first cumulative weight
+        traj = sampled_trajectory(mu, 2, Draws(draws))
+        assert_same_bytes(traj, scalar_trajectory(mu, 2, Draws(draws)))
+        assert traj.I.tolist() == [-math.log(w[child]), -math.log(w[1])]
+
+    def test_walk_deep_config(self):
+        # the benchmark's walk_deep round 0: Bernoulli(1/4, 3/4), 3 x 20k steps
+        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=20_000)
+        for i in range(3):
+            assert_same_bytes(
+                sampled_trajectory(mu, 20_000, derived_rng(3, _PATH_STREAM, i)),
+                scalar_trajectory(mu, 20_000, derived_rng(3, _PATH_STREAM, i)),
+            )
+
+    @pytest.mark.parametrize("spec", [SPECS[0], SPECS[2]], ids=["product", "cascade"])
+    def test_depth_bound_and_empty_walk(self, spec):
+        d, model, seed = spec
+        mu = make_measure(d, model, depth=12, seed=seed)
+        assert (mu.product_weights is not None) == isinstance(model, Bernoulli)
+        with pytest.raises(UnrealizedNodeError):
+            sampled_trajectory(mu, mu.depth + 1, 0)
+        with pytest.raises(ValueError, match="empty walk"):
+            sampled_trajectory(mu, 0, 0)
+
+    def test_path_chosen_from_the_spec(self):
+        product = [make_measure(1, Uniform()), make_measure(2, Uniform())]
+        product += [make_measure(d, m, seed=s) for d, m, s in SPECS
+                    if isinstance(m, Bernoulli)]
+        assert [mu.product_weights for mu in product] == [
+            (0.5, 0.5), (0.25,) * 4, (0.25, 0.75), (0.1, 0.4, 0.4, 0.1)]
+        base = make_measure(1, Bernoulli((0.25, 0.75)))
+        scalar = [make_measure(d, m, seed=s) for d, m, s in SPECS
+                  if not isinstance(m, Bernoulli)]
+        scalar += [
+            make_measure(1, CantorMiddleHalf()),
+            porous_retree(base, 1, 0.1),
+            apply_homothety(base, Homothety(0.25, (0.5,)), 20),
+        ]
+        assert all(mu.product_weights is None for mu in scalar)
 
 
 class TestEstimator:
