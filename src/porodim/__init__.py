@@ -16,20 +16,14 @@ from .bounds import (
 from .dimension import (
     ConverseBound,
     DimensionEstimate,
-    NodeStats,
     PathTrajectory,
     estimate_packing_dim,
     hmin_and_converse,
-    node_stats,
     path_trajectory,
 )
 from .dyadic import (
     CubeAddress,
     CubePartition,
-    PorousSplit,
-    UniformDyadic,
-    cube_at,
-    make_partition,
     porous_split,
     root,
     subdivide_uniform,

@@ -21,6 +21,8 @@ LOG2 = math.log(2.0)
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+#: Largest ``solve_table`` grid; each point is one bisection.
+MAX_TABLE_POINTS = 100_000
 
 
 def psi(t: float) -> float:
@@ -31,11 +33,17 @@ def psi(t: float) -> float:
 
 
 def _check_eps(d: int, k: int, eps: float) -> None:
-    if d < 1 or k < 1:
-        raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
+    """1 <= d <= 1023, where 2^d - 1 is a float; k >= 1; eps in [0, 2^-kd]."""
+    if not 1 <= d <= 1023 or k < 1:
+        raise ValueError(f"need 1 <= d <= 1023 and k >= 1, got d={d}, k={k}")
     hi = 2.0 ** (-k * d)
     if not 0.0 <= eps <= hi * (1.0 + 1e-12):
         raise ValueError(f"eps must lie in [0, 2^-kd] = [0, {hi}], got {eps}")
+
+
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -105,8 +113,7 @@ def t_dalpha(d: int, alpha: float, eps: float) -> float:
 
 def c_const(d: int) -> float:
     """The dimension-dependent constant 2 / (5 log2 2^{4d} d^{d/2})."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    _check_eps(d, 1, 0.0)
     return 2.0 / (5.0 * LOG2 * 2.0 ** (4 * d) * d ** (d / 2.0))
 
 
@@ -177,8 +184,8 @@ def dimension_bound(
 def solve_table(d: int, k: int, points: int = 101) -> list[dict]:
     """Rows of the dimension-drop curve over the scaled abscissa
     eps_scaled = eps * 2^kd in [0, 1]."""
-    if points < 2:
-        raise ValueError("need at least two grid points")
+    if not 2 <= points <= MAX_TABLE_POINTS:
+        raise ValueError(f"need 2 <= points <= {MAX_TABLE_POINTS}, got {points}")
     hi = 2.0 ** (-k * d)
     rows = []
     for j in range(points):

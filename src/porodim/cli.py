@@ -17,16 +17,18 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, bounds, oracle
-from .dimension import _trajectory_from_steps
+from .dimension import _trajectory_from_steps, hmin_and_converse
 from .measure import (
     _PATH_STREAM,
+    MAX_DIM,
     GeneratorSpec,
     build_tree_measure,
     derived_rng,
     spec_from_json,
     spec_to_json,
 )
-from .porosity import run_translation_trials, sample_porous_path, translation_report
+from .porosity import (MAX_KD, _check_frontier, run_translation_trials,
+                       sample_porous_path, translation_report)
 
 
 class ParameterError(ValueError):
@@ -151,8 +153,11 @@ def _cmd_simulate(args) -> int:
         raise ParameterError(f"--depth must be >= 1, got {depth}")
     if paths < 1:
         raise ParameterError(f"--paths must be >= 1, got {paths}")
+    if not math.isfinite(args.slack):
+        raise ParameterError(f"--slack must be finite, got {args.slack}")
     d = spec.d
     t = bounds.t_dk(d, k, eps)
+    _check_frontier(d, k)  # before any worker starts or node is realized
 
     tasks = [(spec, k, eps, depth, seed, i) for i in range(paths)]
     rows, traj_rows = [], []
@@ -248,6 +253,8 @@ def _translate_chunk(spec: GeneratorSpec, r: float, alpha: float, eps: float,
 def _cmd_translate(args) -> int:
     spec, depth = _load_spec(args, 12)
     trials, alpha, eps, seed, r = args.trials, args.alpha, args.eps, spec.seed, args.ratio
+    if args.eta is not None:
+        bounds._check_eta(args.eta)  # before the trials run
 
     jobs = _jobs(args.jobs, trials)
     cuts = [j * trials // jobs for j in range(jobs + 1)]
@@ -290,8 +297,6 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_hmin(args) -> int:
-    from .dimension import hmin_and_converse
-
     d, eta, points = args.d, args.eta, args.points
     hi = 2.0 ** -d
     if args.eps is None and points < 2:
@@ -340,7 +345,7 @@ def _measure_flags(p, depth: int) -> None:
     source.add_argument("--config", help="generator config JSON file")
     source.add_argument("--gen", choices=("uniform", "bernoulli", "cantor_middle_half"),
                         help="inline generator")
-    p.add_argument("--d", type=int, help="ambient dimension for --gen (default 1)")
+    p.add_argument("--d", type=int, help=f"ambient dimension for --gen, 1..{MAX_DIM} (default 1)")
     p.add_argument("--weights", help="comma-separated weights for --gen bernoulli")
     p.add_argument("--seed", type=int, help="master seed (default: the config's, else 0)")
     p.add_argument("--depth", type=int,
@@ -373,15 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     _table_flags(p)
     p.add_argument("--d", type=int, help="ambient dimension (with --k; default d=2, k=1,2)")
     p.add_argument("--k", type=int, help="dyadic hole depth (with --d)")
-    p.add_argument("--points", type=int, default=101, help="grid points per curve")
+    p.add_argument("--points", type=int, default=101,
+                   help=f"grid points per curve, 2..{bounds.MAX_TABLE_POINTS}")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("simulate", help="path simulation with bound check")
     _measure_flags(p, 1000)
     p.add_argument("--paths", type=int, default=20, help="number of sampled paths")
-    p.add_argument("--k", type=int, default=1, help="dyadic hole depth")
+    p.add_argument("--k", type=int, default=1, help=f"hole depth, with k*d <= {MAX_KD}")
     p.add_argument("--slack", type=float, default=0.05,
-                   help="bound-check slack for finite-depth estimates")
+                   help="bound-check slack for finite-depth estimates (finite)")
     p.add_argument("--trajectories",
                    help="also write full per-step trajectories to this CSV")
     p.set_defaults(func=_cmd_simulate)
@@ -392,16 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="dyadic hole depth (with --d)")
     p.add_argument("--eps", type=float,
                    help="one hole mass threshold (default 0, 2^-kd/2 and 2^-kd)")
-    p.add_argument("--grid", type=int, default=500, help="grid points per free dimension")
+    p.add_argument("--grid", type=int, default=500,
+                   help=f"grid points per free dimension, with grid^(k-1) <= "
+                        f"{oracle.MAX_GRID_POINTS}")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("translate", help="random-translation porosity transfer")
     _measure_flags(p, 12)
     p.add_argument("--trials", type=int, default=100, help="number of trials")
-    p.add_argument("--alpha", type=float, default=0.25, help="Euclidean hole size")
+    p.add_argument("--alpha", type=float, default=0.25,
+                   help=f"Euclidean hole size, with k(alpha, r)*d <= {MAX_KD}")
     p.add_argument("--ratio", type=float, default=0.25,
                    help="homothety ratio r (power of two)")
-    p.add_argument("--eta", type=float, help="porous-scale fraction to check")
+    p.add_argument("--eta", type=float, help="porous-scale fraction to check, in [0, 1]")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("hmin", help="minimal-entropy converse table")

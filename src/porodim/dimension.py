@@ -17,8 +17,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bounds import LOG2, psi
-from .dyadic import CubeAddress, CubePartition, subdivide_uniform
+from .bounds import LOG2, _check_eps, _check_eta, psi
+from .dyadic import CubeAddress, subdivide_uniform
 from .measure import (
     _PATH_STREAM,
     TreeMeasure,
@@ -35,34 +35,10 @@ def entropy(weights: Weights) -> float:
     return math.fsum(psi(w) for w in weights)
 
 
-@dataclass(frozen=True)
-class NodeStats:
-    """Entropy H, Lyapunov exponent lambda, and their ratio at one node."""
-
-    H: float
-    lam: float
-    ratio: float
-
-
 def _entropy_and_lyapunov(level: int, children, dist: Weights) -> tuple[float, float]:
     """H = E(-log w) and lambda = E(log side(parent)/side(child))."""
     lam = math.fsum(w * (c.level - level) * LOG2 for w, c in zip(dist, children))
     return entropy(dist), lam
-
-
-def node_stats(partition: CubePartition, dist: Weights) -> NodeStats:
-    """H = E(-log w), lambda = E(log side(parent)/side(child)), ratio = H/lambda.
-
-    The ratio is a discrete dimension for the offspring distribution: 0 only
-    for a point mass, d only when each child's mass is its relative volume.
-    """
-    if len(dist) != len(partition.children):
-        raise ValueError(
-            f"distribution has {len(dist)} entries for "
-            f"{len(partition.children)} children"
-        )
-    h, lam = _entropy_and_lyapunov(partition.parent.level, partition.children, dist)
-    return NodeStats(H=h, lam=lam, ratio=0.0 if h == 0.0 else h / lam)
 
 
 @dataclass(frozen=True)
@@ -94,13 +70,6 @@ class PathTrajectory:
     def terminal_D(self) -> float:
         """Terminal quotient from compensated sums."""
         return math.fsum(self.H) / math.fsum(self.L)
-
-    @property
-    def porous_partial_sums(self) -> tuple[float, float]:
-        """(H_P, L_P): entropy and length sums over porous steps."""
-        hp = math.fsum(h for h, p in zip(self.H, self.porous) if p)
-        mp = math.fsum(m for m, p in zip(self.L, self.porous) if p)
-        return hp, mp
 
     def csv_rows(self):
         """Rows n,I,L,H,lambda,Mbar,Dn,resH,resL,porous; the Mbar column,
@@ -279,13 +248,9 @@ def hmin_and_converse(d: int, eps: float, eta: float) -> ConverseBound:
 
     H_min(2^-d) = d log 2: the floor forces the uniform vector.
     """
-    if not 1 <= d <= 1023:
-        raise ValueError(f"need 1 <= d <= 1023, where 2^d - 1 is a float, got {d}")
+    _check_eps(d, 1, eps)
+    _check_eta(eta)
     hi = 2.0 ** -d
-    if not 0.0 <= eps <= hi * (1.0 + 1e-12):
-        raise ValueError(f"eps must lie in [0, 2^-d] = [0, {hi}], got {eps}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     n = 1 << d
     hmin = psi(1.0 - (n - 1) * min(eps, hi)) + (n - 1) * psi(min(eps, hi))
     return ConverseBound(hmin=hmin, lower_bound=(1.0 - eta) * hmin / LOG2)

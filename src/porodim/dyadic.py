@@ -2,15 +2,14 @@
 
 A cube is the half-open box prod_i [c_i 2^-level, (c_i + 1) 2^-level) inside
 the unit cube of R^d, identified by its level and integer coordinates.  All
-disjointness, cover and regularity checks run on integer addresses, never on
-floats, so they are exact.
+disjointness and cover checks run on integer addresses, never on floats, so
+they are exact.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 @dataclass(frozen=True)
 class CubeAddress:
@@ -34,15 +33,6 @@ class CubeAddress:
     @property
     def d(self) -> int:
         return len(self.coords)
-
-    @property
-    def side(self) -> float:
-        """Side length 2^-level as a float (underflows past level ~1074)."""
-        return 2.0 ** -self.level
-
-    def corner(self) -> tuple[Fraction, ...]:
-        """Exact lower corner."""
-        return tuple(Fraction(c, 1 << self.level) for c in self.coords)
 
     def ancestor(self, level: int) -> "CubeAddress":
         """The unique level-``level`` cube containing this one."""
@@ -84,11 +74,6 @@ class CubeAddress:
         """Wire format ``level:c0,c1,...``."""
         return f"{self.level}:{','.join(str(c) for c in self.coords)}"
 
-    @classmethod
-    def parse(cls, text: str) -> "CubeAddress":
-        level_s, _, coords_s = text.partition(":")
-        return cls(int(level_s), tuple(int(c) for c in coords_s.split(",")))
-
 
 def root(d: int) -> CubeAddress:
     """The unit cube [0,1)^d."""
@@ -109,51 +94,6 @@ class CubePartition:
     parent: CubeAddress
     children: tuple[CubeAddress, ...]
     hole: CubeAddress | None = None
-
-    @property
-    def is_uniform(self) -> bool:
-        return len(self.children) == (1 << self.parent.d) and all(
-            c.level == self.parent.level + 1 for c in self.children
-        )
-
-    @property
-    def max_depth_jump(self) -> int:
-        return max(c.level - self.parent.level for c in self.children)
-
-    @property
-    def regularity(self) -> float:
-        """The delta for which this partition is delta-regular (2^-max jump)."""
-        return 2.0 ** -self.max_depth_jump
-
-
-@dataclass(frozen=True)
-class UniformDyadic:
-    """Partition rule: split into the 2^d dyadic children one level down."""
-
-
-@dataclass(frozen=True)
-class PorousSplit:
-    """Partition rule: hole at relative depth k plus the cubes avoiding it.
-
-    ``hole_offset`` are the hole's coordinates at depth k relative to the
-    parent, each in [0, 2^k).  How the offset is chosen (the hole-selection
-    policy) is the caller's business; see porosity.classify_porous for the
-    measure-driven policy.
-    """
-
-    k: int
-    hole_offset: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"hole depth k must be >= 1, got {self.k}")
-        lim = 1 << self.k
-        for rc in self.hole_offset:
-            if not 0 <= rc < lim:
-                raise ValueError(f"hole offset {rc} outside [0, 2^{self.k})")
-
-
-PartitionRule = UniformDyadic | PorousSplit
 
 
 def subdivide_uniform(parent: CubeAddress) -> CubePartition:
@@ -194,42 +134,6 @@ def porous_split(parent: CubeAddress, hole: CubeAddress, k: int) -> CubePartitio
         children.extend(level_children)
     children.append(hole)
     return CubePartition(parent, tuple(children), hole=hole)
-
-
-def make_partition(parent: CubeAddress, rule: PartitionRule) -> CubePartition:
-    """Apply a partition rule at ``parent``."""
-    if isinstance(rule, UniformDyadic):
-        return subdivide_uniform(parent)
-    if isinstance(rule, PorousSplit):
-        if len(rule.hole_offset) != parent.d:
-            raise ValueError("hole offset dimension does not match the cube")
-        hole = parent.descendant(rule.hole_offset, rule.k)
-        return porous_split(parent, hole, rule.k)
-    raise TypeError(f"unknown partition rule {rule!r}")
-
-
-def cube_at(
-    d: int,
-    path_digits: tuple[int, ...],
-    rule_history: tuple[PartitionRule, ...],
-) -> CubeAddress:
-    """Walk from the root, applying each rule and picking the digit-th child.
-
-    Returns the address of the cube reached after the whole walk; the empty
-    walk returns the root.
-    """
-    if len(path_digits) != len(rule_history):
-        raise ValueError("digits and rules must have equal length")
-    cur = root(d)
-    for digit, rule in zip(path_digits, rule_history):
-        part = make_partition(cur, rule)
-        if not 0 <= digit < len(part.children):
-            raise ValueError(
-                f"digit {digit} out of range for a partition with "
-                f"{len(part.children)} children"
-            )
-        cur = part.children[digit]
-    return cur
 
 
 def validate_partition(part: CubePartition) -> None:

@@ -32,6 +32,9 @@ _TRIAL_STREAM = 2
 
 _WEIGHT_SUM_TOL = 1e-12
 
+#: Largest ambient dimension a generator accepts: a node has 2^d children.
+MAX_DIM = 8
+
 #: Default cap on ``build_tree_measure`` depths.  2^-60 is far below any
 #: experiment's resolution; callers that genuinely need deeper trees pass a
 #: larger ``max_level``.
@@ -157,8 +160,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"ambient dimension must be >= 1, got {self.d}")
+        if not 1 <= self.d <= MAX_DIM:
+            raise ValueError(f"ambient dimension must lie in [1, {MAX_DIM}], got {self.d}")
         n = 1 << self.d
         m = self.model
         if isinstance(m, Bernoulli) and len(m.weights) != n:
@@ -206,9 +209,9 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
 class TreeMeasure:
     """An immutable measure realized as a partition tree.
 
-    ``realizer(q) -> (CubePartition, Weights)`` supplies node data on demand;
-    explicit trees pass ``nodes`` instead.  ``depth`` bounds the dyadic level
-    of any node, and so the number of tree steps along any path.
+    ``realizer(q) -> (CubePartition, Weights)`` supplies node data on demand.
+    ``depth`` bounds the dyadic level of any node, and so the number of tree
+    steps along any path.
 
     Concurrent reads are safe: realizers are deterministic, so readers racing
     to fill the cache compute identical values and the last write wins.
@@ -218,24 +221,19 @@ class TreeMeasure:
         self,
         d: int,
         depth: int,
-        realizer: Callable[[CubeAddress], tuple[CubePartition, Weights]] | None = None,
+        realizer: Callable[[CubeAddress], tuple[CubePartition, Weights]],
         *,
-        nodes: dict[CubeAddress, tuple[CubePartition, Weights]] | None = None,
         cache: bool = False,
         dyadic_splits: bool = True,
     ):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        if realizer is None and nodes is None:
-            raise ValueError("need a realizer or an explicit node map")
         self.root = root(d)
         self.d = d
         self.depth = depth
         self._realizer = realizer
-        self._nodes: dict[CubeAddress, tuple[CubePartition, Weights]] = (
-            dict(nodes) if nodes else {}
-        )
-        self._cache = cache or realizer is None
+        self._nodes: dict[CubeAddress, tuple[CubePartition, Weights]] = {}
+        self._cache = cache
         #: True when every partition is the uniform dyadic split.
         self.dyadic_splits = dyadic_splits
         #: The offspring vector every node shares (product measures), else None.
@@ -246,8 +244,6 @@ class TreeMeasure:
         hit = self._nodes.get(q)
         if hit is not None:
             return hit
-        if self._realizer is None:
-            raise UnrealizedNodeError(f"node {q.serialize()} is not realized")
         if q.level >= self.depth:
             raise UnrealizedNodeError(
                 f"node {q.serialize()} is at the measure's maximum level {self.depth}"
@@ -256,9 +252,6 @@ class TreeMeasure:
         if self._cache:
             self._nodes[q] = (part, w)
         return part, w
-
-    def offspring_weights(self, q: CubeAddress) -> Weights:
-        return self.offspring(q)[1]
 
     def steps_to(self, target: CubeAddress, last: int | None = None,
                  start: CubeAddress | None = None):
@@ -310,7 +303,7 @@ class TreeMeasure:
             total += math.log(w)
         return total
 
-    def walk(self, seed: int | np.random.Generator, steps: int | None = None):
+    def walk(self, seed: int | np.random.Generator, steps: int):
         """Single-pass mu-random walk; yields (node, partition, weights, idx).
 
         Each child is drawn with its conditional probability, so the visited
@@ -318,8 +311,6 @@ class TreeMeasure:
         ``dimension.sampled_trajectory`` repeats these draws and this search
         in numpy for product measures; the two must change together.
         """
-        if steps is None:
-            steps = self.depth
         us = _path_rng(seed).random(steps)
         cur = self.root
         for n in range(steps):
@@ -343,7 +334,7 @@ class TreeMeasure:
             cur = part.children[idx]
 
     def sample_path(
-        self, seed: int | np.random.Generator, steps: int | None = None
+        self, seed: int | np.random.Generator, steps: int
     ) -> list[CubeAddress]:
         """A mu-random lineage root = Q_0, ..., Q_steps; reproducible from seed."""
         path = [self.root]
@@ -385,14 +376,6 @@ def build_tree_measure(
     if isinstance(spec.model, (Uniform, Bernoulli)):
         mu.product_weights = node_weights(spec, mu.root)
     return mu
-
-
-def from_nodes(
-    d: int, nodes: dict[CubeAddress, tuple[CubePartition, Weights]], depth: int
-) -> TreeMeasure:
-    """Explicit tree measure from a realized node map."""
-    dyad = all(p.is_uniform and p.hole is None for p, _ in nodes.values())
-    return TreeMeasure(d, depth, nodes=nodes, dyadic_splits=dyad)
 
 
 # ---------------------------------------------------------------------------

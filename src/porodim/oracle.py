@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import LOG2, psi, solve_s
+from .bounds import LOG2, _check_eps, psi, solve_s
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-10
@@ -24,13 +24,15 @@ _GOLDEN_TOL = 1e-10
 #: tolerance on M, iteration cap.
 _DAMPING, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER = 0.5, 1e-12, 10_000
 
+#: Largest brute-force mesh, grid^(k-1) points per hole mass.
+MAX_GRID_POINTS = 10**6
+
 
 def alpha_vector(d: int, k: int) -> tuple[float, ...]:
     """Relative side lengths of porous-split offspring: 2^d - 1 copies of
     2^-j for j = 1..k-1, then 2^d copies of 2^-k (non-hole cubes plus the
     hole, which sits last)."""
-    if d < 1 or k < 1:
-        raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
+    _check_eps(d, k, 0.0)
     L = (1 << d) - 1
     out: list[float] = []
     for j in range(1, k):
@@ -57,19 +59,11 @@ class RawVector:
         if abs(math.fsum(self.p) - 1.0) > 1e-9:
             raise ValueError(f"masses sum to {math.fsum(self.p)!r}, not 1")
 
-    @property
-    def alphas(self) -> tuple[float, ...]:
-        return alpha_vector(self.d, self.k)
-
-    @property
-    def hole_mass(self) -> float:
-        return self.p[-1]
-
 
 def raw_objective(v: RawVector) -> float:
     """sum psi(p_i) / sum p_i log(1/alpha_i); the value lies in [0, d]."""
     num = math.fsum(psi(x) for x in v.p)
-    den = math.fsum(x * -math.log(a) for x, a in zip(v.p, v.alphas))
+    den = math.fsum(x * -math.log(a) for x, a in zip(v.p, alpha_vector(v.d, v.k)))
     if den == 0.0:
         raise ValueError("degenerate mass vector: zero Lyapunov denominator")
     return num / den
@@ -192,8 +186,9 @@ def maximize_bruteforce(
             f"grid^k enumeration for d={d}, k={k} is expensive; "
             f"the brute force covers d <= 2 and k <= 3"
         )
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    if grid < 2 or grid ** (k - 1) > MAX_GRID_POINTS:
+        raise ValueError(f"need grid >= 2 and grid^(k-1) <= {MAX_GRID_POINTS}, "
+                         f"got grid={grid}, k={k}")
     L = (1 << d) - 1
     p_grid = np.linspace(0.0, eps, min(grid, 65)) if eps > 0.0 else np.array([0.0])
 

@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bounds import _check_eps, k_of_alpha
+from .bounds import _check_eps, _check_eta, k_of_alpha
 from .dyadic import CubeAddress, CubePartition, porous_split
 from .measure import (
     _DROP,
@@ -38,22 +38,27 @@ from .measure import (
 #: Default search cap for por2; deeper holes are reported as the inf sentinel.
 DEFAULT_POR2_CAP = 8
 
+#: Largest k*d a re-tree accepts: the classifier's depth-k frontier holds 2^(kd) nodes.
+MAX_KD = 16
+
+
+def _check_frontier(d: int, k: int) -> None:
+    if k * d > MAX_KD:
+        raise ValueError(f"k*d = {k * d} exceeds {MAX_KD}: a frontier of 2^{k * d} nodes")
+
 
 @dataclass(frozen=True)
 class PorosityParams:
-    """Hole depth k, mass threshold eps, and (for Euclidean use) hole size alpha."""
+    """Hole depth k and mass threshold eps."""
 
     k: int
     eps: float
-    alpha: float | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
-        if self.alpha is not None and not 0.0 < self.alpha <= 0.5:
-            raise ValueError(f"alpha must lie in (0, 1/2], got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,7 @@ class LineageClassifier:
     def retree(self, k: int, eps: float) -> TreeMeasure:
         """The porous re-tree view at (k, eps); see porous_retree."""
         base = self.mu
+        _check_frontier(base.d, k)
 
         def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
             check, frontiers = _classify_full(self, q, k, eps)
@@ -297,7 +303,7 @@ def porous_fraction_trajectory(
     x_path: list[CubeAddress],
     k: int,
     eps: float,
-    n_max: int | None = None,
+    n_max: int,
     por2_cap: int | None = None,
 ) -> ScaleReport:
     """Running porous-scale fractions along a lineage of ``mu``.
@@ -307,8 +313,6 @@ def porous_fraction_trajectory(
     """
     clf = LineageClassifier(mu)
     _warn_if_inadmissible(k, eps, mu.d)
-    if n_max is None:
-        n_max = min(len(x_path) - 1, mu.depth) - k
     if n_max < 1:
         raise ValueError("lineage too shallow for any porous-scale statistics")
     if n_max + k > mu.depth:
@@ -503,6 +507,7 @@ def run_translation_trials(
     d = mu.d
     k = k_of_alpha(d, alpha, r)
     _check_eps(d, k, eps)
+    _check_frontier(d, k)
     if depth <= k:
         raise ValueError(f"depth {depth} too small to resolve k={k} hole levels")
     out = []
@@ -554,6 +559,8 @@ def translation_report(
     (1-2r)^d * eta_target when a target is given."""
     if not trials:
         raise ValueError("trials must be >= 1")
+    if eta_target is not None:
+        _check_eta(eta_target)
     fractions = [tr.fraction for tr in trials]
     mean_fraction = math.fsum(fractions) / len(fractions)
     threshold = None if eta_target is None else (1.0 - 2.0 * r) ** d * eta_target

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,16 @@ from porodim.measure import (
     spec_from_json,
 )
 from porodim.porosity import porous_retree
+
+
+#: Runs rejected for their dimension d > 8, k*d > 16, or k(alpha)*d = 32 > 16.
+REJECTED_BEFORE_ANY_NODE = [
+    ["simulate", "--gen", "uniform", "--d", "30", "--depth", "2", "--paths", "1"],
+    ["simulate", "--gen", "bernoulli", "--weights", "0.5,0.5", "--k", "40",
+     "--depth", "5", "--paths", "1"],
+    ["translate", "--gen", "cantor_middle_half", "--alpha", "1e-9", "--depth", "50",
+     "--trials", "1"],
+]
 
 
 def run(tmp_path, *argv):
@@ -417,20 +428,49 @@ class TestErrors:
             ["translate", "--gen", "cantor_middle_half", "--eps", "nan"],
             ["translate", "--gen", "cantor_middle_half", "--eps", "-1"],
             ["translate", "--gen", "cantor_middle_half", "--eps", "0.125"],
+            ["solve", "--d", "1024", "--k", "1"],
+            ["solve", "--d", "2000", "--k", "1"],
+            *REJECTED_BEFORE_ANY_NODE,
+            ["oracle", "--d", "1", "--k", "3", "--grid", "100000000"],
+            ["solve", "--d", "2", "--k", "1", "--points", "100000000"],
+            ["simulate", "--gen", "uniform", "--slack", "nan", "--strict"],
+            ["translate", "--gen", "cantor_middle_half", "--eta", "nan", "--strict"],
         ],
     )
     def test_out_of_range_value_exit_1_one_line(self, tmp_path, capsys, argv):
+        start = time.perf_counter()
         code = main([*argv, "--out", str(tmp_path / "out.csv")])
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("argv", REJECTED_BEFORE_ANY_NODE)
+    def test_rejected_size_realizes_no_node(self, tmp_path, monkeypatch, argv):
+        import porodim.measure
+
+        calls = []
+        real = porodim.measure.node_weights
+
+        def counting(spec, q):
+            calls.append(q)
+            return real(spec, q)
+
+        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+        assert calls == []
+
     def test_hmin_largest_d(self, tmp_path):
         code, text = run(tmp_path, "hmin", "--d", "1023")
         assert code == 0
         assert len(rows_of(text)) == 33
+
+    def test_solve_largest_d(self, tmp_path):
+        code, text = run(tmp_path, "solve", "--d", "1023", "--k", "1")
+        assert code == 0
+        assert len(rows_of(text)) == 101
 
     def test_inadmissible_eps_exit_1(self, tmp_path):
         # t_dk undefined for eps > 2^-kd: reported as a parameter error

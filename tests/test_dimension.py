@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from porodim.bounds import LOG2, psi, solve_s
 from porodim.dimension import (
     PathTrajectory,
+    _entropy_and_lyapunov,
     _trajectory_from_steps,
     estimate_packing_dim,
     hmin_and_converse,
-    node_stats,
     path_trajectory,
     sampled_trajectory,
 )
@@ -38,20 +38,26 @@ from conftest import SPECS, make_measure
 BERNOULLI_DIM = (psi(0.25) + psi(0.75)) / LOG2  # 0.811278...
 
 
+def h_lam_ratio(part, dist):
+    """(H, lambda, H / lambda) at one node, the ratio 0 for a point mass."""
+    h, lam = _entropy_and_lyapunov(part.parent.level, part.children, dist)
+    return h, lam, 0.0 if h == 0.0 else h / lam
+
+
 class TestNodeStats:
     def test_uniform_is_full_dimension(self):
         for d in (1, 2, 3):
             part = subdivide_uniform(root(d))
-            st = node_stats(part, (2.0**-d,) * (1 << d))
-            assert st.H == pytest.approx(d * LOG2, abs=1e-12)
-            assert st.lam == pytest.approx(LOG2, abs=1e-15)
-            assert st.ratio == pytest.approx(d, abs=1e-12)
+            h, lam, ratio = h_lam_ratio(part, (2.0**-d,) * (1 << d))
+            assert h == pytest.approx(d * LOG2, abs=1e-12)
+            assert lam == pytest.approx(LOG2, abs=1e-15)
+            assert ratio == pytest.approx(d, abs=1e-12)
 
     def test_point_mass_is_zero(self):
         part = subdivide_uniform(root(2))
-        st = node_stats(part, (1.0, 0.0, 0.0, 0.0))
-        assert st.H == 0.0
-        assert st.ratio == 0.0
+        h, _, ratio = h_lam_ratio(part, (1.0, 0.0, 0.0, 0.0))
+        assert h == 0.0
+        assert ratio == 0.0
 
     def test_porous_split_geometric_weights(self):
         # per-level masses y^i with 3(y + y^2) = 1 achieve the supremum
@@ -62,9 +68,9 @@ class TestNodeStats:
         for child in part.children[:-1]:
             weights.append(y ** (child.level - parent.level))
         weights.append(0.0)  # hole
-        st = node_stats(part, tuple(weights))
-        assert st.ratio == pytest.approx(1.9227, abs=1e-4)
-        assert st.ratio == pytest.approx(solve_s(2, 2, 0.0), abs=1e-9)
+        _, _, ratio = h_lam_ratio(part, tuple(weights))
+        assert ratio == pytest.approx(1.9227, abs=1e-4)
+        assert ratio == pytest.approx(solve_s(2, 2, 0.0), abs=1e-9)
 
     def test_ratio_is_d_iff_volume_weights(self):
         rng = np.random.default_rng(77)
@@ -72,18 +78,12 @@ class TestNodeStats:
             part = subdivide_uniform(root(d))
             n = 1 << d
             vol = (2.0**-d,) * n
-            assert node_stats(part, vol).ratio == pytest.approx(d, abs=1e-9)
+            assert h_lam_ratio(part, vol)[2] == pytest.approx(d, abs=1e-9)
             for _ in range(25):
                 w = rng.dirichlet(np.full(n, 1.0))
                 if np.max(np.abs(w - 2.0**-d)) < 1e-2:
                     continue
-                st = node_stats(part, tuple(float(x) for x in w))
-                assert st.ratio < d - 1e-9
-
-    def test_length_mismatch(self):
-        part = subdivide_uniform(root(1))
-        with pytest.raises(ValueError, match="entries"):
-            node_stats(part, (1.0,))
+                assert h_lam_ratio(part, tuple(float(x) for x in w))[2] < d - 1e-9
 
 
 class TestTrajectory:
@@ -140,9 +140,6 @@ class TestTrajectory:
         assert traj.porous.all()  # every node of this measure is (2, .05)-porous
         jumps = np.diff(traj.levels)
         assert set(jumps.tolist()) <= {1, 2}
-        hp, mp = traj.porous_partial_sums
-        assert hp == pytest.approx(math.fsum(traj.H))
-        assert mp == pytest.approx(math.fsum(traj.L))
 
     def test_csv_rows_shape(self, bern_quarter):
         traj = sampled_trajectory(bern_quarter, 5, 1)

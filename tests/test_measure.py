@@ -25,7 +25,7 @@ from conftest import make_measure
 class TestBuildAndMass:
     def test_uniform_masses(self, uniform2):
         for j in range(3):
-            assert uniform2.offspring_weights(root(2).descendant((j, j), 2)) == (0.25,) * 4
+            assert uniform2.offspring(root(2).descendant((j, j), 2))[1] == (0.25,) * 4
         assert uniform2.mass(CubeAddress(3, (5, 2))) == pytest.approx(4.0**-3, abs=1e-12)
 
     def test_bernoulli_direct_read(self, bern_quarter):
@@ -40,26 +40,26 @@ class TestBuildAndMass:
         a = make_measure(1, model, depth=12, seed=7)
         b = make_measure(1, model, depth=12, seed=7)
         nodes = [CubeAddress(le, (c,)) for le in range(6) for c in range(1 << le)]
-        assert [a.offspring_weights(q) for q in nodes] == [
-            b.offspring_weights(q) for q in nodes
+        assert [a.offspring(q)[1] for q in nodes] == [
+            b.offspring(q)[1] for q in nodes
         ]
 
     def test_distinct_seeds_differ(self):
         model = CascadeDirichlet((1.0, 1.0))
         a = make_measure(1, model, seed=1)
         b = make_measure(1, model, seed=2)
-        assert a.offspring_weights(root(1)) != b.offspring_weights(root(1))
+        assert a.offspring(root(1))[1] != b.offspring(root(1))[1]
 
     def test_node_draws_are_independent_of_visit_order(self):
         model = CascadeDirichlet((0.5, 0.5, 0.5, 0.5))
         mu = make_measure(2, model, seed=11)
         q = CubeAddress(3, (1, 6))
-        first = mu.offspring_weights(q)
+        first = mu.offspring(q)[1]
         # probing a bunch of other nodes must not disturb q's draw
         for le in range(3):
             for c in range(1 << le):
-                mu.offspring_weights(CubeAddress(le, (c, c)))
-        assert mu.offspring_weights(q) == first
+                mu.offspring(CubeAddress(le, (c, c)))
+        assert mu.offspring(q)[1] == first
 
     def test_conservation(self):
         mu = make_measure(2, CascadeDirichlet((0.7, 0.7, 0.7, 0.7)), seed=3)
@@ -97,18 +97,6 @@ class TestBuildAndMass:
     def test_deep_mass_is_the_exact_product(self):
         mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=600)
         assert mu.mass(CubeAddress(500, (0,))) == 2.0**-1000
-
-    def test_explicit_node_map(self):
-        from porodim.dyadic import subdivide_uniform
-        from porodim.measure import from_nodes
-
-        r = root(1)
-        part = subdivide_uniform(r)
-        mu = from_nodes(1, {r: (part, (0.25, 0.75))}, depth=1)
-        assert mu.mass(CubeAddress(1, (1,))) == 0.75
-        assert mu.dyadic_splits
-        with pytest.raises(UnrealizedNodeError, match="not realized"):
-            mu.offspring(CubeAddress(1, (1,)))
 
 
 class TestSamplePath:
@@ -181,7 +169,7 @@ class TestHomothety:
         nu = apply_homothety(uniform2, Homothety(0.25, (0.0, 0.0)), 8)
         assert nu.mass(CubeAddress(2, (0, 0))) == 1.0
         # deeper structure uniform within the image
-        assert nu.offspring_weights(CubeAddress(2, (0, 0))) == (0.25,) * 4
+        assert nu.offspring(CubeAddress(2, (0, 0)))[1] == (0.25,) * 4
         assert nu.mass(CubeAddress(4, (1, 1))) == pytest.approx(1 / 16, abs=1e-12)
 
     def test_point_mass_pushforward(self):
@@ -253,7 +241,7 @@ class TestHomothety:
         # the source cube 557:0 has mass 2^-1114, which is 0.0 as a float
         mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
         nu = apply_homothety(mu, Homothety(0.125, (0.0,)), 600)
-        assert nu.offspring_weights(CubeAddress(560, (0,))) == (0.25, 0.75)
+        assert nu.offspring(CubeAddress(560, (0,)))[1] == (0.25, 0.75)
 
     @pytest.mark.parametrize(
         "ratio, t",

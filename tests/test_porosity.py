@@ -215,11 +215,16 @@ class TestRetree:
         # children: right (0.9), left-right (0.09), hole left-left (0.01)
         assert sorted(w) == pytest.approx([0.01, 0.09, 0.9], abs=1e-15)
 
+    def test_frontier_cap(self):
+        # k*d = 18: the depth-k classifier frontier would hold 2^18 nodes
+        with pytest.raises(ValueError, match="exceeds 16"):
+            porous_retree(make_measure(2, Uniform()), 9, 0.0)
+
     def test_regularity(self):
         mu = make_measure(2, CascadeDirichlet((0.3,) * 4), seed=2)
         view = porous_retree(mu, 2, 0.02)
         part, _ = view.offspring(root(2))
-        assert part.regularity >= 0.25
+        assert max(c.level for c in part.children) <= 2  # 2^-2-regular
 
     def test_non_node_mass_unreachable(self):
         mu = make_measure(1, Bernoulli((0.1, 0.9)))
