@@ -21,7 +21,7 @@ LOG2 = math.log(2.0)
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
-#: Largest ``solve_table`` grid; each point is one bisection.
+#: Largest ``solve`` or ``hmin`` table grid; each solve point is one bisection.
 MAX_TABLE_POINTS = 100_000
 
 
@@ -39,6 +39,12 @@ def _check_eps(d: int, k: int, eps: float) -> None:
     hi = 2.0 ** (-k * d)
     if not 0.0 <= eps <= hi * (1.0 + 1e-12):
         raise ValueError(f"eps must lie in [0, 2^-kd] = [0, {hi}], got {eps}")
+
+
+def _check_points(points: int) -> None:
+    """2 <= points <= MAX_TABLE_POINTS, the grid of a solve or hmin table."""
+    if not 2 <= points <= MAX_TABLE_POINTS:
+        raise ValueError(f"need 2 <= points <= {MAX_TABLE_POINTS}, got {points}")
 
 
 def _check_eta(eta: float) -> None:
@@ -111,10 +117,18 @@ def t_dalpha(d: int, alpha: float, eps: float) -> float:
     return 2.0 ** -d * t_dk(d, k_of_alpha(d, alpha), eps)
 
 
+#: Largest d at which ``c_const`` is a normal float; from d = 136 on the
+#: constant's denominator exceeds the largest float.
+_C_CONST_LAST_D = 135
+
+
 def c_const(d: int) -> float:
-    """The dimension-dependent constant 2 / (5 log2 2^{4d} d^{d/2})."""
+    """The dimension-dependent constant 2 / (5 log2 2^{4d} d^{d/2}); 0.0 for
+    d > 135, where it is below the smallest normal float."""
     _check_eps(d, 1, 0.0)
-    return 2.0 / (5.0 * LOG2 * 2.0 ** (4 * d) * d ** (d / 2.0))
+    if d > _C_CONST_LAST_D:
+        return 0.0
+    return math.ldexp(2.0 / (5.0 * LOG2 * d ** (d / 2.0)), -4 * d)
 
 
 @dataclass(frozen=True)
@@ -184,8 +198,7 @@ def dimension_bound(
 def solve_table(d: int, k: int, points: int = 101) -> list[dict]:
     """Rows of the dimension-drop curve over the scaled abscissa
     eps_scaled = eps * 2^kd in [0, 1]."""
-    if not 2 <= points <= MAX_TABLE_POINTS:
-        raise ValueError(f"need 2 <= points <= {MAX_TABLE_POINTS}, got {points}")
+    _check_points(points)
     hi = 2.0 ** (-k * d)
     rows = []
     for j in range(points):

@@ -35,6 +35,14 @@ class ParameterError(ValueError):
     pass
 
 
+#: Largest simulate run in path steps, depth x paths.  It admits one path
+#: 10^5 levels deep; a path keeps its walk, whose addresses have ``level``
+#: bits, so its memory grows with the square of its depth.
+MAX_PATH_STEPS = 100_000
+#: Largest translate run, in trials.
+MAX_TRIALS = 10_000
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return str(int(x))
@@ -153,6 +161,9 @@ def _cmd_simulate(args) -> int:
         raise ParameterError(f"--depth must be >= 1, got {depth}")
     if paths < 1:
         raise ParameterError(f"--paths must be >= 1, got {paths}")
+    if depth * paths > MAX_PATH_STEPS:
+        raise ParameterError(
+            f"--depth x --paths must be <= {MAX_PATH_STEPS}, got {depth} x {paths}")
     if not math.isfinite(args.slack):
         raise ParameterError(f"--slack must be finite, got {args.slack}")
     d = spec.d
@@ -253,6 +264,8 @@ def _translate_chunk(spec: GeneratorSpec, r: float, alpha: float, eps: float,
 def _cmd_translate(args) -> int:
     spec, depth = _load_spec(args, 12)
     trials, alpha, eps, seed, r = args.trials, args.alpha, args.eps, spec.seed, args.ratio
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ParameterError(f"--trials must lie in [1, {MAX_TRIALS}], got {trials}")
     if args.eta is not None:
         bounds._check_eta(args.eta)  # before the trials run
 
@@ -299,8 +312,8 @@ def _cmd_translate(args) -> int:
 def _cmd_hmin(args) -> int:
     d, eta, points = args.d, args.eta, args.points
     hi = 2.0 ** -d
-    if args.eps is None and points < 2:
-        raise ParameterError(f"--points must be >= 2, got {points}")
+    if args.eps is None:
+        bounds._check_points(points)
     rows = []
     eps_list = (
         [args.eps] if args.eps is not None else [j / (points - 1) * hi for j in range(points)]
@@ -384,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="path simulation with bound check")
     _measure_flags(p, 1000)
-    p.add_argument("--paths", type=int, default=20, help="number of sampled paths")
+    p.add_argument("--paths", type=int, default=20,
+                   help=f"number of sampled paths, with depth x paths <= {MAX_PATH_STEPS}")
     p.add_argument("--k", type=int, default=1, help=f"hole depth, with k*d <= {MAX_KD}")
     p.add_argument("--slack", type=float, default=0.05,
                    help="bound-check slack for finite-depth estimates (finite)")
@@ -405,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="random-translation porosity transfer")
     _measure_flags(p, 12)
-    p.add_argument("--trials", type=int, default=100, help="number of trials")
+    p.add_argument("--trials", type=int, default=100,
+                   help=f"number of trials, 1..{MAX_TRIALS}")
     p.add_argument("--alpha", type=float, default=0.25,
                    help=f"Euclidean hole size, with k(alpha, r)*d <= {MAX_KD}")
     p.add_argument("--ratio", type=float, default=0.25,
@@ -418,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1, help="ambient dimension")
     p.add_argument("--eta", type=float, default=0.5, help="porous-scale fraction")
     p.add_argument("--eps", type=float, help="one hole mass threshold (default a grid)")
-    p.add_argument("--points", type=int, default=33, help="eps grid points")
+    p.add_argument("--points", type=int, default=33,
+                   help=f"eps grid points, 2..{bounds.MAX_TABLE_POINTS}")
     p.set_defaults(func=_cmd_hmin)
 
     return parser

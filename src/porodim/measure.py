@@ -53,8 +53,21 @@ def _u64(seed: int) -> int:
 
 
 def node_rng(seed: int, q: CubeAddress) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, node stream, node address)."""
-    entropy = (_u64(seed), _NODE_STREAM, q.level, *q.coords)
+    """Counter-based generator keyed by (seed, node stream, node address).
+
+    The entropy is the array of uint32 words numpy's ``SeedSequence`` would
+    make of the tuple (u64(seed), node stream, level, *coords): each int as
+    max(1, ceil(bits / 32)) words, least significant first, so zero is one 0
+    word.  The words are built here in one pass because numpy converts an
+    int one word at a time in a Python loop, a cost that grows with the
+    level, since a coordinate has ``level`` bits.  Given the ready array,
+    ``SeedSequence`` builds the same pool, so the Philox state and every
+    draw are unchanged.
+    """
+    key = (_u64(seed), _NODE_STREAM, q.level, *q.coords)
+    words = b"".join(n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
+                     for n in key)
+    entropy = np.frombuffer(words, "<u4")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -197,8 +210,7 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
                 return comp
         return m.components[-1]
     if isinstance(m, CascadeDirichlet):
-        w = rng.dirichlet(m.concentration)
-        return tuple(float(x) for x in w)
+        return tuple(rng.dirichlet(m.concentration).tolist())
     raise TypeError(f"unknown generator model {m!r}")
 
 

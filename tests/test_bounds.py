@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -140,6 +141,21 @@ class TestConstantsAndBound:
     def test_c2(self):
         assert c_const(2) == pytest.approx(2.0 / (5.0 * LOG2 * 2.0**8 * 2.0), rel=1e-12)
         assert c_const(2) == pytest.approx(1.1271e-3, rel=1e-3)
+
+    def test_c_const_pinned_and_zero_past_the_float_range(self):
+        assert [c_const(d) for d in range(1, 9)] == [
+            0.03606737602222408, 0.0011271055006945026, 2.7113944342961623e-05,
+            5.503444827609876e-07, 9.844861395964236e-09, 1.5924319524334134e-10,
+            2.368926093297791e-12, 3.2803087399064754e-14,
+        ]
+        # the direct quotient, whose denominator overflows to inf from d = 136
+        # and raises OverflowError from d = 256, is the reference below that
+        for d in range(1, 256):
+            assert c_const(d) == 2.0 / (5.0 * LOG2 * 2.0 ** (4 * d) * d ** (d / 2.0))
+        assert c_const(135) >= sys.float_info.min
+        for d in (256, 1023):
+            assert c_const(d) == 0.0
+            assert dimension_bound(d, eta=1.0, eps=0.0, k=1).c_d == 0.0
 
     def test_dyadic_route_bound(self):
         rep = dimension_bound(2, eta=1.0, eps=0.0, k=1)

@@ -17,7 +17,7 @@ from porodim.measure import (
     derived_rng,
     spec_from_json,
 )
-from porodim.porosity import porous_retree
+from porodim.porosity import TranslationTrial, porous_retree
 
 
 #: Runs rejected for their dimension d > 8, k*d > 16, or k(alpha)*d = 32 > 16.
@@ -27,6 +27,15 @@ REJECTED_BEFORE_ANY_NODE = [
      "--depth", "5", "--paths", "1"],
     ["translate", "--gen", "cantor_middle_half", "--alpha", "1e-9", "--depth", "50",
      "--trials", "1"],
+]
+
+#: Runs past simulate's depth x paths cap or translate's trial cap
+OVER_SIZE_CAP = [
+    ["simulate", "--gen", "uniform", "--depth", "100000000", "--paths", "1"],
+    ["simulate", "--gen", "uniform", "--depth", "100001", "--paths", "1"],
+    ["simulate", "--gen", "uniform", "--depth", "1000", "--paths", "101"],
+    ["translate", "--gen", "cantor_middle_half", "--trials", "100000000"],
+    ["translate", "--gen", "cantor_middle_half", "--trials", "10001"],
 ]
 
 
@@ -435,6 +444,8 @@ class TestErrors:
             ["solve", "--d", "2", "--k", "1", "--points", "100000000"],
             ["simulate", "--gen", "uniform", "--slack", "nan", "--strict"],
             ["translate", "--gen", "cantor_middle_half", "--eta", "nan", "--strict"],
+            ["hmin", "--points", "100000000"],
+            *OVER_SIZE_CAP,
         ],
     )
     def test_out_of_range_value_exit_1_one_line(self, tmp_path, capsys, argv):
@@ -447,7 +458,7 @@ class TestErrors:
         assert err.startswith("error:")
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("argv", REJECTED_BEFORE_ANY_NODE)
+    @pytest.mark.parametrize("argv", [*REJECTED_BEFORE_ANY_NODE, *OVER_SIZE_CAP])
     def test_rejected_size_realizes_no_node(self, tmp_path, monkeypatch, argv):
         import porodim.measure
 
@@ -461,6 +472,28 @@ class TestErrors:
         monkeypatch.setattr(porodim.measure, "node_weights", counting)
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--gen", "uniform", "--depth", "100000", "--paths", "1"],
+            ["simulate", "--gen", "uniform", "--depth", "1000", "--paths", "100"],
+            ["translate", "--gen", "cantor_middle_half", "--trials", "10000"],
+        ],
+    )
+    def test_size_caps_admit_their_limit(self, tmp_path, monkeypatch, argv):
+        # the paths and trials are stubbed: only the size checks run for real
+        import porodim.cli
+
+        def one_path(spec, k, eps, depth, seed, index):
+            return (index, depth, 0.0, 0.0, 0.0, 0.0, 0, depth, "", "", ""), None
+
+        def chunk(spec, r, alpha, eps, depth, seed, indices):
+            return [TranslationTrial(i, (0.0,), 1.0) for i in indices]
+
+        monkeypatch.setattr(porodim.cli, "_simulate_one_path", one_path)
+        monkeypatch.setattr(porodim.cli, "_translate_chunk", chunk)
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
 
     def test_hmin_largest_d(self, tmp_path):
         code, text = run(tmp_path, "hmin", "--d", "1023")

@@ -1,7 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porodim.dyadic import CubeAddress, root
 from porodim.measure import (
@@ -13,8 +16,12 @@ from porodim.measure import (
     Homothety,
     Uniform,
     UnrealizedNodeError,
+    _NODE_STREAM,
+    _u64,
     apply_homothety,
     build_tree_measure,
+    node_rng,
+    node_weights,
     spec_from_json,
     spec_to_json,
 )
@@ -97,6 +104,43 @@ class TestBuildAndMass:
     def test_deep_mass_is_the_exact_product(self):
         mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=600)
         assert mu.mass(CubeAddress(500, (0,))) == 2.0**-1000
+
+
+#: Levels where a coordinate's uint32 word count changes, drawn on purpose
+_WORD_EDGES = st.one_of(
+    st.integers(0, 5000),
+    st.sampled_from([31, 32, 33, 63, 64, 65]),
+    st.integers(0, 5000 // 32).map(lambda j: 32 * j),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    level=_WORD_EDGES,
+    d=st.integers(1, 3),
+    seed=st.one_of(st.sampled_from([-1, 0, 2**64 - 1]), st.integers(-2**70, 2**70)),
+    data=st.data(),
+)
+def test_node_rng_matches_numpy_keying(level, d, seed, data):
+    # node_rng builds SeedSequence's words itself; numpy's own conversion of
+    # the entropy tuple is the reference, draw for draw
+    top = (1 << level) - 1
+    coords = tuple(
+        data.draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top)))
+        for _ in range(d)
+    )
+    q = CubeAddress(level, coords)
+    entropy = (_u64(seed), _NODE_STREAM, level, *coords)
+
+    def reference():
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+    conc = tuple(data.draw(st.floats(0.1, 3.0)) for _ in range(1 << d))
+    got, want = node_rng(seed, q), reference()
+    assert got.random(4).tobytes() == want.random(4).tobytes()
+    assert got.dirichlet(conc).tobytes() == want.dirichlet(conc).tobytes()
+    spec = GeneratorSpec(d, CascadeDirichlet(conc), seed)
+    assert node_weights(spec, q) == tuple(float(x) for x in reference().dirichlet(conc))
 
 
 class TestSamplePath:
