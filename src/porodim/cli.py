@@ -4,8 +4,8 @@ Subcommands: solve (dimension-drop curve tables), simulate (path experiments
 with a bound check), oracle (brute force vs solver comparison), translate
 (random-translation porosity transfer), hmin (converse-bound tables).  All
 output is metadata-headed CSV; identical configs produce byte-identical
-files.  Exit codes: 0 success, 1 parameter error, 2 failed pass-criterion
-under --strict.
+files.  Exit codes: 0 success, 1 parameter error or a run too large for
+memory, 2 failed pass-criterion under --strict.
 """
 
 from __future__ import annotations
@@ -448,6 +448,10 @@ def main(argv=None) -> int:
         return 0
     except (ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: this run is too large for the memory available",
+              file=sys.stderr)
         return 1
 
 

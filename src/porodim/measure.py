@@ -570,7 +570,10 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     matching grid, and masses come out exact because box/cube intersections
     are resolved in integer coordinates.  A node's weights are the masses of
     its children's source boxes relative to the source cube anchoring its own
-    box, so they do not underflow with depth.
+    box, so they do not underflow with depth.  Known limit: a translation
+    with hundreds of binary digits can leave a box's anchor hundreds of levels
+    above it, and then its relative mass can underflow; the translation
+    experiment draws translations of at most 50 digits (depth <= 50).
     """
     if not mu.dyadic_splits:
         raise ValueError("apply_homothety needs a dyadic-split source measure")

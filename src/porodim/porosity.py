@@ -4,10 +4,10 @@ The central test: a node Q is porous at (k, eps) when some dyadic descendant
 at relative depth k carries at most an eps-fraction of Q's mass.  One
 LineageClassifier per lineage answers that test and the hole-depth function
 por2 from the same realized nodes.  Around it this module provides the
-porous/uniform re-treeing that drives dimension-drop experiments, per-scale
-fraction bookkeeping, an approximate (one-sided) Euclidean porosity
-estimator, and the random-translation experiment that transfers Euclidean
-porosity to the dyadic frame.
+porous/uniform re-treeing that drives dimension-drop experiments, the one
+pass that flags the porous dyadic levels of a lineage, an approximate
+(one-sided) Euclidean porosity estimator, and the random-translation
+experiment that transfers Euclidean porosity to the dyadic frame.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -105,9 +105,11 @@ class LineageClassifier:
     k, por2 the first frontier whose minimum is <= eps.  Holes persist to
     deeper levels, so por2 <= k exactly when q is porous at (k, eps).
 
-    The memo is a cache only: a query at level n drops all nodes above level
-    n, so memory along a path does not grow with depth.  Queries should go
-    down the lineage; one that goes back up realizes again.
+    The memo is a cache only.  A por2 query at level n, or ``drop_above(n)``,
+    drops all nodes above level n, so memory along a path does not grow with
+    depth; classification keeps what it realized, so the levels inside a
+    finished re-tree walk can still be probed without realizing again.
+    Queries should go down the lineage; one that goes back up realizes again.
     """
 
     def __init__(self, mu: TreeMeasure):
@@ -124,13 +126,16 @@ class LineageClassifier:
             hit = self._offspring[key] = self.mu.offspring(q)
         return hit
 
+    def drop_above(self, level: int) -> None:
+        """Forget the nodes above ``level``."""
+        if level > self._level:
+            self._level = level
+            for memo in (self._offspring, self._frontiers):
+                for key in [key for key in memo if key[0] < level]:
+                    del memo[key]
+
     def frontiers(self, q: CubeAddress, depth: int) -> list[dict[CubeAddress, float]]:
         """q's frontiers at levels 1..depth (or more, when built before)."""
-        if q.level > self._level:
-            self._level = q.level
-            for memo in (self._offspring, self._frontiers):
-                for key in [key for key in memo if key[0] < q.level]:
-                    del memo[key]
         frontiers = self._frontiers.setdefault((q.level, q.coords), [])
         while len(frontiers) < depth:
             frontiers.append(self._deeper(frontiers[-1] if frontiers else {q: 1.0}))
@@ -146,6 +151,7 @@ class LineageClassifier:
 
     def por2(self, q: CubeAddress, eps: float, cap: int) -> float:
         """Least j <= cap whose frontier holds an eps-hole, else math.inf."""
+        self.drop_above(q.level)
         for j in range(1, cap + 1):
             if _min_entry(self.frontiers(q, j)[j - 1])[1] <= eps:
                 return j
@@ -194,13 +200,8 @@ def classify_porous(
     return _classify_full(clf, q, k, eps)[0]
 
 
-def por2_depth(
-    mu: TreeMeasure,
-    x_path: list[CubeAddress],
-    n: int,
-    eps: float,
-    cap: int = DEFAULT_POR2_CAP,
-) -> float:
+def por2_depth(mu: TreeMeasure, x_path: list[CubeAddress], n: int, eps: float,
+               cap: int = DEFAULT_POR2_CAP) -> float:
     """Least k <= cap such that D_k(x_path[n]) contains an eps-hole.
 
     Returns math.inf when no hole exists up to the cap (the capped sentinel,
@@ -210,13 +211,8 @@ def por2_depth(
     return LineageClassifier(mu).por2(x_path[n], eps, cap)
 
 
-def por2_profile(
-    mu: TreeMeasure,
-    x_path: list[CubeAddress],
-    n_max: int,
-    eps: float,
-    cap: int = DEFAULT_POR2_CAP,
-) -> tuple[float, ...]:
+def por2_profile(mu: TreeMeasure, x_path: list[CubeAddress], n_max: int, eps: float,
+                 cap: int = DEFAULT_POR2_CAP) -> tuple[float, ...]:
     """por2 at every level 0..n_max-1 along the lineage."""
     clf = LineageClassifier(mu)
     return tuple(clf.por2(x_path[n], eps, cap) for n in range(n_max))
@@ -232,7 +228,8 @@ def porous_retree(base: TreeMeasure, k: int, eps: float) -> TreeMeasure:
     Porous nodes split into the depth-k hole plus the per-level cubes
     avoiding it; non-porous nodes split uniformly.  Offspring weights are the
     conditional masses of the children under ``base``.  The view is
-    2^-k-regular.
+    2^-k-regular.  It keeps every node it classifies, so its memory grows
+    with the length of a walk on it.
     """
     clf = LineageClassifier(base)
     _warn_if_inadmissible(k, eps, base.d)
@@ -251,6 +248,26 @@ def porous_walk(
     return list(view.steps_to(x_path[-1], last=len(x_path) - 1 - k))
 
 
+def _porous_levels(clf: LineageClassifier, steps, k: int, eps: float):
+    """Each re-tree step with an iterator over the porous flags, at (k, eps),
+    of the dyadic levels it spans, from its own level down.
+
+    The step's own level takes the flag of its split; a level inside a porous
+    jump is tested by por2 <= k, which stops at the first hole.  The flags
+    are evaluated lazily and must be read before the next step is drawn:
+    a consumer that stops early probes no deeper level.
+    """
+    for step in steps:
+        node, part, _, idx = step
+        child = part.children[idx]
+        inner = range(node.level + 1, child.level)
+        yield step, chain(
+            (part.hole is not None,),
+            (clf.por2(child.ancestor(level), eps, k) <= k for level in inner),
+        )
+        clf.drop_above(child.level)
+
+
 def sample_porous_path(
     base: TreeMeasure, k: int, eps: float, seed: int | np.random.Generator, steps: int
 ) -> tuple[list[tuple[CubeAddress, CubePartition, Weights, int]], list[bool]]:
@@ -258,58 +275,34 @@ def sample_porous_path(
 
     Returns the walk steps (node, partition, weights, chosen child index) and
     ``flags[n]``: is the lineage's level-n cube porous at (k, eps), for every
-    level n below the terminal one.  Walk nodes take the flag from their
-    split; a level inside a porous jump is tested by por2 <= k, which stops
-    at the first hole.  Each node is realized once.
+    level n below the terminal one.  Each node is realized once.
     """
     clf = LineageClassifier(base)
     walk, flags = [], []
-    for node, part, w, idx in clf.retree(k, eps).walk(seed, steps):
-        walk.append((node, part, w, idx))
-        flags.append(part.hole is not None)
-        child = part.children[idx]
-        for level in range(node.level + 1, child.level):
-            flags.append(clf.por2(child.ancestor(level), eps, k) <= k)
+    for step, levels in _porous_levels(clf, clf.retree(k, eps).walk(seed, steps), k, eps):
+        walk.append(step)
+        flags.extend(levels)
     return walk, flags
-
-
-# ---------------------------------------------------------------------------
-# Per-scale fraction bookkeeping
 
 
 @dataclass(frozen=True)
 class ScaleReport:
-    """Porous-scale statistics along one lineage.
-
-    The dyadic arrays follow the full-dyadic-scale count (one flag per dyadic
-    level); the rstep arrays follow the re-tree walk, where a porous step
-    advances k levels at once.  ``eta[n-1] = 1 - N_n / M_n`` with N_n the
-    non-porous steps among the first n and M_n the dyadic level reached.
-    """
+    """Porous-scale flags along one lineage, one per dyadic level, and their
+    running fractions."""
 
     k: int
     eps: float
-    por2: tuple[float, ...]
     dyadic_flags: tuple[bool, ...]
     dyadic_fraction: tuple[float, ...]
-    rstep_porous: tuple[bool, ...]
-    nonporous_counts: tuple[int, ...]
-    dyadic_levels: tuple[int, ...]
-    eta: tuple[float, ...]
 
 
-def porous_fraction_trajectory(
-    mu: TreeMeasure,
-    x_path: list[CubeAddress],
-    k: int,
-    eps: float,
-    n_max: int,
-    por2_cap: int | None = None,
-) -> ScaleReport:
+def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: int,
+                               eps: float, n_max: int) -> ScaleReport:
     """Running porous-scale fractions along a lineage of ``mu``.
 
-    ``dyadic_fraction[n-1]`` is (1/n) |{i in [n] : por2(mu, x, i, eps) <= k}|;
-    the rstep fields track the induced porous/uniform walk.
+    ``dyadic_fraction[n-1]`` is (1/n) |{i in [n] : por2(mu, x, i, eps) <= k}|.
+    The flags come from the lineage's walk on the porous re-tree, which
+    needs the cubes x_path[0..n_max + k]; each node is realized once.
     """
     clf = LineageClassifier(mu)
     _warn_if_inadmissible(k, eps, mu.d)
@@ -320,43 +313,16 @@ def porous_fraction_trajectory(
             f"probing depth {k} below level {n_max} exceeds the measure's "
             f"maximum level {mu.depth}"
         )
-    # The sentinel cap cannot reach past the realizable depth.
-    cap = max(k, DEFAULT_POR2_CAP if por2_cap is None else por2_cap)
-    cap = min(cap, mu.depth - n_max)
-    por2: list[float] = []
-    rflags, ncounts, levels, eta = [], [], [], []
-    nonporous = 0
-    # One pass down the lineage: each re-tree step, then por2 at the dyadic
-    # levels it spans, so the classifier realizes every node once.
-    path = x_path[: n_max + k + 1]
-    steps = clf.retree(k, eps).steps_to(path[-1], last=len(path) - 1 - k)
-    for node, part, _, idx in steps:
-        child = part.children[idx]
-        por2.extend(
-            clf.por2(x_path[n], eps, cap)
-            for n in range(node.level, min(child.level, n_max))
+    if len(x_path) < n_max + k + 1:
+        raise ValueError(
+            f"x_path holds {len(x_path)} cubes; n_max={n_max} at k={k} needs "
+            f"{n_max + k + 1}"
         )
-        porous = part.hole is not None
-        rflags.append(porous)
-        nonporous += not porous
-        ncounts.append(nonporous)
-        levels.append(child.level)
-        eta.append(1.0 - nonporous / levels[-1])
-    por2.extend(clf.por2(x_path[n], eps, cap) for n in range(len(por2), n_max))
-    flags = tuple(p <= k for p in por2)
+    walk = porous_walk(clf.retree(k, eps), x_path[: n_max + k + 1], k)
+    levels = chain.from_iterable(flags for _, flags in _porous_levels(clf, walk, k, eps))
+    flags = tuple(islice(levels, n_max))
     running = (hits / n for n, hits in enumerate(accumulate(flags), start=1))
-
-    return ScaleReport(
-        k=k,
-        eps=eps,
-        por2=tuple(por2),
-        dyadic_flags=flags,
-        dyadic_fraction=tuple(running),
-        rstep_porous=tuple(rflags),
-        nonporous_counts=tuple(ncounts),
-        dyadic_levels=tuple(levels),
-        eta=tuple(eta),
-    )
+    return ScaleReport(k=k, eps=eps, dyadic_flags=flags, dyadic_fraction=tuple(running))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +369,8 @@ def euclid_por_lower_bound(
     One-sided by construction: no upper-bound search over ball centers is
     attempted.  In d = 1 adjacent empty cubes are merged, so non-dyadic gaps
     (two half-gaps meeting at a dyadic point) are certified at full size.
+    Known limit: distances are compared squared, and r*r underflows to 0.0
+    below r ~ 2^-537, where the call raises as if the ball had no mass.
     """
     _require_dyadic(mu)
     d = mu.d
@@ -517,7 +485,7 @@ def run_translation_trials(
         t = tuple(float(u) * 2.0 ** -depth for u in t_units)
         nu = apply_homothety(mu, Homothety(r / 2.0, t), depth + k)
         path = nu.sample_path(derived_rng(seed, _PATH_STREAM, i), steps=depth + k)
-        report = porous_fraction_trajectory(nu, path, k, eps, n_max=depth, por2_cap=k)
+        report = porous_fraction_trajectory(nu, path, k, eps, n_max=depth)
         out.append(TranslationTrial(i, t, report.dyadic_fraction[-1]))
     return out
 

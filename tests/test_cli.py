@@ -513,6 +513,21 @@ class TestErrors:
         )
         assert code == 1
 
+    def test_memory_error_exit_1_one_line(self, tmp_path, capsys, monkeypatch):
+        import porodim.cli
+
+        def one_path(*task):
+            raise MemoryError
+
+        monkeypatch.setattr(porodim.cli, "_simulate_one_path", one_path)
+        code = main(["simulate", "--gen", "uniform", "--depth", "5", "--paths", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "memory" in err
+        assert not (tmp_path / "out.csv").exists()
+
 
 def readme_commands() -> list[str]:
     """Every ``porodim ...`` command in README's sh blocks, continuations joined."""

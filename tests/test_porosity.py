@@ -17,6 +17,7 @@ from porodim.porosity import (
     classify_porous,
     euclid_por_lower_bound,
     por2_depth,
+    por2_profile,
     porous_fraction_trajectory,
     porous_retree,
     porous_walk,
@@ -106,34 +107,26 @@ class TestFractionTrajectory:
     def test_bernoulli_every_scale_porous(self, bern_quarter):
         path = bern_quarter.sample_path(6, steps=25)
         rep = porous_fraction_trajectory(bern_quarter, path, 1, 0.3, n_max=20)
-        assert rep.dyadic_fraction[-1] == 1.0
-        assert all(rep.rstep_porous)
-        # with k=1 the dyadic level advances one per step
-        assert rep.dyadic_levels == tuple(range(1, len(rep.rstep_porous) + 1))
-        assert all(e == 1.0 for e in rep.eta)
+        assert all(f == 1.0 for f in rep.dyadic_fraction)
 
     def test_point_mass_fraction_one(self, point_mass):
         path = point_mass.sample_path(7, steps=20)
         rep = porous_fraction_trajectory(point_mass, path, 1, 0.0, n_max=15)
         assert rep.dyadic_fraction[-1] == 1.0
 
-    def test_bookkeeping_identities(self):
-        mu = make_measure(1, Bernoulli((0.1, 0.9)), depth=60)
-        path = mu.sample_path(8, steps=60)
-        k = 2
-        rep = porous_fraction_trajectory(mu, path, k, 0.05, n_max=40)
-        porous_cum = 0
-        for n, flag in enumerate(rep.rstep_porous, start=1):
-            porous_cum += flag
-            assert porous_cum + rep.nonporous_counts[n - 1] == n
-            assert n <= rep.dyadic_levels[n - 1] <= n + (k - 1) * porous_cum
-            assert 0.0 <= rep.eta[n - 1] <= 1.0
-
     def test_por2_profile_matches_flags(self):
         mu = make_measure(2, CascadeDirichlet((0.4,) * 4), seed=9, depth=20)
         path = mu.sample_path(10, steps=16)
         rep = porous_fraction_trajectory(mu, path, 2, 0.01, n_max=10)
-        assert rep.dyadic_flags == tuple(p <= 2 for p in rep.por2)
+        profile = por2_profile(mu, path, 10, 0.01)
+        assert rep.dyadic_flags == tuple(p <= 2 for p in profile)
+
+    def test_short_lineage_rejected(self, bern_quarter):
+        path = bern_quarter.sample_path(6, steps=12)
+        # n_max=10 at k=2 walks the re-tree toward the cube at level 12
+        porous_fraction_trajectory(bern_quarter, path, 2, 0.05, n_max=10)
+        with pytest.raises(ValueError, match="needs 13"):
+            porous_fraction_trajectory(bern_quarter, path[:12], 2, 0.05, n_max=10)
 
 
 def _brute_porous(mu, q, k, eps):
@@ -182,6 +175,9 @@ class TestLineageClassifier:
             assert (part.hole is not None) == flags[node.level]
             jump = part.children[idx].level - node.level
             assert jump == 1 or part.hole is not None
+        # translate's pass gives the same flags on the same lineage
+        rep = porous_fraction_trajectory(mu, lineage, k, eps, n_max=last.level - k)
+        assert rep.dyadic_flags == tuple(flags[: last.level - k])
 
     def test_fraction_trajectory_realizes_each_node_once(self, monkeypatch):
         import porodim.measure
@@ -196,12 +192,15 @@ class TestLineageClassifier:
         mu = make_measure(2, _DIRICHLET, seed=9, depth=40)
         path = mu.sample_path(10, steps=40)
         monkeypatch.setattr(porodim.measure, "node_weights", counting)
-        rep = porous_fraction_trajectory(mu, path, 2, 0.0125, n_max=30, por2_cap=4)
+        rep = porous_fraction_trajectory(mu, path, 2, 0.0125, n_max=30)
         assert calls and set(calls.values()) == {1}
         monkeypatch.undo()
-        assert rep.por2 == tuple(por2_depth(mu, path, n, 0.0125, 4) for n in range(30))
+        flags = tuple(por2_depth(mu, path, n, 0.0125, cap=2) <= 2 for n in range(30))
+        assert rep.dyadic_flags == flags
+        # the walk has porous jumps, so levels inside them were probed
         walk = porous_walk(porous_retree(mu, 2, 0.0125), path[:33], 2)
-        assert rep.rstep_porous == tuple(part.hole is not None for _, part, _, _ in walk)
+        assert any(part.children[idx].level - node.level == 2
+                   for node, part, _, idx in walk)
 
 
 class TestRetree:

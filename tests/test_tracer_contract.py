@@ -1,0 +1,47 @@
+"""The benchmark's tracer wraps porodim names from outside the package; a
+renamed or deleted name, or a hook handed an iterator where it takes a list,
+breaks traced runs.  This runs the tracer over one tiny simulate and one tiny
+translate and checks that tracing changes no output and sees the porous steps.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import porodim.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+RUNS = {
+    "simulate": ["simulate", "--gen", "bernoulli", "--weights", "0.1,0.9", "--k", "2",
+                 "--eps", "0.05", "--depth", "40", "--paths", "2", "--seed", "3"],
+    "translate": ["translate", "--gen", "cantor_middle_half", "--trials", "3",
+                  "--depth", "12", "--seed", "4"],
+}
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return tracer
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_traced_run_matches_untraced(tmp_path, tracer_module, command):
+    argv = RUNS[command]
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    assert porodim.cli.main([*argv, "--out", str(plain)]) == 0
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        code = porodim.cli.main([*argv, "--out", str(traced)])
+    finally:
+        tr.uninstall()
+    assert code == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    assert tr.counts.get("porosity.porous_steps", 0) > 0
