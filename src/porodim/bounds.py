@@ -33,9 +33,10 @@ def psi(t: float) -> float:
 
 
 def _check_eps(d: int, k: int, eps: float) -> None:
-    """1 <= d <= 1023, where 2^d - 1 is a float; k >= 1; eps in [0, 2^-kd]."""
-    if not 1 <= d <= 1023 or k < 1:
-        raise ValueError(f"need 1 <= d <= 1023 and k >= 1, got d={d}, k={k}")
+    """1 <= d <= 1023, where 2^d - 1 is a float; k >= 1 and k*d <= 1074, where
+    2^-kd is a positive float; eps in [0, 2^-kd], which NaN is not."""
+    if not (1 <= d <= 1023 and 1 <= k and k * d <= 1074):
+        raise ValueError(f"need 1 <= d <= 1023, k >= 1 and k*d <= 1074, got d={d}, k={k}")
     hi = 2.0 ** (-k * d)
     if not 0.0 <= eps <= hi * (1.0 + 1e-12):
         raise ValueError(f"eps must lie in [0, 2^-kd] = [0, {hi}], got {eps}")
@@ -169,8 +170,7 @@ def dimension_bound(
     """
     if (k is None) == (alpha is None):
         raise ValueError("pass exactly one of k or alpha")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    _check_eta(eta)
     if alpha is not None:
         kk = k_of_alpha(d, alpha)
         t = t_dalpha(d, alpha, eps)
@@ -199,6 +199,7 @@ def solve_table(d: int, k: int, points: int = 101) -> list[dict]:
     """Rows of the dimension-drop curve over the scaled abscissa
     eps_scaled = eps * 2^kd in [0, 1]."""
     _check_points(points)
+    _check_eps(d, k, 0.0)  # d and k, before 2^-kd is formed
     hi = 2.0 ** (-k * d)
     rows = []
     for j in range(points):

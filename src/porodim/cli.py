@@ -27,7 +27,7 @@ from .measure import (
     spec_from_json,
     spec_to_json,
 )
-from .porosity import (MAX_KD, _check_frontier, run_translation_trials,
+from .porosity import (MAX_KD, _check_porosity, run_translation_trials,
                        sample_porous_path, translation_report)
 
 
@@ -167,8 +167,8 @@ def _cmd_simulate(args) -> int:
     if not math.isfinite(args.slack):
         raise ParameterError(f"--slack must be finite, got {args.slack}")
     d = spec.d
+    _check_porosity(d, k, eps)  # before any worker starts or node is realized
     t = bounds.t_dk(d, k, eps)
-    _check_frontier(d, k)  # before any worker starts or node is realized
 
     tasks = [(spec, k, eps, depth, seed, i) for i in range(paths)]
     rows, traj_rows = [], []
@@ -222,6 +222,7 @@ def _cmd_oracle(args) -> int:
     cases = _cases(args, [(1, 1), (1, 2), (2, 1), (2, 2)])
     rows = []
     for d, k in cases:
+        bounds._check_eps(d, k, 0.0)  # d and k, before 2^-kd is formed
         hi = 2.0 ** (-k * d)
         eps_list = [args.eps] if args.eps is not None else [0.0, hi / 2.0, hi]
         for eps in eps_list:
@@ -311,13 +312,13 @@ def _cmd_translate(args) -> int:
 
 def _cmd_hmin(args) -> int:
     d, eta, points = args.d, args.eta, args.points
-    hi = 2.0 ** -d
     if args.eps is None:
         bounds._check_points(points)
+        bounds._check_eps(d, 1, 0.0)  # d, before 2^-d is formed
+        eps_list = [j / (points - 1) * 2.0 ** -d for j in range(points)]
+    else:
+        eps_list = [args.eps]
     rows = []
-    eps_list = (
-        [args.eps] if args.eps is not None else [j / (points - 1) * hi for j in range(points)]
-    )
     for eps in eps_list:
         cb = hmin_and_converse(d, eps, eta)
         rows.append((eps, cb.hmin, cb.lower_bound))

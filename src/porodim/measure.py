@@ -88,8 +88,8 @@ def _check_weights(w: Sequence[float], n: int, what: str) -> Weights:
     w = tuple(float(x) for x in w)
     if len(w) != n:
         raise ValueError(f"{what} must have {n} entries, got {len(w)}")
-    if any(x < 0.0 for x in w):
-        raise ValueError(f"{what} has negative entries")
+    if not all(0.0 <= x <= 1.0 for x in w):  # NaN included
+        raise ValueError(f"{what} has entries outside [0, 1]")
     if abs(math.fsum(w) - 1.0) > _WEIGHT_SUM_TOL:
         raise ValueError(f"{what} does not sum to 1 (got {math.fsum(w)!r})")
     return w
@@ -144,8 +144,8 @@ class CascadeDirichlet:
 
     def __post_init__(self):
         conc = tuple(float(x) for x in self.concentration)
-        if not conc or any(a <= 0.0 for a in conc):
-            raise ValueError(f"concentration must be positive, got {self.concentration}")
+        if not conc or not all(0.0 < a < math.inf for a in conc):
+            raise ValueError(f"concentration must be positive and finite, got {conc}")
         object.__setattr__(self, "concentration", conc)
 
 
@@ -407,7 +407,6 @@ def spec_from_json(data: str | dict) -> tuple[GeneratorSpec, int | None]:
     obj = json.loads(data) if isinstance(data, str) else data
     typ = None
     try:
-        d = int(obj["d"])
         gen = obj["generator"]
         typ = gen["type"]
         if typ == "uniform":
@@ -424,9 +423,9 @@ def spec_from_json(data: str | dict) -> tuple[GeneratorSpec, int | None]:
             model = CantorMiddleHalf()
         else:
             raise ValueError(f"unknown generator type {typ!r}")
-        seed = int(obj.get("seed", 0))
-        depth = obj.get("depth")
-        depth = None if depth is None else int(depth)
+        d, seed, depth = obj["d"], obj.get("seed", 0), obj.get("depth")
+        if not all(type(n) is int for n in (d, seed, 0 if depth is None else depth)):
+            raise TypeError("d, seed and depth must be ints, not truncated")
     except (KeyError, TypeError) as exc:
         named = "" if typ is None else f" for type {typ!r}"
         raise ValueError(

@@ -181,6 +181,7 @@ def maximize_bruteforce(
     of the implicit-equation solver: nothing here assumes the geometric-decay
     structure of the maximizer.
     """
+    _check_eps(d, k, eps)
     if d > 2 or k > 3:
         raise ValueError(
             f"grid^k enumeration for d={d}, k={k} is expensive; "
@@ -270,8 +271,7 @@ def fixed_point_candidate(d: int, k: int, eps: float) -> FixedPointResult:
     the objective value itself as the decay exponent; A normalizes the point
     onto the simplex with hole mass exactly eps.
     """
-    if not 0.0 <= eps <= 2.0**-k * (1.0 + 1e-12):
-        raise ValueError(f"eps must lie in [0, 2^-k], got {eps}")
+    _check_eps(d, k, eps)
     L = (1 << d) - 1
 
     def step(m: float) -> float:

@@ -13,7 +13,6 @@ experiment that transfers Euclidean porosity to the dyadic frame.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
@@ -42,7 +41,9 @@ DEFAULT_POR2_CAP = 8
 MAX_KD = 16
 
 
-def _check_frontier(d: int, k: int) -> None:
+def _check_porosity(d: int, k: int, eps: float) -> None:
+    """bounds._check_eps (k >= 1, eps in [0, 2^-kd]) and k*d <= MAX_KD."""
+    _check_eps(d, k, eps)
     if k * d > MAX_KD:
         raise ValueError(f"k*d = {k * d} exceeds {MAX_KD}: a frontier of 2^{k * d} nodes")
 
@@ -54,12 +55,6 @@ class PorosityParams:
     k: int
     eps: float
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0.0 <= self.eps < 1.0:
-            raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
-
 
 @dataclass(frozen=True)
 class PorosityCheck:
@@ -68,15 +63,6 @@ class PorosityCheck:
     porous: bool
     hole: CubeAddress | None
     hole_ratio: float | None
-
-
-def _warn_if_inadmissible(k: int, eps: float, d: int) -> None:
-    if eps > 2.0 ** (-k * d):
-        warnings.warn(
-            f"eps={eps} exceeds 2^-kd={2.0 ** (-k * d)}; dyadic porosity at "
-            f"(k={k}, d={d}) is vacuous above that threshold",
-            stacklevel=3,
-        )
 
 
 def _require_dyadic(mu: TreeMeasure) -> None:
@@ -160,7 +146,7 @@ class LineageClassifier:
     def retree(self, k: int, eps: float) -> TreeMeasure:
         """The porous re-tree view at (k, eps); see porous_retree."""
         base = self.mu
-        _check_frontier(base.d, k)
+        _check_porosity(base.d, k, eps)
 
         def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
             check, frontiers = _classify_full(self, q, k, eps)
@@ -193,11 +179,11 @@ def classify_porous(
     Returns the selected hole: the depth-k descendant of minimal conditional
     mass, ties broken by lexicographic address order, so runs are
     reproducible.  The caller is responsible for q having positive mass;
-    conditional ratios below q are well defined regardless.
+    conditional ratios below q are well defined regardless.  Raises
+    ValueError unless k >= 1, k*d <= MAX_KD and eps lies in [0, 2^-kd].
     """
-    clf = LineageClassifier(mu)
-    _warn_if_inadmissible(k, eps, mu.d)
-    return _classify_full(clf, q, k, eps)[0]
+    _check_porosity(mu.d, k, eps)
+    return _classify_full(LineageClassifier(mu), q, k, eps)[0]
 
 
 def por2_depth(mu: TreeMeasure, x_path: list[CubeAddress], n: int, eps: float,
@@ -206,14 +192,19 @@ def por2_depth(mu: TreeMeasure, x_path: list[CubeAddress], n: int, eps: float,
 
     Returns math.inf when no hole exists up to the cap (the capped sentinel,
     never a number).  Once a hole exists at depth j it persists at all deeper
-    depths, so the first hit is the minimum.
+    depths, so the first hit is the minimum.  Raises ValueError unless eps
+    lies in [0, 2^-d] and cap*d <= MAX_KD, before any node is realized.
     """
+    _check_eps(mu.d, 1, eps)
+    _check_porosity(mu.d, cap, 0.0)  # cap >= 1 and cap*d <= MAX_KD
     return LineageClassifier(mu).por2(x_path[n], eps, cap)
 
 
 def por2_profile(mu: TreeMeasure, x_path: list[CubeAddress], n_max: int, eps: float,
                  cap: int = DEFAULT_POR2_CAP) -> tuple[float, ...]:
-    """por2 at every level 0..n_max-1 along the lineage."""
+    """por2 at every level 0..n_max-1 along the lineage; checked as por2_depth."""
+    _check_eps(mu.d, 1, eps)
+    _check_porosity(mu.d, cap, 0.0)
     clf = LineageClassifier(mu)
     return tuple(clf.por2(x_path[n], eps, cap) for n in range(n_max))
 
@@ -229,11 +220,10 @@ def porous_retree(base: TreeMeasure, k: int, eps: float) -> TreeMeasure:
     avoiding it; non-porous nodes split uniformly.  Offspring weights are the
     conditional masses of the children under ``base``.  The view is
     2^-k-regular.  It keeps every node it classifies, so its memory grows
-    with the length of a walk on it.
+    with the length of a walk on it.  Raises ValueError unless k >= 1,
+    k*d <= MAX_KD and eps lies in [0, 2^-kd].
     """
-    clf = LineageClassifier(base)
-    _warn_if_inadmissible(k, eps, base.d)
-    return clf.retree(k, eps)
+    return LineageClassifier(base).retree(k, eps)
 
 
 def porous_walk(
@@ -305,7 +295,6 @@ def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: in
     needs the cubes x_path[0..n_max + k]; each node is realized once.
     """
     clf = LineageClassifier(mu)
-    _warn_if_inadmissible(k, eps, mu.d)
     if n_max < 1:
         raise ValueError("lineage too shallow for any porous-scale statistics")
     if n_max + k > mu.depth:
@@ -474,8 +463,7 @@ def run_translation_trials(
         raise ValueError("depth must lie in [1, 50] so grid translations stay exact")
     d = mu.d
     k = k_of_alpha(d, alpha, r)
-    _check_eps(d, k, eps)
-    _check_frontier(d, k)
+    _check_porosity(d, k, eps)
     if depth <= k:
         raise ValueError(f"depth {depth} too small to resolve k={k} hole levels")
     out = []

@@ -446,6 +446,15 @@ class TestErrors:
             ["translate", "--gen", "cantor_middle_half", "--eta", "nan", "--strict"],
             ["hmin", "--points", "100000000"],
             *OVER_SIZE_CAP,
+            # 2^-kd overflowed, or k*d = 10^9 terms per solver step
+            ["solve", "--d", "-2000", "--k", "1"],
+            ["solve", "--d", "1", "--k", "1000000000"],
+            ["oracle", "--d", "-2000", "--k", "1"],
+            ["hmin", "--d", "-2000"],
+            ["simulate", "--gen", "uniform", "--k", "1000000000"],
+            ["simulate", "--gen", "bernoulli", "--weights", "0.5,nan"],
+            ["simulate", "--gen", "bernoulli", "--weights", "nan,nan"],
+            ["simulate", "--gen", "bernoulli", "--weights", "1e308,1e308"],
         ],
     )
     def test_out_of_range_value_exit_1_one_line(self, tmp_path, capsys, argv):

@@ -65,8 +65,9 @@ class TestClassify:
         with pytest.raises(TypeError, match="dyadic"):
             classify_porous(view, root(1), 1, 0.3)
 
-    def test_inadmissible_eps_warns(self, uniform1):
-        with pytest.warns(UserWarning, match="vacuous"):
+    def test_inadmissible_eps_raises(self, uniform1):
+        # above 2^-kd every node is porous: the test says nothing there
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 2\^-kd\]"):
             classify_porous(uniform1, root(1), 2, 0.9)
 
 

@@ -1,0 +1,249 @@
+"""One check per input quantity: every library entry rejects a bad (k, eps),
+eta or generator weight with ValueError before it realizes a node, and no
+CLI argv ends other than in exit 0, 1 or 2 with one line on exit 1."""
+
+import argparse
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import porodim.measure
+from porodim.bounds import dimension_bound
+from porodim.cli import build_parser, main
+from porodim.measure import (
+    Bernoulli,
+    CantorMiddleHalf,
+    CascadeDirichlet,
+    CascadeFiniteMixture,
+    Uniform,
+    spec_from_json,
+)
+from porodim.oracle import fixed_point_candidate, maximize_bruteforce
+from porodim.porosity import (
+    classify_porous,
+    por2_depth,
+    por2_profile,
+    porous_fraction_trajectory,
+    porous_retree,
+    run_translation_trials,
+    sample_porous_path,
+)
+
+from conftest import make_measure
+
+NAN, INF = math.nan, math.inf
+CANTOR = make_measure(1, CantorMiddleHalf(), depth=12)
+
+#: (k, eps) pairs outside the paper's range at d = 1, where 2^-kd = 1/2 at
+#: k = 1, with the message each must raise
+BAD_K_EPS = [
+    (0, 0.0, "k >= 1"),
+    (-1, 0.0, "k >= 1"),
+    (1, NAN, "eps must lie"),
+    (1, -1.0, "eps must lie"),
+    (1, 0.6, "eps must lie"),
+]
+
+#: Library entries taking (k, eps) on the uniform measure ``mu`` at d = 1
+#: and a lineage ``path`` of it; por2 reads k as its cap
+K_EPS_ENTRIES = {
+    "porous_retree": lambda mu, path, k, eps: porous_retree(mu, k, eps),
+    "sample_porous_path": lambda mu, path, k, eps: sample_porous_path(mu, k, eps, 0, 5),
+    "porous_fraction_trajectory":
+        lambda mu, path, k, eps: porous_fraction_trajectory(mu, path, k, eps, n_max=5),
+    "classify_porous": lambda mu, path, k, eps: classify_porous(mu, mu.root, k, eps),
+    "por2_depth": lambda mu, path, k, eps: por2_depth(mu, path, 0, eps, cap=k),
+    "por2_profile": lambda mu, path, k, eps: por2_profile(mu, path, 5, eps, cap=k),
+    "maximize_bruteforce": lambda mu, path, k, eps: maximize_bruteforce(1, k, eps, grid=5),
+    "fixed_point_candidate": lambda mu, path, k, eps: fixed_point_candidate(1, k, eps),
+    "dimension_bound": lambda mu, path, k, eps: dimension_bound(1, 0.5, eps, k=k),
+}
+
+#: Calls with one bad eta, weight, probability, concentration or config integer
+OTHER_BAD_CALLS = [
+    *((f"translate eps={eps}", lambda eps=eps: run_translation_trials(
+        CANTOR, 0.25, 0.25, eps, 8, 0, range(1)),
+       "eps must lie") for eps in (NAN, -1.0, 0.1)),  # k(1/4, 1/4) = 4 at d = 1
+    *((f"dimension_bound eta={eta}", lambda eta=eta: dimension_bound(1, eta, 0.0, k=1),
+       "eta must lie") for eta in (NAN, -0.1, 1.5)),
+    *((f"bernoulli {w}", lambda w=w: Bernoulli(w), "outside")
+      for w in ((0.5, NAN), (NAN, NAN), (INF, 0.0), (1e308, 1e308))),
+    ("mixture component nan", lambda: CascadeFiniteMixture(
+        ((0.5, NAN), (0.5, 0.5)), (0.5, 0.5)), "outside"),
+    *((f"mixture probs {p}", lambda p=p: CascadeFiniteMixture(((0.5, 0.5),), p), "outside")
+      for p in ((NAN,), (INF,))),
+    *((f"dirichlet {a}", lambda a=a: CascadeDirichlet(a), "positive and finite")
+      for a in ((NAN, 1.0), (INF, 1.0), (1.0, -INF))),
+    ("config prob NaN", lambda: spec_from_json(
+        '{"d": 1, "generator": {"type": "mixture", "mixture": '
+        '[{"weights": [0.5, 0.5], "prob": NaN}]}}'), "outside"),
+    *((f"config {field}", lambda field=field: spec_from_json(
+        {"d": 1, "generator": {"type": "uniform"}, **field}), "malformed")
+      for field in ({"d": 1.9}, {"seed": True}, {"depth": 4.7}, {"d": "1"},
+                    {"seed": None})),
+]
+
+
+@pytest.fixture
+def count_realizations(monkeypatch):
+    """The node_weights calls made after the fixture is set up."""
+    calls = []
+    real = porodim.measure.node_weights
+
+    def counting(spec, q):
+        calls.append(q)
+        return real(spec, q)
+
+    monkeypatch.setattr(porodim.measure, "node_weights", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", K_EPS_ENTRIES)
+@pytest.mark.parametrize("k, eps, message", BAD_K_EPS)
+def test_bad_k_eps_raises_before_any_node(count_realizations, name, k, eps, message):
+    mu = make_measure(1, Uniform(), depth=12)
+    path = mu.sample_path(1, steps=12)
+    count_realizations.clear()
+    with pytest.raises(ValueError, match=message):
+        K_EPS_ENTRIES[name](mu, path, k, eps)
+    assert count_realizations == []
+
+
+@pytest.mark.parametrize("call, message", [(c, m) for _, c, m in OTHER_BAD_CALLS],
+                         ids=[name for name, _, _ in OTHER_BAD_CALLS])
+def test_bad_parameter_raises_before_any_node(count_realizations, call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert count_realizations == []
+
+
+def test_por2_cap_bounds_the_frontier():
+    # d = 3 at the default cap 8 would build a frontier of 2^24 nodes
+    mu = make_measure(3, CascadeDirichlet((1.0,) * 8), depth=12)
+    with pytest.raises(ValueError, match="k\\*d = 24 exceeds 16"):
+        por2_depth(mu, [mu.root], 0, 0.0)
+    assert por2_depth(mu, [mu.root], 0, 0.0, cap=2) == math.inf  # no zero mass
+
+
+def test_eta_zero_is_admissible():
+    assert dimension_bound(2, eta=0.0, eps=0.0, k=1).bound == 2.0
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzz: argv over every flag build_parser() declares
+
+
+def _subcommand_flags() -> dict[str, list[argparse.Action]]:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.option_strings and a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+FLAGS = _subcommand_flags()
+
+#: Values outside every numeric flag's range, or no number at all
+EXTREMES = ["nan", "inf", "-inf", "0", "-1", "-2000", "1e300", "1000000000",
+            str(10**30), "1.5", "x"]
+
+#: Small valid values per flag: an accepted run takes milliseconds (a
+#: translate trial at d = 2 takes about a second)
+VALID = {
+    "--d": ["1", "2"], "--k": ["1", "2"], "--depth": ["2", "5", "9"],
+    "--paths": ["1", "2"], "--trials": ["1", "2"], "--points": ["2", "5"],
+    "--grid": ["2", "5"], "--seed": ["0", "7", "-3", str(2**70)],
+    "--eps": ["0", "0.01", "0.25"], "--slack": ["0.05", "0", "-1", "1e300"],
+    "--alpha": ["0.25", "0.5"], "--ratio": ["0.25", "0.125"],
+    "--eta": ["0", "0.5", "1"], "--jobs": ["1"],
+    "--gen": ["uniform", "bernoulli", "cantor_middle_half"],
+    "--weights": ["0.25,0.75", "0.5,0.5", "0.1,0.2,0.3,0.4"],
+    ("translate", "--d"): ["1"],
+}
+
+#: A small valid run of each subcommand, before the drawn flags; the later of
+#: two occurrences of a flag wins
+BASE = {"simulate": ["--depth", "5", "--paths", "2"], "solve": ["--points", "5"],
+        "translate": ["--depth", "9", "--trials", "2"],
+        "oracle": ["--d", "1", "--k", "2", "--grid", "5"]}
+
+WEIGHT_ENTRIES = ["nan", "0.5", "0.25", "0.75", "0", "1", "inf", "-1", "1e308", "x"]
+
+#: --config files, valid and malformed, written to the fuzz's working directory
+CONFIGS = {
+    "dirichlet.json": {"d": 1, "depth": 3, "generator": {"type": "dirichlet",
+                                                         "concentration": [0.5, 0.5]}},
+    "mixture.json": {"d": 1, "generator": {"type": "mixture", "mixture": [
+        {"weights": [0.25, 0.75], "prob": 0.5}, {"weights": [0.5, 0.5], "prob": 0.5}]}},
+    "float_d.json": {"d": 1.9, "seed": True, "depth": 4.7,
+                     "generator": {"type": "uniform"}},
+    "nan_conc.json": '{"d": 1, "generator": {"type": "dirichlet", "concentration": [NaN, 1]}}',
+    "inf_conc.json": '{"d": 1, "generator": {"type": "dirichlet", '
+                     '"concentration": [Infinity, 1]}}',
+    "nan_prob.json": '{"d": 1, "generator": {"type": "mixture", "mixture": '
+                     '[{"weights": [0.5, 0.5], "prob": NaN}]}}',
+    "not_json.json": "{",
+}
+
+
+def _values(command: str, flag: str):
+    """A flag's value: a valid one or, as likely, an extreme one."""
+    if flag == "--config":
+        return st.sampled_from([*CONFIGS, "missing.json"])
+    if flag in ("--out", "--trajectories"):
+        return st.sampled_from(["out.csv", "missing/out.csv"])
+    valid = st.sampled_from(VALID.get((command, flag), VALID.get(flag)))
+    if flag == "--gen":
+        return valid
+    if flag == "--weights":
+        bad = st.lists(st.sampled_from(WEIGHT_ENTRIES), min_size=1, max_size=4).map(",".join)
+    else:  # a --jobs value above 1 would start workers
+        bad = st.sampled_from(
+            [e for e in EXTREMES if flag != "--jobs" or not (e.isdigit() and int(e) > 1)])
+    return st.one_of(valid, bad)
+
+
+#: simulate's and translate's measure: one --gen, with --weights for
+#: bernoulli, or one --config
+SOURCE = st.one_of(
+    st.tuples(st.just("--gen"), st.sampled_from(["uniform", "cantor_middle_half"])),
+    st.tuples(st.just("--gen"), st.just("bernoulli"),
+              st.just("--weights"), _values("", "--weights")),
+    st.tuples(st.just("--config"), _values("", "--config")),
+)
+
+
+def _argvs(command: str):
+    """A small valid run of ``command`` with each of its flags redrawn, with
+    probability 1/4, from its valid values or from extreme ones."""
+    source = SOURCE if command in ("simulate", "translate") else st.just(())
+    flags = [
+        st.one_of(st.just(()), st.just(()), st.just(()),
+                  st.tuples(st.just(flag)) if action.nargs == 0 else
+                  st.tuples(st.just(flag), _values(command, flag)))
+        for action in FLAGS[command] for flag in action.option_strings[:1]
+    ]
+    return st.tuples(source, *flags).map(
+        lambda parts: [command, *BASE.get(command, []), *(a for part in parts for a in part)])
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_cli_fuzz_exit_codes(tmp_path, monkeypatch, capsys, command):
+    for name, content in CONFIGS.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+    @settings(max_examples=100, deadline=1000, database=None, derandomize=True)
+    @given(argv=_argvs(command))
+    def run(argv):
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
+
+    run()
