@@ -53,11 +53,9 @@ from .oracle import (
 )
 from .porosity import (
     PorosityCheck,
-    PorosityParams,
     ScaleReport,
     TranslationReport,
     classify_porous,
-    euclid_por_lower_bound,
     por2_depth,
     porous_fraction_trajectory,
     porous_retree,

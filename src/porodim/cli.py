@@ -168,7 +168,6 @@ def _cmd_simulate(args) -> int:
         raise ParameterError(f"--slack must be finite, got {args.slack}")
     d = spec.d
     _check_porosity(d, k, eps)  # before any worker starts or node is realized
-    t = bounds.t_dk(d, k, eps)
 
     tasks = [(spec, k, eps, depth, seed, i) for i in range(paths)]
     rows, traj_rows = [], []
@@ -179,11 +178,10 @@ def _cmd_simulate(args) -> int:
 
     dim_estimate = max(r[2] for r in rows)
     eta_hat = sum(r[5] for r in rows) / len(rows)
-    bound = d - eta_hat * t
-    passed = dim_estimate <= bound + args.slack
-    rows.append(
-        ("summary", depth, dim_estimate, "", "", eta_hat, "", "", t, bound, int(passed))
-    )
+    report = bounds.dimension_bound(d, eta_hat, eps, k=k)
+    passed = dim_estimate <= report.bound + args.slack
+    rows.append(("summary", depth, dim_estimate, "", "", eta_hat, "", "", report.t,
+                 report.bound, int(passed)))
     write_csv(
         args.out,
         "simulate",
@@ -269,6 +267,8 @@ def _cmd_translate(args) -> int:
         raise ParameterError(f"--trials must lie in [1, {MAX_TRIALS}], got {trials}")
     if args.eta is not None:
         bounds._check_eta(args.eta)  # before the trials run
+    elif args.strict:
+        raise ParameterError("--strict checks the fraction against --eta; give --eta")
 
     jobs = _jobs(args.jobs, trials)
     cuts = [j * trials // jobs for j in range(jobs + 1)]
@@ -301,7 +301,7 @@ def _cmd_translate(args) -> int:
         ["trial", "t", "fraction", "k", "eps", "depth"],
         rows,
     )
-    if report.passed is False and args.strict:
+    if args.strict and not report.passed:
         return 2
     return 0
 
@@ -313,9 +313,12 @@ def _cmd_translate(args) -> int:
 def _cmd_hmin(args) -> int:
     d, eta, points = args.d, args.eta, args.points
     if args.eps is None:
+        points = 33 if points is None else points
         bounds._check_points(points)
         bounds._check_eps(d, 1, 0.0)  # d, before 2^-d is formed
         eps_list = [j / (points - 1) * 2.0 ** -d for j in range(points)]
+    elif points is not None:
+        raise ParameterError("--points sets the eps grid, which --eps replaces")
     else:
         eps_list = [args.eps]
     rows = []
@@ -325,7 +328,7 @@ def _cmd_hmin(args) -> int:
     write_csv(
         args.out,
         "hmin",
-        {"d": d, "eta": eta, "points": points},
+        {"d": d, "eta": eta, "points": len(rows)},
         ["eps", "hmin", "lower_bound"],
         rows,
     )
@@ -434,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1, help="ambient dimension")
     p.add_argument("--eta", type=float, default=0.5, help="porous-scale fraction")
     p.add_argument("--eps", type=float, help="one hole mass threshold (default a grid)")
-    p.add_argument("--points", type=int, default=33,
-                   help=f"eps grid points, 2..{bounds.MAX_TABLE_POINTS}")
+    p.add_argument("--points", type=int,
+                   help=f"eps grid points, 2..{bounds.MAX_TABLE_POINTS} (default 33)")
     p.set_defaults(func=_cmd_hmin)
 
     return parser

@@ -27,7 +27,6 @@ from .measure import (
     _path_rng,
     derived_rng,
 )
-from .porosity import PorosityParams, porous_retree, porous_walk
 
 
 def entropy(weights: Weights) -> float:
@@ -119,28 +118,15 @@ def _assemble(levels, I, L, H, lam, porous) -> PathTrajectory:
     )
 
 
-def path_trajectory(
-    mu: TreeMeasure,
-    path: list[CubeAddress],
-    classifier: PorosityParams | None = None,
-) -> PathTrajectory:
-    """Trajectory statistics along a lineage of ``mu``.
-
-    Without a classifier, ``path`` must be a lineage in mu's own tree (dyadic
-    or re-treed).  With a classifier, ``mu`` must be a dyadic measure and
-    ``path`` a dyadic lineage; the walk is projected onto the porous re-tree
-    at (classifier.k, classifier.eps), so porous steps jump k levels.
-    """
-    if classifier is None:
-        try:
-            steps = list(mu.steps_to(path[-1])) if path else []
-        except UnrealizedNodeError as exc:
-            raise ValueError(f"path is not a lineage of the measure: {exc}") from exc
-        if [node for node, *_ in steps] != path[:-1]:
-            raise ValueError("path is not a lineage of the measure")
-    else:
-        view = porous_retree(mu, classifier.k, classifier.eps)
-        steps = porous_walk(view, path, classifier.k)
+def path_trajectory(mu: TreeMeasure, path: list[CubeAddress]) -> PathTrajectory:
+    """Trajectory statistics along ``path``, a lineage in mu's own tree
+    (dyadic or re-treed)."""
+    try:
+        steps = list(mu.steps_to(path[-1])) if path else []
+    except UnrealizedNodeError as exc:
+        raise ValueError(f"path is not a lineage of the measure: {exc}") from exc
+    if [node for node, *_ in steps] != path[:-1]:
+        raise ValueError("path is not a lineage of the measure")
     if not steps:
         raise ValueError("path has no usable steps")
     return _trajectory_from_steps(steps)

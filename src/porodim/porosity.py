@@ -5,9 +5,9 @@ at relative depth k carries at most an eps-fraction of Q's mass.  One
 LineageClassifier per lineage answers that test and the hole-depth function
 por2 from the same realized nodes.  Around it this module provides the
 porous/uniform re-treeing that drives dimension-drop experiments, the one
-pass that flags the porous dyadic levels of a lineage, an approximate
-(one-sided) Euclidean porosity estimator, and the random-translation
-experiment that transfers Euclidean porosity to the dyadic frame.
+pass that flags the porous dyadic levels of a lineage, and the
+random-translation experiment that transfers Euclidean porosity to the
+dyadic frame.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from .bounds import _check_eps, _check_eta, k_of_alpha
 from .dyadic import CubeAddress, CubePartition, porous_split
 from .measure import (
-    _DROP,
     _PATH_STREAM,
     _SPLIT,
     _TAKE,
@@ -46,14 +45,6 @@ def _check_porosity(d: int, k: int, eps: float) -> None:
     _check_eps(d, k, eps)
     if k * d > MAX_KD:
         raise ValueError(f"k*d = {k * d} exceeds {MAX_KD}: a frontier of 2^{k * d} nodes")
-
-
-@dataclass(frozen=True)
-class PorosityParams:
-    """Hole depth k and mass threshold eps."""
-
-    k: int
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -312,115 +303,6 @@ def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: in
     flags = tuple(islice(levels, n_max))
     running = (hits / n for n, hits in enumerate(accumulate(flags), start=1))
     return ScaleReport(k=k, eps=eps, dyadic_flags=flags, dyadic_fraction=tuple(running))
-
-
-# ---------------------------------------------------------------------------
-# Euclidean porosity: a certified lower bound
-
-
-def _cube_bounds(addr: CubeAddress) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    s = 2.0 ** -addr.level
-    lo = tuple(c * s for c in addr.coords)
-    return lo, tuple(l + s for l in lo)
-
-
-def _cube_outside_ball(addr, x, r2) -> bool:
-    lo, hi = _cube_bounds(addr)
-    dist2 = 0.0
-    for xi, l, h in zip(x, lo, hi):
-        if xi < l:
-            dist2 += (l - xi) ** 2
-        elif xi > h:
-            dist2 += (xi - h) ** 2
-    return dist2 > r2
-
-
-def _cube_inside_ball(addr, x, r2) -> bool:
-    lo, hi = _cube_bounds(addr)
-    far2 = 0.0
-    for xi, l, h in zip(x, lo, hi):
-        far2 += max(abs(xi - l), abs(xi - h)) ** 2
-    return far2 <= r2
-
-
-def euclid_por_lower_bound(
-    mu: TreeMeasure,
-    x: tuple[float, ...],
-    r: float,
-    eps: float,
-    resolution: int,
-) -> float:
-    """Certified lower bound on the Euclidean porosity por(mu, x, r, eps).
-
-    Searches dyadic cubes of side >= r/resolution inside B(x, r) whose mass is
-    at most eps * (a lower bound on mu(B(x, r))) and reports the largest alpha
-    such that a ball of radius alpha*r fits in the certified empty region.
-    One-sided by construction: no upper-bound search over ball centers is
-    attempted.  In d = 1 adjacent empty cubes are merged, so non-dyadic gaps
-    (two half-gaps meeting at a dyadic point) are certified at full size.
-    Known limit: distances are compared squared, and r*r underflows to 0.0
-    below r ~ 2^-537, where the call raises as if the ball had no mass.
-    """
-    _require_dyadic(mu)
-    d = mu.d
-    if len(x) != d:
-        raise ValueError("point dimension does not match the measure")
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    m_max = max(0, math.floor(math.log2(resolution / r)))
-    if m_max > mu.depth:
-        raise ValueError(
-            f"resolution needs dyadic level {m_max}, beyond the measure's "
-            f"maximum {mu.depth}"
-        )
-    r2 = r * r
-
-    def ball_where(node: CubeAddress, node_mass: float) -> int:
-        if node_mass == 0.0 or _cube_outside_ball(node, x, r2):
-            return _DROP
-        if _cube_inside_ball(node, x, r2):
-            return _TAKE
-        # boundary cubes at the resolution are dropped: stay a lower bound
-        return _SPLIT if node.level < m_max else _DROP
-
-    whole = [(mu.root, 1.0)]
-    mu_ball = math.fsum(m for _, m in _descend(mu.offspring, whole, ball_where))
-    if mu_ball <= 0.0:
-        raise ValueError(
-            "no positive lower bound on the ball mass at this resolution; "
-            "porosity statistics are defined only at positive-mass balls"
-        )
-    threshold = eps * mu_ball
-
-    def hole_where(node: CubeAddress, node_mass: float) -> int:
-        if _cube_outside_ball(node, x, r2):
-            return _DROP
-        if _cube_inside_ball(node, x, r2) and node_mass <= threshold:
-            return _TAKE
-        return _SPLIT if node.level < m_max else _DROP
-
-    holes = [node for node, _ in _descend(mu.offspring, whole, hole_where)]
-    if not holes:
-        return 0.0
-
-    best_radius = max(2.0 ** -(h.level + 1) for h in holes)
-    if d == 1:
-        units = sorted(
-            (h.coords[0] << (m_max - h.level), (h.coords[0] + 1) << (m_max - h.level))
-            for h in holes
-        )
-        run_lo, run_hi = units[0]
-        best_run = run_hi - run_lo
-        for lo_u, hi_u in units[1:]:
-            if lo_u == run_hi:
-                run_hi = hi_u
-            else:
-                run_lo, run_hi = lo_u, hi_u
-            best_run = max(best_run, run_hi - run_lo)
-        best_radius = max(best_radius, best_run * 2.0 ** -(m_max + 1))
-    return best_radius / r
 
 
 # ---------------------------------------------------------------------------

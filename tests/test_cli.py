@@ -313,6 +313,7 @@ class TestHmin:
     def test_single_eps(self, tmp_path):
         code, text = run(tmp_path, "hmin", "--d", "1", "--eta", "0.5", "--eps", "0.25")
         assert code == 0
+        assert "# points=1\n" in text
         row = rows_of(text)[0]
         assert float(row["hmin"]) == pytest.approx(0.562335, abs=1e-6)
         assert float(row["lower_bound"]) == pytest.approx(0.405639, abs=1e-6)
@@ -353,6 +354,8 @@ class TestErrors:
             ["simulate", "--gen", "uniform", "--jobs", "0"],
             ["translate", "--gen", "cantor_middle_half", "--jobs", "-1"],
             ["solve", "--jobs", "0"],
+            ["hmin", "--eps", "0.1", "--points", "7"],
+            ["translate", "--gen", "cantor_middle_half", "--strict"],
         ],
     )
     def test_ignored_or_conflicting_flag_exit_1(self, tmp_path, capsys, argv):
@@ -538,11 +541,13 @@ class TestErrors:
         assert not (tmp_path / "out.csv").exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands() -> list[str]:
     """Every ``porodim ...`` command in README's sh blocks, continuations joined."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("porodim "):
                 commands.append(line)
@@ -554,3 +559,16 @@ def test_readme_commands_parse():
     assert len(commands) >= 6
     for line in commands:
         build_parser().parse_args(shlex.split(line)[1:])  # raises on a bad flag
+
+
+def test_readme_python_runs(capsys):
+    """README's Python blocks run, and each ``print(...)  # ~value`` prints its
+    value to the digits the comment gives."""
+    code = "\n".join(re.findall(r"```python\n(.*?)```", README.read_text(), re.S))
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    expected = re.findall(r"^print\(.*#\s*~([0-9.]+)", code, re.M)
+    assert len(expected) >= 2 and len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        digits = len(want.partition(".")[2])
+        assert abs(float(got) - float(want)) <= 0.5 * 10.0**-digits

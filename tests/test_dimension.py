@@ -31,7 +31,7 @@ from porodim.measure import (
     build_tree_measure,
     derived_rng,
 )
-from porodim.porosity import PorosityParams, porous_retree
+from porodim.porosity import porous_retree, sample_porous_path
 
 from conftest import SPECS, make_measure
 
@@ -134,9 +134,10 @@ class TestTrajectory:
         assert not traj.porous.any()
 
     def test_classifier_projection(self):
-        mu = make_measure(1, Bernoulli((0.1, 0.9)), depth=60)
-        path = mu.sample_path(8, steps=60)
-        traj = path_trajectory(mu, path, classifier=PorosityParams(k=2, eps=0.05))
+        # the re-tree walk simulate runs: 30 steps of at most k = 2 levels,
+        # probed k levels further down
+        mu = make_measure(1, Bernoulli((0.1, 0.9)), depth=62)
+        traj = _trajectory_from_steps(sample_porous_path(mu, 2, 0.05, 8, 30)[0])
         assert traj.porous.all()  # every node of this measure is (2, .05)-porous
         jumps = np.diff(traj.levels)
         assert set(jumps.tolist()) <= {1, 2}

@@ -15,7 +15,6 @@ from porodim.measure import (
 )
 from porodim.porosity import (
     classify_porous,
-    euclid_por_lower_bound,
     por2_depth,
     por2_profile,
     porous_fraction_trajectory,
@@ -259,39 +258,6 @@ class TestRetree:
                     dpart, dw = mu.offspring(par)
                     prod *= dw[dpart.children.index(step)]
                 assert wi == pytest.approx(prod, abs=1e-14)
-
-
-class TestEuclid:
-    def test_point_mass_quarter(self, point_mass):
-        a = euclid_por_lower_bound(point_mass, (0.0,), 0.25, 0.0, 16)
-        assert a >= 0.25
-
-    def test_cantor_gap(self, cantor):
-        a = euclid_por_lower_bound(cantor, (0.0,), 1.0, 0.0, 16)
-        assert a >= 0.25
-
-    def test_uniform_no_holes(self, uniform1):
-        # at the corner, mu(B) = r, the smallest searched cube has relative
-        # mass 1/resolution > eps, so nothing qualifies
-        a = euclid_por_lower_bound(uniform1, (0.0,), 0.25, 0.05, 16)
-        assert a == 0.0
-
-    def test_positive_mass_ball_required(self, cantor):
-        with pytest.raises(ValueError, match="positive"):
-            euclid_por_lower_bound(cantor, (0.4375,), 0.01, 0.0, 8)
-
-    def test_deep_radius(self):
-        # B(0, 2^-400) holds the cube 400:0; below it the left cubes 401:0,
-        # 402:2, 403:6 and 404:14 carry at most 0.3 of its mass and merge
-        # into a run of 15/16 of its side
-        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
-        assert euclid_por_lower_bound(mu, (0.0,), 2.0**-400, 0.0, 16) == 0.0
-        assert euclid_por_lower_bound(mu, (0.0,), 2.0**-400, 0.3, 16) == 15 / 32
-
-    def test_2d_point_mass(self):
-        pt = make_measure(2, Bernoulli((1.0, 0.0, 0.0, 0.0)))
-        a = euclid_por_lower_bound(pt, (0.0, 0.0), 0.25, 0.0, 16)
-        assert a > 0.0
 
 
 class TestTranslation:
