@@ -6,6 +6,10 @@ module re-derives that value without trusting the equation: direct grid
 search over the reduced simplex (per-level masses q_1..q_k plus the hole mass
 p <= eps), followed by coordinate-wise golden-section polish, plus the
 geometric-decay fixed-point candidate q_i = A 2^{-M i}.
+
+tests/test_golden.py pins the CSV of the default oracle battery and of the
+d = 2, k = 3 table at grid 500, so every grid maximum and polished point is
+held to the last digit.
 """
 
 from __future__ import annotations
@@ -123,6 +127,11 @@ def reduced_objective(d: int, k: int, q, p: float) -> float:
     return num / den
 
 
+def _xlogx(c: np.ndarray) -> np.ndarray:
+    """c log c elementwise, with 0 log 0 = 0."""
+    return c * np.where(c > 0.0, np.log(np.where(c > 0.0, c, 1.0)), 0.0)
+
+
 @dataclass(frozen=True)
 class BruteForceResult:
     value: float
@@ -177,9 +186,14 @@ def maximize_bruteforce(
     """Grid-maximize the reduced objective over the constrained simplex, then
     sharpen with coordinate-wise golden-section ascent.
 
-    ``grid`` counts points per free dimension.  The search stays independent
-    of the implicit-equation solver: nothing here assumes the geometric-decay
-    structure of the maximizer.
+    ``grid`` counts points per free dimension.  The grid evaluates
+    min(grid, 65) hole masses p on [0, eps] (only p = 0 when eps = 0) times
+    the points of the free level masses q_1..q_{k-1}, each on
+    linspace(0, (1 - p)/L, grid), whose indices sum to at most grid - 1:
+    C(grid + k - 2, k - 1) points per hole mass, in row-major order, with q_k
+    taking the rest of the budget.  Ties go to the first point in that order.
+    The search stays independent of the implicit-equation solver: nothing
+    here assumes the geometric-decay structure of the maximizer.
     """
     _check_eps(d, k, eps)
     if d > 2 or k > 3:
@@ -192,36 +206,38 @@ def maximize_bruteforce(
                          f"got grid={grid}, k={k}")
     L = (1 << d) - 1
     p_grid = np.linspace(0.0, eps, min(grid, 65)) if eps > 0.0 else np.array([0.0])
+    # Free-mass index tuples in row-major order, built once.  An index sum
+    # of grid or more overshoots the budget by at least budget / (grid - 1),
+    # far beyond the 1e-15 the float test forgives, so those are left out.
+    idx = np.indices((grid,) * (k - 1)).reshape(k - 1, grid ** (k - 1))
+    idx = idx[:, idx.sum(axis=0) < grid]
+    zero = np.zeros(idx.shape[1])
 
     best_val = -math.inf
     best_free: tuple[float, ...] | None = None
     for p in p_grid:
         budget = (1.0 - p) / L
-        if k == 1:
-            cand = np.array([[float(p)]])
-            q_free = np.empty((1, 0))
-        else:
-            axes = [np.linspace(0.0, budget, grid)] * (k - 1)
-            mesh = np.meshgrid(*axes, indexing="ij")
-            q_free = np.stack([m.ravel() for m in mesh], axis=1)
-            keep = q_free.sum(axis=1) <= budget + 1e-15
-            q_free = q_free[keep]
-            cand = np.concatenate(
-                [q_free, np.full((len(q_free), 1), float(p))], axis=1
-            )
-        qk = budget - q_free.sum(axis=1)
-        q_all = np.concatenate([q_free, qk[:, None]], axis=1)
+        a = np.linspace(0.0, budget, grid)
+        q = [a[col] for col in idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(q_all > 0.0, np.log(np.where(q_all > 0.0, q_all, 1.0)), 0.0)
-            num = L * (-(q_all * logs).sum(axis=1)) + psi(float(p))
-            den = LOG2 * (
-                L * (q_all * np.arange(1, k + 1)).sum(axis=1) + k * float(p)
-            )
-        vals = num / den
+            a_ent = _xlogx(a)
+            # Sums add q_1, ..., q_k left to right; the golden digests pin this.
+            total, ent, lin = zero, zero, zero
+            for i, (col, qi) in enumerate(zip(idx, q), start=1):
+                total = total + qi
+                ent = ent + a_ent[col]
+                lin = lin + qi * i
+            keep = total <= budget + 1e-15
+            qk = budget - total
+            ent = ent + _xlogx(qk)
+            lin = lin + qk * k
+            num = L * (-ent) + psi(float(p))
+            den = LOG2 * (L * lin + k * float(p))
+        vals = np.where(keep, num / den, -np.inf)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])
-            best_free = tuple(float(x) for x in cand[j])
+            best_free = (*(float(qi[j]) for qi in q), float(p))
 
     func = _objective_free(d, k, eps)
     z = list(best_free)

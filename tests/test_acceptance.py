@@ -94,10 +94,11 @@ def test_criterion_05_strict_monotonicity():
 def test_criterion_06_oracle_agreement():
     t0 = time.time()
     worst_bf, worst_fp, worst_p, worst_geo = 0.0, 0.0, 0.0, 0.0
-    for d, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+    for d, k in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)):
         hi = 2.0 ** (-k * d)
+        grid = 500 if k < 3 else 200
         for eps in (0.0, hi / 2.0, hi):
-            bf = maximize_bruteforce(d, k, eps, grid=500)
+            bf = maximize_bruteforce(d, k, eps, grid=grid)
             fp = fixed_point_candidate(d, k, eps)
             sv = solve_s(d, k, eps)
             worst_bf = max(worst_bf, abs(bf.value - sv))

@@ -3,7 +3,9 @@ byte.  A refactor that changes a digest changes the program's output; if the
 change is deliberate (say, a new RNG keying), update the digest and say why.
 
 Cascade coverage is a mixture, whose node draws use only Philox ``random()``;
-Dirichlet draws depend on numpy's sampler, so they are left out.
+Dirichlet draws depend on numpy's sampler, so they are left out.  The two
+oracle tables (the default battery, and d = 2, k = 3 at grid 500) pin every
+grid maximum and golden-section polish of the brute force to the last digit.
 """
 
 import hashlib
@@ -44,6 +46,14 @@ RUNS = {
     "hmin": (
         ["hmin", "--d", "2", "--points", "9"],
         "36bcca213b001ec4439e7e3b3bb4efc9dd7b18a65003af96e87cad4725ef5533",
+    ),
+    "oracle": (
+        ["oracle"],
+        "ae1d6763a9db6591af00ccc6a35576a82b111fe0057200dcccb688d828ce4b56",
+    ),
+    "oracle_d2k3": (
+        ["oracle", "--d", "2", "--k", "3", "--eps", "0.0009765625"],
+        "abaebf3e208a14f7ff685a0906142a4d26ad90f237496cf9e916f5491cc483b9",
     ),
 }
 

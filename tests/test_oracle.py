@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porodim.bounds import LOG2, psi, solve_s
 from porodim.oracle import (
@@ -140,11 +142,12 @@ class TestFixedPoint:
 
 
 class TestAgreement:
-    @pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)])
     def test_three_way_battery(self, d, k):
         hi = 2.0 ** (-k * d)
+        grid = 500 if k < 3 else 200
         for eps in (0.0, hi / 2.0, hi):
-            bf = maximize_bruteforce(d, k, eps, grid=500)
+            bf = maximize_bruteforce(d, k, eps, grid=grid)
             fp = fixed_point_candidate(d, k, eps)
             sv = solve_s(d, k, eps)
             assert abs(bf.value - sv) < 2e-3
@@ -155,3 +158,17 @@ class TestAgreement:
                 m = bf.value
                 for qa, qb in zip(bf.argmax.q, bf.argmax.q[1:]):
                     assert abs(qb / qa - 2.0**-m) < 5e-2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 2),
+    k=st.integers(1, 3),
+    frac=st.floats(0.0, 1.0),
+    grid=st.integers(2, 60),
+)
+def test_bruteforce_never_beats_solver(d, k, frac, grid):
+    # every grid point and polished point is a feasible split, so none can
+    # exceed the supremum s(d, k, eps)
+    eps = frac * 2.0 ** (-k * d)
+    assert maximize_bruteforce(d, k, eps, grid).value <= solve_s(d, k, eps) + 1e-9

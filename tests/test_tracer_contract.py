@@ -1,7 +1,10 @@
 """The benchmark's tracer wraps porodim names from outside the package; a
 renamed or deleted name, or a hook handed an iterator where it takes a list,
-breaks traced runs.  This runs the tracer over one tiny simulate and one tiny
-translate and checks that tracing changes no output and sees the porous steps.
+breaks traced runs.  This runs the tracer over one tiny simulate, one tiny
+translate and one tiny k = 3 oracle, and checks that tracing changes no output
+and sees the porous steps or, for the oracle, the grid points.  The oracle run
+guards the wrap of maximize_bruteforce, which reads d, k, eps and grid
+positionally.
 """
 
 import sys
@@ -18,7 +21,12 @@ RUNS = {
                  "--eps", "0.05", "--depth", "40", "--paths", "2", "--seed", "3"],
     "translate": ["translate", "--gen", "cantor_middle_half", "--trials", "3",
                   "--depth", "12", "--seed", "4"],
+    "oracle": ["oracle", "--d", "1", "--k", "3", "--grid", "50"],
 }
+
+#: the tracer counter each run must see move
+COUNTER = {"simulate": "porosity.porous_steps", "translate": "porosity.porous_steps",
+           "oracle": "oracle.grid_points"}
 
 
 @pytest.fixture(scope="module")
@@ -44,4 +52,4 @@ def test_traced_run_matches_untraced(tmp_path, tracer_module, command):
         tr.uninstall()
     assert code == 0
     assert traced.read_bytes() == plain.read_bytes()
-    assert tr.counts.get("porosity.porous_steps", 0) > 0
+    assert tr.counts.get(COUNTER[command], 0) > 0
