@@ -9,7 +9,9 @@ s(d, k, eps) is the largest real solution of
 which is the supremum of entropy-to-Lyapunov ratios over porous splits.  The
 left side is strictly decreasing in s and the right side nondecreasing, so
 the equation has a unique root in [0, d] for eps in [0, 2^{-kd}], found by
-bisection.  At eps = 0 the equation degenerates to (2^d - 1) sum 2^{-s i} = 1.
+bisection.  At eps = 0, where 0 log 0 = 0, the equation reduces to
+
+    (2^d - 1) sum_{i=1..k} 2^{-s i}  =  1.
 """
 
 from __future__ import annotations
@@ -78,14 +80,6 @@ def solve_s(d: int, k: int, eps: float) -> float:
     """Largest root s in [0, d] of the defining equation above."""
     _check_eps(d, k, eps)
     L = (1 << d) - 1
-
-    if eps == 0.0:
-        # Reduced equation (2^d - 1) sum_i 2^{-s i} = 1; avoids 0 log 0.
-        def g(s: float) -> float:
-            return L * math.fsum(2.0 ** (-s * i) for i in range(1, k + 1)) - 1.0
-
-        return _bisect(g, 0.0, float(d))
-
     c_eps = psi(eps)
 
     def f(s: float) -> float:

@@ -44,13 +44,8 @@ MAX_TRIALS = 10_000
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return f"{x:.12g}"
-    return str(x)
+    """One CSV field: a float to 12 significant digits, anything else as str."""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def write_csv(path, command: str, params: dict, header: list[str], rows) -> None:

@@ -14,6 +14,7 @@ rebuilding with the same seed is identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -209,9 +210,8 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
             if u < acc:
                 return comp
         return m.components[-1]
-    if isinstance(m, CascadeDirichlet):
-        return tuple(rng.dirichlet(m.concentration).tolist())
-    raise TypeError(f"unknown generator model {m!r}")
+    # CascadeDirichlet: GeneratorSpec admits no other model
+    return tuple(rng.dirichlet(m.concentration).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +223,9 @@ class TreeMeasure:
 
     ``realizer(q) -> (CubePartition, Weights)`` supplies node data on demand.
     ``depth`` bounds the dyadic level of any node, and so the number of tree
-    steps along any path.
-
-    Concurrent reads are safe: realizers are deterministic, so readers racing
-    to fill the cache compute identical values and the last write wins.
+    steps along any path.  The measure keeps no node data: every ``offspring``
+    call runs the realizer, and a realizer that is costly to repeat memoizes
+    itself.
     """
 
     def __init__(
@@ -235,7 +234,6 @@ class TreeMeasure:
         depth: int,
         realizer: Callable[[CubeAddress], tuple[CubePartition, Weights]],
         *,
-        cache: bool = False,
         dyadic_splits: bool = True,
     ):
         if depth < 0:
@@ -244,8 +242,6 @@ class TreeMeasure:
         self.d = d
         self.depth = depth
         self._realizer = realizer
-        self._nodes: dict[CubeAddress, tuple[CubePartition, Weights]] = {}
-        self._cache = cache
         #: True when every partition is the uniform dyadic split.
         self.dyadic_splits = dyadic_splits
         #: The offspring vector every node shares (product measures), else None.
@@ -253,17 +249,11 @@ class TreeMeasure:
 
     def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
         """Partition and conditional offspring vector at ``q``."""
-        hit = self._nodes.get(q)
-        if hit is not None:
-            return hit
         if q.level >= self.depth:
             raise UnrealizedNodeError(
                 f"node {q.serialize()} is at the measure's maximum level {self.depth}"
             )
-        part, w = self._realizer(q)
-        if self._cache:
-            self._nodes[q] = (part, w)
-        return part, w
+        return self._realizer(q)
 
     def steps_to(self, target: CubeAddress, last: int | None = None,
                  start: CubeAddress | None = None):
@@ -384,7 +374,7 @@ def build_tree_measure(
     def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
         return subdivide_uniform(q), node_weights(spec, q)
 
-    mu = TreeMeasure(spec.d, depth, realizer, cache=False, dyadic_splits=True)
+    mu = TreeMeasure(spec.d, depth, realizer)
     if isinstance(spec.model, (Uniform, Bernoulli)):
         mu.product_weights = node_weights(spec, mu.root)
     return mu
@@ -434,7 +424,7 @@ def spec_from_json(data: str | dict) -> tuple[GeneratorSpec, int | None]:
     return GeneratorSpec(d, model, seed), depth
 
 
-def spec_to_json(spec: GeneratorSpec, depth: int | None = None) -> str:
+def spec_to_json(spec: GeneratorSpec) -> str:
     m = spec.model
     if isinstance(m, Uniform):
         gen: dict = {"type": "uniform"}
@@ -452,9 +442,7 @@ def spec_to_json(spec: GeneratorSpec, depth: int | None = None) -> str:
         gen = {"type": "dirichlet", "concentration": list(m.concentration)}
     else:
         gen = {"type": "cantor_middle_half"}
-    obj: dict = {"d": spec.d, "seed": spec.seed, "generator": gen}
-    if depth is not None:
-        obj["depth"] = depth
+    obj = {"d": spec.d, "seed": spec.seed, "generator": gen}
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
@@ -569,10 +557,12 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     matching grid, and masses come out exact because box/cube intersections
     are resolved in integer coordinates.  A node's weights are the masses of
     its children's source boxes relative to the source cube anchoring its own
-    box, so they do not underflow with depth.  Known limit: a translation
-    with hundreds of binary digits can leave a box's anchor hundreds of levels
-    above it, and then its relative mass can underflow; the translation
-    experiment draws translations of at most 50 digits (depth <= 50).
+    box, so they do not underflow with depth.  Each node is realized once and
+    kept, since it costs box-mass descents of the source.  Known limit: a
+    translation with hundreds of binary digits can leave a box's anchor
+    hundreds of levels above it, and then its relative mass can underflow; the
+    translation experiment draws translations of at most 50 digits
+    (depth <= 50).
     """
     if not mu.dyadic_splits:
         raise ValueError("apply_homothety needs a dyadic-split source measure")
@@ -634,4 +624,4 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
             )
         return part, tuple(cm / total for cm in child_masses)
 
-    return TreeMeasure(mu.d, depth, realizer, cache=True, dyadic_splits=True)
+    return TreeMeasure(mu.d, depth, functools.cache(realizer))

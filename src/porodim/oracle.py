@@ -139,26 +139,6 @@ class BruteForceResult:
     grid: int
 
 
-def _objective_free(d: int, k: int, eps: float):
-    """Objective over the free coordinates (q_1..q_{k-1}, p); q_k is forced
-    by the simplex constraint.  Infeasible points evaluate to -inf."""
-    L = (1 << d) - 1
-
-    def func(z) -> float:
-        p = z[-1]
-        if not 0.0 <= p <= eps + 1e-15:
-            return -math.inf
-        qk = (1.0 - p) / L - math.fsum(z[:-1])
-        if qk < -1e-15:
-            return -math.inf
-        q = (*z[:-1], max(qk, 0.0))
-        if any(x < 0.0 for x in q):
-            return -math.inf
-        return reduced_objective(d, k, q, p)
-
-    return func
-
-
 def _golden_section(f, lo: float, hi: float) -> float:
     """Argmax of a unimodal-ish f on [lo, hi], to within _GOLDEN_TOL."""
     a, b = lo, hi
@@ -239,19 +219,26 @@ def maximize_bruteforce(
             best_val = float(vals[j])
             best_free = (*(float(qi[j]) for qi in q), float(p))
 
-    func = _objective_free(d, k, eps)
+    def point(z) -> tuple[tuple[float, ...], float]:
+        """(q, p) at the free coordinates z = (q_1..q_{k-1}, p); q_k takes the
+        rest of the budget.  The polish bounds keep every probe feasible up
+        to rounding, which the clamp at 0 absorbs."""
+        qk = (1.0 - z[-1]) / L - math.fsum(z[:-1])
+        return (*z[:-1], max(qk, 0.0)), z[-1]
+
+    def func(z) -> float:
+        return reduced_objective(d, k, *point(z))
+
     z = list(best_free)
+    fz = func(z)
     for _ in range(60):
         improved = False
         for i in range(len(z)):
             if i == len(z) - 1:
-                lo_i = 0.0
                 hi_i = min(eps, 1.0 - L * math.fsum(z[:-1]))
             else:
-                lo_i = 0.0
-                others = math.fsum(z[:-1]) - z[i]
-                hi_i = (1.0 - z[-1]) / L - others
-            if hi_i <= lo_i:
+                hi_i = (1.0 - z[-1]) / L - (math.fsum(z[:-1]) - z[i])
+            if hi_i <= 0.0:
                 continue
 
             def along(x, i=i):
@@ -259,18 +246,14 @@ def maximize_bruteforce(
                 trial[i] = x
                 return func(trial)
 
-            xi = _golden_section(along, lo_i, hi_i)
-            if along(xi) > func(z) + 1e-14:
-                z[i] = xi
+            xi = _golden_section(along, 0.0, hi_i)
+            fxi = along(xi)
+            if fxi > fz + 1e-14:
+                z[i], fz = xi, fxi
                 improved = True
         if not improved:
             break
-    p = z[-1]
-    qk = (1.0 - p) / L - math.fsum(z[:-1])
-    point = ReducedPoint(d, k, (*z[:-1], max(qk, 0.0)), p)
-    return BruteForceResult(
-        value=reduced_objective(d, k, point.q, point.p), argmax=point, grid=grid
-    )
+    return BruteForceResult(value=fz, argmax=ReducedPoint(d, k, *point(z)), grid=grid)
 
 
 @dataclass(frozen=True)
@@ -290,15 +273,16 @@ def fixed_point_candidate(d: int, k: int, eps: float) -> FixedPointResult:
     _check_eps(d, k, eps)
     L = (1 << d) - 1
 
-    def step(m: float) -> float:
+    def candidate(m: float) -> tuple[float, ...]:
+        """Level masses A 2^{-m i}, with A making L sum q_i = 1 - eps."""
         decay = [2.0 ** (-m * i) for i in range(1, k + 1)]
         a = (1.0 - eps) / (L * math.fsum(decay))
-        q = tuple(a * x for x in decay)
-        return reduced_objective(d, k, q, eps)
+        return tuple(a * x for x in decay)
 
     m = 0.9 * d
     for it in range(1, _FIXED_POINT_MAX_ITER + 1):
-        m_new = (1.0 - _DAMPING) * m + _DAMPING * step(m)
+        g = reduced_objective(d, k, candidate(m), eps)
+        m_new = (1.0 - _DAMPING) * m + _DAMPING * g
         if abs(m_new - m) < _FIXED_POINT_TOL:
             m = m_new
             break
@@ -307,9 +291,7 @@ def fixed_point_candidate(d: int, k: int, eps: float) -> FixedPointResult:
         raise ArithmeticError(
             f"fixed-point iteration did not converge for d={d}, k={k}, eps={eps}"
         )
-    decay = [2.0 ** (-m * i) for i in range(1, k + 1)]
-    a = (1.0 - eps) / (L * math.fsum(decay))
-    point = ReducedPoint(d, k, tuple(a * x for x in decay), eps)
+    point = ReducedPoint(d, k, candidate(m), eps)
     return FixedPointResult(
         point=point, value=reduced_objective(d, k, point.q, point.p), iterations=it
     )

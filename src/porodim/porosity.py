@@ -76,17 +76,18 @@ def _min_entry(frontier: dict[CubeAddress, float]) -> tuple[CubeAddress, float]:
 class LineageClassifier:
     """Porosity decisions on the nodes of a lineage of one dyadic measure.
 
-    Each node's offspring is realized once; each queried node q keeps its
-    conditional-mass frontiers (level j maps the depth-j descendants R to
-    mu(R)/mu(q)), built lazily.  The porous test at (k, eps) reads frontier
-    k, por2 the first frontier whose minimum is <= eps.  Holes persist to
-    deeper levels, so por2 <= k exactly when q is porous at (k, eps).
+    The classifier keeps one memo: each node's offspring, realized once.
+    A query on q builds q's conditional-mass frontiers from it afresh (level
+    j maps the depth-j descendants R to mu(R)/mu(q)).  The porous test at
+    (k, eps) reads frontier k, por2 the first frontier whose minimum is
+    <= eps.  Holes persist to deeper levels, so por2 <= k exactly when q is
+    porous at (k, eps).
 
-    The memo is a cache only.  A por2 query at level n, or ``drop_above(n)``,
-    drops all nodes above level n, so memory along a path does not grow with
-    depth; classification keeps what it realized, so the levels inside a
-    finished re-tree walk can still be probed without realizing again.
-    Queries should go down the lineage; one that goes back up realizes again.
+    A por2 query at level n, or ``drop_above(n)``, forgets the nodes above
+    level n, so memory along a path does not grow with depth; classification
+    forgets nothing, so the levels inside a finished re-tree walk can still be
+    probed without realizing again.  Queries should go down the lineage; one
+    that goes back up realizes again.
     """
 
     def __init__(self, mu: TreeMeasure):
@@ -94,7 +95,6 @@ class LineageClassifier:
         self.mu = mu
         self._level = 0
         self._offspring: dict[tuple, tuple[CubePartition, Weights]] = {}
-        self._frontiers: dict[tuple, list[dict[CubeAddress, float]]] = {}
 
     def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
         key = (q.level, q.coords)  # hashes in C, unlike a CubeAddress
@@ -107,16 +107,15 @@ class LineageClassifier:
         """Forget the nodes above ``level``."""
         if level > self._level:
             self._level = level
-            for memo in (self._offspring, self._frontiers):
-                for key in [key for key in memo if key[0] < level]:
-                    del memo[key]
+            for key in [key for key in self._offspring if key[0] < level]:
+                del self._offspring[key]
 
     def frontiers(self, q: CubeAddress, depth: int) -> list[dict[CubeAddress, float]]:
-        """q's frontiers at levels 1..depth (or more, when built before)."""
-        frontiers = self._frontiers.setdefault((q.level, q.coords), [])
-        while len(frontiers) < depth:
-            frontiers.append(self._deeper(frontiers[-1] if frontiers else {q: 1.0}))
-        return frontiers
+        """q's frontiers at levels 1..depth."""
+        frontiers = [{q: 1.0}]
+        for _ in range(depth):
+            frontiers.append(self._deeper(frontiers[-1]))
+        return frontiers[1:]
 
     def _deeper(self, frontier: dict[CubeAddress, float]) -> dict[CubeAddress, float]:
         """One dyadic level deeper."""
@@ -129,8 +128,10 @@ class LineageClassifier:
     def por2(self, q: CubeAddress, eps: float, cap: int) -> float:
         """Least j <= cap whose frontier holds an eps-hole, else math.inf."""
         self.drop_above(q.level)
+        frontier = {q: 1.0}
         for j in range(1, cap + 1):
-            if _min_entry(self.frontiers(q, j)[j - 1])[1] <= eps:
+            frontier = self._deeper(frontier)
+            if _min_entry(frontier)[1] <= eps:
                 return j
         return math.inf
 
@@ -154,7 +155,7 @@ class LineageClassifier:
 def _classify_full(
     clf: LineageClassifier, q: CubeAddress, k: int, eps: float
 ) -> tuple[PorosityCheck, list[dict[CubeAddress, float]]]:
-    """Classification plus q's conditional-mass frontiers (levels 1..k at least)."""
+    """Classification plus q's conditional-mass frontiers at levels 1..k."""
     frontiers = clf.frontiers(q, k)
     hole, ratio = _min_entry(frontiers[k - 1])
     if ratio <= eps:
@@ -210,9 +211,9 @@ def porous_retree(base: TreeMeasure, k: int, eps: float) -> TreeMeasure:
     Porous nodes split into the depth-k hole plus the per-level cubes
     avoiding it; non-porous nodes split uniformly.  Offspring weights are the
     conditional masses of the children under ``base``.  The view is
-    2^-k-regular.  It keeps every node it classifies, so its memory grows
-    with the length of a walk on it.  Raises ValueError unless k >= 1,
-    k*d <= MAX_KD and eps lies in [0, 2^-kd].
+    2^-k-regular.  Its classifier keeps the offspring of every dyadic node it
+    realizes, so its memory grows with the length of a walk on it.  Raises
+    ValueError unless k >= 1, k*d <= MAX_KD and eps lies in [0, 2^-kd].
     """
     return LineageClassifier(base).retree(k, eps)
 

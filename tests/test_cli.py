@@ -5,8 +5,10 @@ import shlex
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from porodim import __version__
 from porodim.cli import _fmt, _simulate_one_path, build_parser, main
 from porodim.dimension import sampled_trajectory
 from porodim.measure import (
@@ -292,6 +294,18 @@ class TestTranslate:
         _, b = run(tmp_path, *args)
         assert a == b
 
+    def test_strict_failure_exit_code(self, tmp_path):
+        # the image of Lebesgue measure is porous only where its support ends,
+        # on fewer than the threshold's (1 - 2r) eta = 1/2 of the scales
+        code, text = run(
+            tmp_path, "translate", "--gen", "uniform", "--eta", "1", "--strict",
+            "--trials", "3", "--depth", "12",
+        )
+        assert code == 2
+        assert len(rows_of(text)) == 3
+        mean = float(re.search(r"# mean_fraction=(.*)", text)[1])
+        assert mean < float(re.search(r"# threshold=(.*)", text)[1]) == 0.5
+
     def test_jobs_parallel_matches_serial(self, tmp_path):
         args = [
             "translate", "--gen", "cantor_middle_half", "--alpha", "0.25",
@@ -542,6 +556,23 @@ class TestErrors:
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_version_and_help_exit_0(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
+    assert main(["simulate", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: porodim simulate")
+
+
+def test_fmt():
+    assert _fmt(-math.inf) == "-inf"
+    assert _fmt(math.inf) == "inf"
+    assert _fmt(math.nan) == "nan"
+    assert _fmt(np.float64(0.1)) == "0.1"
+    assert _fmt(1 / 3) == "0.333333333333"
+    assert _fmt(7) == "7"
+    assert _fmt("") == ""
 
 
 def readme_commands() -> list[str]:

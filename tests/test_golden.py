@@ -2,10 +2,12 @@
 byte.  A refactor that changes a digest changes the program's output; if the
 change is deliberate (say, a new RNG keying), update the digest and say why.
 
-Cascade coverage is a mixture, whose node draws use only Philox ``random()``;
-Dirichlet draws depend on numpy's sampler, so they are left out.  The two
-oracle tables (the default battery, and d = 2, k = 3 at grid 500) pin every
-grid maximum and golden-section polish of the brute force to the last digit.
+Cascade coverage is two mixtures, at d = 1 and d = 2, whose node draws use
+only Philox ``random()``; Dirichlet draws depend on numpy's sampler, so they
+are left out.  The d = 2 Bernoulli translate run (k = 4) pins the pushforward
+and its porosity tests in two dimensions.  The two oracle tables (the default
+battery, and d = 2, k = 3 at grid 500) pin every grid maximum and
+golden-section polish of the brute force to the last digit.
 """
 
 import hashlib
@@ -17,6 +19,12 @@ from porodim.cli import main
 
 MIXTURE = {"d": 1, "seed": 101, "generator": {"type": "mixture", "mixture": [
     {"weights": [0.5, 0.5], "prob": 0.5}, {"weights": [0.1, 0.9], "prob": 0.5}]}}
+
+#: A d = 2 mixture whose eta_hat (about 0.32) leaves both porous and
+#: non-porous steps on its paths, so the k = 2 frontiers are pinned at d = 2.
+MIXTURE_D2 = {"d": 2, "seed": 11, "generator": {"type": "mixture", "mixture": [
+    {"weights": [0.1, 0.4, 0.4, 0.1], "prob": 0.5},
+    {"weights": [0.25, 0.25, 0.25, 0.25], "prob": 0.5}]}}
 
 RUNS = {
     "simulate_bernoulli": (
@@ -34,10 +42,21 @@ RUNS = {
          "--depth", "150", "--paths", "2"],
         "1cd33183bae7e785a1044962ed721d67dc6982b1a98594b1d2c36ba717aebca5",
     ),
+    "simulate_mixture_d2": (
+        ["simulate", "--config", "{dir}/mixture_d2.json", "--k", "2", "--eps", "0.02",
+         "--depth", "120", "--paths", "2"],
+        "8a18f35a37fdafda1afd7f660010ec83344c7e2a090113f316f743c7580799d6",
+    ),
     "translate_cantor": (
         ["translate", "--gen", "cantor_middle_half", "--eta", "1", "--seed", "2024",
          "--trials", "20"],
         "c71d17aa9f5dcc21c42bea6a6513c0a91e30a9cae86910fa2ca9f20776cd49d1",
+    ),
+    "translate_bernoulli_d2": (
+        ["translate", "--gen", "bernoulli", "--d", "2", "--weights", "0.1,0.4,0.4,0.1",
+         "--alpha", "0.5", "--eps", "0.002", "--depth", "8", "--trials", "3",
+         "--seed", "7"],
+        "95740c9275c2dca4e0ea878d15f244b763d1b935fda5e56eb0e2dc98efcfe8ed",
     ),
     "solve": (
         ["solve", "--d", "2", "--k", "1", "--points", "11"],
@@ -63,6 +82,7 @@ def outputs(tmp_path_factory):
     """Run every command once; map each output name to its file."""
     out = tmp_path_factory.mktemp("golden")
     (out / "mixture.json").write_text(json.dumps(MIXTURE))
+    (out / "mixture_d2.json").write_text(json.dumps(MIXTURE_D2))
     for name, (argv, _) in RUNS.items():
         if argv is not None:
             argv = [a.format(dir=out) for a in argv] + ["--out", str(out / f"{name}.csv")]

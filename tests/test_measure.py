@@ -186,8 +186,11 @@ class TestJsonConfig:
         spec = GeneratorSpec(
             2, CascadeFiniteMixture(((0.25,) * 4, (0.1, 0.2, 0.3, 0.4)), (0.5, 0.5)), 42
         )
-        spec2, depth = spec_from_json(spec_to_json(spec, depth=17))
+        spec2, depth = spec_from_json(spec_to_json(spec))
         assert spec2 == spec
+        assert depth is None
+        spec3, depth = spec_from_json({**json.loads(spec_to_json(spec)), "depth": 17})
+        assert spec3 == spec
         assert depth == 17
 
     def test_all_types_parse(self):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import porodim.measure
 from porodim.bounds import dimension_bound
 from porodim.cli import build_parser, main
+from porodim.dimension import estimate_packing_dim, path_trajectory
 from porodim.measure import (
     Bernoulli,
     CantorMiddleHalf,
@@ -30,6 +31,7 @@ from porodim.porosity import (
     porous_retree,
     run_translation_trials,
     sample_porous_path,
+    translation_report,
 )
 
 from conftest import make_measure
@@ -62,7 +64,8 @@ K_EPS_ENTRIES = {
     "dimension_bound": lambda mu, path, k, eps: dimension_bound(1, 0.5, eps, k=k),
 }
 
-#: Calls with one bad eta, weight, probability, concentration or config integer
+#: Calls with one bad eta, weight, probability, concentration, config integer,
+#: count or depth
 OTHER_BAD_CALLS = [
     *((f"translate eps={eps}", lambda eps=eps: run_translation_trials(
         CANTOR, 0.25, 0.25, eps, 8, 0, range(1)),
@@ -84,6 +87,19 @@ OTHER_BAD_CALLS = [
         {"d": 1, "generator": {"type": "uniform"}, **field}), "malformed")
       for field in ({"d": 1.9}, {"seed": True}, {"depth": 4.7}, {"d": "1"},
                     {"seed": None})),
+    ("estimate_packing_dim paths=0", lambda: estimate_packing_dim(CANTOR, 10, 0, 1),
+     "at least one path"),
+    ("path_trajectory root only", lambda: path_trajectory(CANTOR, [CANTOR.root]),
+     "no usable steps"),
+    ("translation_report no trials", lambda: translation_report(
+        [], 1, 0.25, 0.25, 0.0, 8), "trials must be >= 1"),
+    *((f"translate depth={depth}", lambda depth=depth: run_translation_trials(
+        CANTOR, 0.25, 0.25, 0.0, depth, 0, range(1)), "depth must lie")
+      for depth in (0, 51)),
+    ("porous_fraction_trajectory n_max=0", lambda: porous_fraction_trajectory(
+        CANTOR, [CANTOR.root], 1, 0.0, n_max=0), "too shallow"),
+    ("porous_fraction_trajectory below depth", lambda: porous_fraction_trajectory(
+        CANTOR, [CANTOR.root], 1, 0.0, n_max=12), "maximum level 12"),
 ]
 
 
