@@ -4,31 +4,57 @@ A cube is the half-open box prod_i [c_i 2^-level, (c_i + 1) 2^-level) inside
 the unit cube of R^d, identified by its level and integer coordinates.  All
 disjointness and cover checks run on integer addresses, never on floats, so
 they are exact.
+
+Addresses are validated once, at the public ``CubeAddress`` constructor.  The
+addresses this module derives from a valid one (children, ancestors,
+descendants, the cubes of a split) are valid by construction and are built
+with ``_addr``, which skips the check.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
-@dataclass(frozen=True)
-class CubeAddress:
-    """A dyadic cube: ``level`` steps down the full dyadic tree, at ``coords``."""
 
-    level: int
-    coords: tuple[int, ...]
+class CubeAddress(tuple):
+    """A dyadic cube: ``level`` steps down the full dyadic tree, at ``coords``.
 
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if not self.coords:
+    The address is the tuple ``(level, coords)``, so hashing and equality run
+    in C; it compares equal to that plain tuple too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, coords: tuple[int, ...]) -> "CubeAddress":
+        try:
+            level = operator.index(level)
+            coords = tuple(map(operator.index, coords))
+        except TypeError:
+            raise ValueError(
+                f"level and coords must be integers, got {level!r} and {coords!r}"
+            ) from None
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        if not coords:
             raise ValueError("coords must have at least one component")
-        for c in self.coords:
+        for c in coords:
             # bit_length avoids materializing 2^level for very deep cubes
-            if c < 0 or c.bit_length() > self.level:
+            if c < 0 or c.bit_length() > level:
                 raise ValueError(
-                    f"coordinate {c} outside [0, 2^{self.level}) at level {self.level}"
+                    f"coordinate {c} outside [0, 2^{level}) at level {level}"
                 )
+        return tuple.__new__(cls, (level, coords))
+
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"CubeAddress(level={self.level!r}, coords={self.coords!r})"
+
+    level = property(operator.itemgetter(0), doc="Steps down the dyadic tree.")
+    coords = property(operator.itemgetter(1), doc="Integer coordinates at ``level``.")
 
     @property
     def d(self) -> int:
@@ -36,10 +62,11 @@ class CubeAddress:
 
     def ancestor(self, level: int) -> "CubeAddress":
         """The unique level-``level`` cube containing this one."""
+        level = operator.index(level)
         if not 0 <= level <= self.level:
             raise ValueError(f"ancestor level {level} outside [0, {self.level}]")
         shift = self.level - level
-        return CubeAddress(level, tuple(c >> shift for c in self.coords))
+        return _addr(level, tuple(c >> shift for c in self.coords))
 
     def contains(self, other: "CubeAddress") -> bool:
         """True when ``other`` is this cube or a descendant of it."""
@@ -50,15 +77,18 @@ class CubeAddress:
 
     def uniform_child(self, offset_index: int) -> "CubeAddress":
         """Child one level down; bit i of ``offset_index`` is the offset on axis i."""
+        offset_index = operator.index(offset_index)
         if not 0 <= offset_index < (1 << self.d):
             raise ValueError(f"offset index {offset_index} outside [0, 2^{self.d})")
         coords = tuple(
             (c << 1) | ((offset_index >> i) & 1) for i, c in enumerate(self.coords)
         )
-        return CubeAddress(self.level + 1, coords)
+        return _addr(self.level + 1, coords)
 
     def descendant(self, rel_coords: tuple[int, ...], depth: int) -> "CubeAddress":
         """Descendant ``depth`` levels down with the given in-cube coordinates."""
+        depth = operator.index(depth)
+        rel_coords = tuple(map(operator.index, rel_coords))
         if depth < 0:
             raise ValueError("depth must be >= 0")
         if len(rel_coords) != self.d:
@@ -68,11 +98,17 @@ class CubeAddress:
             if not 0 <= rc < lim:
                 raise ValueError(f"relative coordinate {rc} outside [0, 2^{depth})")
         coords = tuple((c << depth) | rc for c, rc in zip(self.coords, rel_coords))
-        return CubeAddress(self.level + depth, coords)
+        return _addr(self.level + depth, coords)
 
     def serialize(self) -> str:
         """Wire format ``level:c0,c1,...``."""
         return f"{self.level}:{','.join(str(c) for c in self.coords)}"
+
+
+def _addr(level: int, coords: tuple[int, ...]) -> CubeAddress:
+    """An address derived from a valid one, built without the constructor's
+    check: the caller guarantees int coords with 0 <= coords[i] < 2^level."""
+    return tuple.__new__(CubeAddress, (level, coords))
 
 
 def root(d: int) -> CubeAddress:
@@ -101,7 +137,7 @@ def subdivide_uniform(parent: CubeAddress) -> CubePartition:
     level = parent.level + 1
     coords = parent.coords
     children = tuple(
-        CubeAddress(level, tuple((c << 1) | ((j >> i) & 1) for i, c in enumerate(coords)))
+        _addr(level, tuple((c << 1) | ((j >> i) & 1) for i, c in enumerate(coords)))
         for j in range(1 << len(coords))
     )
     return CubePartition(parent, children)

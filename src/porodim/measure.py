@@ -41,6 +41,11 @@ MAX_DIM = 8
 #: larger ``max_level``.
 DEFAULT_MAX_LEVEL = 60
 
+#: Children, summed over its nodes, that a pushforward's memo of source nodes
+#: keeps: about 1 KB per node at d = 2, so some 60 MB whatever d is.  A d = 2
+#: translate trial at depth 12 touches about 10k source nodes.
+_SOURCE_MEMO_CHILDREN = 1 << 18
+
 #: Verdicts of a ``_descend`` visitor on a node.
 _DROP, _TAKE, _SPLIT = range(3)
 
@@ -225,7 +230,8 @@ class TreeMeasure:
     ``depth`` bounds the dyadic level of any node, and so the number of tree
     steps along any path.  The measure keeps no node data: every ``offspring``
     call runs the realizer, and a realizer that is costly to repeat memoizes
-    itself.
+    itself (``apply_homothety`` memoizes both its own realizer and the
+    source's offspring, for the life of the pushforward).
     """
 
     def __init__(
@@ -515,14 +521,15 @@ def _descend(
 
 
 def _box_mass(
-    mu: TreeMeasure,
+    offspring: Callable[[CubeAddress], tuple[CubePartition, Weights]],
     anchor: CubeAddress,
     lo: tuple[int, ...],
     hi: tuple[int, ...],
     scale: int,
 ) -> float:
     """mu(box) / mu(anchor) for the box prod [lo_i 2^-scale, hi_i 2^-scale)
-    inside the cube ``anchor``, exactly on addresses.
+    inside the cube ``anchor``, exactly on addresses, where ``offspring`` is
+    mu's node data.
 
     Descends from the anchor; a node is either disjoint from the box,
     contained in it, or splits further (box corners are integers at ``scale``,
@@ -545,7 +552,7 @@ def _box_mass(
                 inside = False
         return _TAKE if inside else _SPLIT
 
-    return math.fsum(m for _, m in _descend(mu.offspring, [(anchor, 1.0)], where))
+    return math.fsum(m for _, m in _descend(offspring, [(anchor, 1.0)], where))
 
 
 def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
@@ -558,11 +565,17 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     are resolved in integer coordinates.  A node's weights are the masses of
     its children's source boxes relative to the source cube anchoring its own
     box, so they do not underflow with depth.  Each node is realized once and
-    kept, since it costs box-mass descents of the source.  Known limit: a
-    translation with hundreds of binary digits can leave a box's anchor
-    hundreds of levels above it, and then its relative mass can underflow; the
-    translation experiment draws translations of at most 50 digits
-    (depth <= 50).
+    kept, since it costs box-mass descents of the source.  Those descents
+    overlap from node to node, so each source node is realized once per
+    pushforward too: a memo of the source's offspring lives as long as the
+    returned measure and holds the distinct source nodes its realizations
+    touched (one trial's, in the translation experiment), up to
+    2^18 / 2^d of them; beyond that the least recently used are realized
+    again when next needed.
+    Known limit: a translation with hundreds of binary digits can leave a
+    box's anchor hundreds of levels above it, and then its relative mass can
+    underflow; the translation experiment draws translations of at most 50
+    digits (depth <= 50).
     """
     if not mu.dyadic_splits:
         raise ValueError("apply_homothety needs a dyadic-split source measure")
@@ -590,6 +603,8 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
         hi = tuple(min(l + (1 << shift), 1 << scale) for l in lo)
         return tuple(max(l, 0) for l in lo), hi, scale
 
+    offspring = functools.lru_cache(_SOURCE_MEMO_CHILDREN >> mu.d)(mu.offspring)
+    source = TreeMeasure(mu.d, mu.depth, offspring)
     positive = {mu.root}  # source cubes known to carry mass
 
     def has_mass(anchor: CubeAddress) -> bool:
@@ -598,7 +613,7 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
         known = anchor
         while known not in positive:
             known = known.ancestor(known.level - 1)
-        for _, part, w, idx in mu.steps_to(anchor, start=known):
+        for _, part, w, idx in source.steps_to(anchor, start=known):
             if w[idx] == 0.0:
                 return False
             positive.add(part.children[idx])
@@ -612,10 +627,11 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
             # the anchor: the deepest source cube containing the box
             level = scale - max((l ^ (h - 1)).bit_length() for l, h in zip(lo, hi))
             anchor = CubeAddress(level, tuple(l >> (scale - level) for l in lo))
-            parent_mass = _box_mass(mu, anchor, lo, hi, scale)
+            parent_mass = _box_mass(offspring, anchor, lo, hi, scale)
         if parent_mass == 0.0 or not has_mass(anchor):
             raise UnrealizedNodeError(f"zero-mass node {q.serialize()} is not expanded")
-        child_masses = [_box_mass(mu, anchor, *source_box(c)) for c in part.children]
+        child_masses = [_box_mass(offspring, anchor, *source_box(c))
+                        for c in part.children]
         total = math.fsum(child_masses)
         if abs(total - parent_mass) > 1e-10 * parent_mass:
             raise ArithmeticError(

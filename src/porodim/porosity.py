@@ -94,20 +94,19 @@ class LineageClassifier:
         _require_dyadic(mu)
         self.mu = mu
         self._level = 0
-        self._offspring: dict[tuple, tuple[CubePartition, Weights]] = {}
+        self._offspring: dict[CubeAddress, tuple[CubePartition, Weights]] = {}
 
     def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
-        key = (q.level, q.coords)  # hashes in C, unlike a CubeAddress
-        hit = self._offspring.get(key)
+        hit = self._offspring.get(q)
         if hit is None:
-            hit = self._offspring[key] = self.mu.offspring(q)
+            hit = self._offspring[q] = self.mu.offspring(q)
         return hit
 
     def drop_above(self, level: int) -> None:
         """Forget the nodes above ``level``."""
         if level > self._level:
             self._level = level
-            for key in [key for key in self._offspring if key[0] < level]:
+            for key in [key for key in self._offspring if key.level < level]:
                 del self._offspring[key]
 
     def frontiers(self, q: CubeAddress, depth: int) -> list[dict[CubeAddress, float]]:

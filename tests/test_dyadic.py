@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,3 +138,34 @@ def test_uniform_split_invariants(d, level, data):
     part = subdivide_uniform(CubeAddress(level, coords))
     assert len(part.children) == 1 << d
     validate_partition(part)
+
+
+def test_repr_is_the_dataclass_form():
+    assert repr(CubeAddress(3, (5, 0))) == "CubeAddress(level=3, coords=(5, 0))"
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 3), level=st.integers(0, 2000), data=st.data())
+def test_derived_addresses_are_valid(d, level, data):
+    # every address the library derives from a valid one is what the public
+    # constructor builds from its fields, and pickles and prints like one
+    a = CubeAddress(level, tuple(data.draw(st.integers(0, (1 << level) - 1))
+                                 for _ in range(d)))
+    depth = data.draw(st.integers(0, 64))
+    rel = tuple(data.draw(st.integers(0, (1 << depth) - 1)) for _ in range(d))
+    k = data.draw(st.integers(1, 3))
+    hole = a.descendant(tuple(data.draw(st.integers(0, (1 << k) - 1)) for _ in range(d)), k)
+    derived = [
+        *subdivide_uniform(a).children,
+        *(a.uniform_child(j) for j in range(1 << d)),
+        a.ancestor(data.draw(st.integers(0, level))),
+        a.descendant(rel, depth),
+        *porous_split(a, hole, k).children,
+    ]
+    for b in derived:
+        assert type(b) is CubeAddress
+        assert type(b.level) is int and all(type(c) is int for c in b.coords)
+        assert b == CubeAddress(b.level, b.coords) == (b.level, b.coords)
+        copy = pickle.loads(pickle.dumps(b))
+        assert type(copy) is CubeAddress and copy == b
+        assert repr(b) == f"CubeAddress(level={b.level!r}, coords={b.coords!r})"

@@ -5,7 +5,9 @@ change is deliberate (say, a new RNG keying), update the digest and say why.
 Cascade coverage is two mixtures, at d = 1 and d = 2, whose node draws use
 only Philox ``random()``; Dirichlet draws depend on numpy's sampler, so they
 are left out.  The d = 2 Bernoulli translate run (k = 4) pins the pushforward
-and its porosity tests in two dimensions.  The two oracle tables (the default
+and its porosity tests in two dimensions, and the d = 1 mixture translate run
+pins a pushforward of a cascade source, whose nodes each draw their own
+weights.  The two oracle tables (the default
 battery, and d = 2, k = 3 at grid 500) pin every grid maximum and
 golden-section polish of the brute force to the last digit.
 """
@@ -51,6 +53,10 @@ RUNS = {
         ["translate", "--gen", "cantor_middle_half", "--eta", "1", "--seed", "2024",
          "--trials", "20"],
         "c71d17aa9f5dcc21c42bea6a6513c0a91e30a9cae86910fa2ca9f20776cd49d1",
+    ),
+    "translate_mixture": (
+        ["translate", "--config", "{dir}/mixture.json", "--depth", "10", "--trials", "5"],
+        "e26bf69bc9a11c1c6ebfd0aa721ee5bcdfaaeaff3a92e3b9a57ad7bc4430fec8",
     ),
     "translate_bernoulli_d2": (
         ["translate", "--gen", "bernoulli", "--d", "2", "--weights", "0.1,0.4,0.4,0.1",

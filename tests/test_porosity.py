@@ -8,6 +8,7 @@ from porodim.measure import (
     _PATH_STREAM,
     Bernoulli,
     CascadeDirichlet,
+    CantorMiddleHalf,
     CascadeFiniteMixture,
     Uniform,
     UnrealizedNodeError,
@@ -20,6 +21,7 @@ from porodim.porosity import (
     porous_fraction_trajectory,
     porous_retree,
     porous_walk,
+    run_translation_trials,
     sample_porous_path,
     translation_experiment,
 )
@@ -291,6 +293,44 @@ class TestTranslation:
         a = translation_experiment(cantor, 0.25, 0.25, 0.0, 6, 12, seed=33)
         b = translation_experiment(cantor, 0.25, 0.25, 0.0, 6, 12, seed=33)
         assert a == b
+
+    @pytest.mark.parametrize("d, model, depth, alpha, eps", [
+        (1, CantorMiddleHalf(), 12, 0.25, 0.0),
+        (2, Bernoulli((0.1, 0.4, 0.4, 0.1)), 6, 0.5, 0.002),
+    ])
+    def test_trial_realizes_each_source_node_once(self, monkeypatch, d, model, depth,
+                                                  alpha, eps):
+        import porodim.measure
+
+        k = k_of_alpha(d, alpha, 0.25)
+        mu = make_measure(d, model, depth=depth + k)
+        calls = []
+        real = porodim.measure.node_weights
+
+        def counting(spec, q):
+            calls.append((spec.seed, q.level, q.coords))
+            return real(spec, q)
+
+        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        run_translation_trials(mu, 0.25, alpha, eps, depth, 5, range(1))
+        assert calls and len(set(calls)) == len(calls)
+
+    def test_bounded_source_memo_gives_the_same_trial(self, monkeypatch):
+        import porodim.measure
+
+        mu = make_measure(2, Bernoulli((0.1, 0.4, 0.4, 0.1)), depth=10)
+        want = run_translation_trials(mu, 0.25, 0.5, 0.002, 6, 5, range(1))
+        calls = []
+        real = porodim.measure.node_weights
+
+        def counting(spec, q):
+            calls.append(q)
+            return real(spec, q)
+
+        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        monkeypatch.setattr(porodim.measure, "_SOURCE_MEMO_CHILDREN", 16)  # 4 nodes
+        assert run_translation_trials(mu, 0.25, 0.5, 0.002, 6, 5, range(1)) == want
+        assert len(calls) > len(set(calls))  # evicted nodes were realized again
 
     def test_depth_guard(self, cantor):
         with pytest.raises(ValueError, match="too small"):

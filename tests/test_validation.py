@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ import porodim.measure
 from porodim.bounds import dimension_bound
 from porodim.cli import build_parser, main
 from porodim.dimension import estimate_packing_dim, path_trajectory
+from porodim.dyadic import CubeAddress
 from porodim.measure import (
     Bernoulli,
     CantorMiddleHalf,
@@ -100,6 +102,13 @@ OTHER_BAD_CALLS = [
         CANTOR, [CANTOR.root], 1, 0.0, n_max=0), "too shallow"),
     ("porous_fraction_trajectory below depth", lambda: porous_fraction_trajectory(
         CANTOR, [CANTOR.root], 1, 0.0, n_max=12), "maximum level 12"),
+    *((f"CubeAddress{args!r}", lambda args=args: CubeAddress(*args), "must be integers")
+      for args in ((1.5, (0,)), ("1", (0,)), (2, (1.0,)), (2, (np.float64(1.0),)),
+                   (2, (0.5, 1)), (2, None), (2, "1"))),
+    *((f"CubeAddress{args!r}", lambda args=args: CubeAddress(*args), message)
+      for args, message in (((-1, (0,)), "level must be >= 0"),
+                            ((2, ()), "at least one component"),
+                            ((2, (4,)), "outside"), ((2, (1, -1)), "outside"))),
 ]
 
 
@@ -142,6 +151,14 @@ def test_por2_cap_bounds_the_frontier():
     with pytest.raises(ValueError, match="k\\*d = 24 exceeds 16"):
         por2_depth(mu, [mu.root], 0, 0.0)
     assert por2_depth(mu, [mu.root], 0, 0.0, cap=2) == math.inf  # no zero mass
+
+
+def test_address_constructor_stores_python_ints():
+    a = CubeAddress(np.int64(2), [np.int64(1), 2])
+    assert a == CubeAddress(2, (1, 2))
+    assert type(a.level) is int and type(a.coords) is tuple
+    assert all(type(c) is int for c in a.coords)
+    assert {a: 0}[CubeAddress(2, (1, 2))] == 0  # hashable, unlike a list
 
 
 def test_eta_zero_is_admissible():
