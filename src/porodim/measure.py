@@ -41,11 +41,6 @@ MAX_DIM = 8
 #: larger ``max_level``.
 DEFAULT_MAX_LEVEL = 60
 
-#: Children, summed over its nodes, that a pushforward's memo of source nodes
-#: keeps: about 1 KB per node at d = 2, so some 60 MB whatever d is.  A d = 2
-#: translate trial at depth 12 touches about 10k source nodes.
-_SOURCE_MEMO_CHILDREN = 1 << 18
-
 #: Verdicts of a ``_descend`` visitor on a node.
 _DROP, _TAKE, _SPLIT = range(3)
 
@@ -569,9 +564,7 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     overlap from node to node, so each source node is realized once per
     pushforward too: a memo of the source's offspring lives as long as the
     returned measure and holds the distinct source nodes its realizations
-    touched (one trial's, in the translation experiment), up to
-    2^18 / 2^d of them; beyond that the least recently used are realized
-    again when next needed.
+    touched: one trial's, in the translation experiment.
     Known limit: a translation with hundreds of binary digits can leave a
     box's anchor hundreds of levels above it, and then its relative mass can
     underflow; the translation experiment draws translations of at most 50
@@ -603,7 +596,7 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
         hi = tuple(min(l + (1 << shift), 1 << scale) for l in lo)
         return tuple(max(l, 0) for l in lo), hi, scale
 
-    offspring = functools.lru_cache(_SOURCE_MEMO_CHILDREN >> mu.d)(mu.offspring)
+    offspring = functools.cache(mu.offspring)
     source = TreeMeasure(mu.d, mu.depth, offspring)
     positive = {mu.root}  # source cubes known to carry mass
 

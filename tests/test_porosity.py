@@ -315,23 +315,6 @@ class TestTranslation:
         run_translation_trials(mu, 0.25, alpha, eps, depth, 5, range(1))
         assert calls and len(set(calls)) == len(calls)
 
-    def test_bounded_source_memo_gives_the_same_trial(self, monkeypatch):
-        import porodim.measure
-
-        mu = make_measure(2, Bernoulli((0.1, 0.4, 0.4, 0.1)), depth=10)
-        want = run_translation_trials(mu, 0.25, 0.5, 0.002, 6, 5, range(1))
-        calls = []
-        real = porodim.measure.node_weights
-
-        def counting(spec, q):
-            calls.append(q)
-            return real(spec, q)
-
-        monkeypatch.setattr(porodim.measure, "node_weights", counting)
-        monkeypatch.setattr(porodim.measure, "_SOURCE_MEMO_CHILDREN", 16)  # 4 nodes
-        assert run_translation_trials(mu, 0.25, 0.5, 0.002, 6, 5, range(1)) == want
-        assert len(calls) > len(set(calls))  # evicted nodes were realized again
-
     def test_depth_guard(self, cantor):
         with pytest.raises(ValueError, match="too small"):
             translation_experiment(cantor, 0.25, 0.25, 0.0, 2, 3, seed=1)
