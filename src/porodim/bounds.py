@@ -17,6 +17,7 @@ bisection.  At eps = 0, where 0 log 0 = 0, the equation reduces to
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 LOG2 = math.log(2.0)
@@ -35,8 +36,13 @@ def psi(t: float) -> float:
 
 
 def _check_eps(d: int, k: int, eps: float) -> None:
-    """1 <= d <= 1023, where 2^d - 1 is a float; k >= 1 and k*d <= 1074, where
-    2^-kd is a positive float; eps in [0, 2^-kd], which NaN is not."""
+    """Integers d and k with 1 <= d <= 1023, where 2^d - 1 is a float, k >= 1
+    and k*d <= 1074, where 2^-kd is a positive float; eps in [0, 2^-kd], which
+    NaN is not."""
+    try:
+        d, k = operator.index(d), operator.index(k)
+    except TypeError:
+        raise ValueError(f"d and k must be integers, got d={d!r}, k={k!r}") from None
     if not (1 <= d <= 1023 and 1 <= k and k * d <= 1074):
         raise ValueError(f"need 1 <= d <= 1023, k >= 1 and k*d <= 1074, got d={d}, k={k}")
     hi = 2.0 ** (-k * d)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .measure import (
     TreeMeasure,
     UnrealizedNodeError,
     Weights,
+    _choice_table,
     _path_rng,
     derived_rng,
 )
@@ -168,8 +168,8 @@ def sampled_trajectory(
 def _product_trajectory(
     mu: TreeMeasure, depth: int, seed: int | np.random.Generator
 ) -> PathTrajectory:
-    """``walk``'s draws and cumulative search on the one offspring vector of
-    a product measure, done for all steps at once; no node is realized."""
+    """``walk``'s draws and ``_choice_table`` search on the one offspring
+    vector of a product measure, done for all steps at once; no node is realized."""
     if depth > mu.depth:
         raise UnrealizedNodeError(
             f"a {depth}-step walk passes the measure's maximum level {mu.depth}"
@@ -178,10 +178,9 @@ def _product_trajectory(
         raise ValueError("empty walk")
     us = _path_rng(seed).random(depth)
     w = mu.product_weights
-    positive = [j for j, wj in enumerate(w) if wj > 0.0]
-    cum = list(accumulate(w[j] for j in positive))  # walk's accumulation order
-    pick = np.searchsorted(cum, us * math.fsum(w), side="right")
-    np.minimum(pick, len(positive) - 1, out=pick)  # walk's fallback
+    positive, cum, total = _choice_table(mu.root, w)
+    pick = np.searchsorted(cum, us * total, side="right")
+    np.minimum(pick, len(positive) - 1, out=pick)
     info = np.array([-math.log(w[j]) for j in positive])
     # every node splits uniformly, one level down, with the same weights
     root = mu.root

@@ -80,10 +80,7 @@ class CubeAddress(tuple):
         offset_index = operator.index(offset_index)
         if not 0 <= offset_index < (1 << self.d):
             raise ValueError(f"offset index {offset_index} outside [0, 2^{self.d})")
-        coords = tuple(
-            (c << 1) | ((offset_index >> i) & 1) for i, c in enumerate(self.coords)
-        )
-        return _addr(self.level + 1, coords)
+        return subdivide_uniform(self).children[offset_index]
 
     def descendant(self, rel_coords: tuple[int, ...], depth: int) -> "CubeAddress":
         """Descendant ``depth`` levels down with the given in-cube coordinates."""
@@ -160,14 +157,10 @@ def porous_split(parent: CubeAddress, hole: CubeAddress, k: int) -> CubePartitio
     children: list[CubeAddress] = []
     spine = [hole.ancestor(parent.level + j) for j in range(k + 1)]  # spine[0] = parent
     for j in range(1, k + 1):
-        siblings = [
-            spine[j - 1].uniform_child(m)
-            for m in range(1 << parent.d)
-        ]
-        level_children = sorted(
-            (c for c in siblings if c != spine[j]), key=lambda c: c.coords
+        siblings = subdivide_uniform(spine[j - 1]).children
+        children.extend(
+            sorted((c for c in siblings if c != spine[j]), key=lambda c: c.coords)
         )
-        children.extend(level_children)
     children.append(hole)
     return CubePartition(parent, tuple(children), hole=hole)
 

@@ -14,10 +14,12 @@ rebuilding with the same seed is identical.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -311,28 +313,15 @@ class TreeMeasure:
 
         Each child is drawn with its conditional probability, so the visited
         lineage is distributed as the cubes around a mu-random point.
-        ``dimension.sampled_trajectory`` repeats these draws and this search
-        in numpy for product measures; the two must change together.
+        ``dimension.sampled_trajectory`` searches the same ``_choice_table``
+        in numpy for product measures.
         """
         us = _path_rng(seed).random(steps)
         cur = self.root
         for n in range(steps):
             part, w = self.offspring(cur)
-            total = math.fsum(w)
-            if total <= 0.0:
-                raise ValueError(
-                    f"all-zero offspring vector at {cur.serialize()}: malformed measure"
-                )
-            target = us[n] * total
-            acc = 0.0
-            idx = None
-            for j, wj in enumerate(w):
-                if wj > 0.0:
-                    acc += wj
-                    if acc > target:
-                        idx = j
-                        break
-                    idx = j  # fall back to the last positive child
+            positive, cum, total = _choice_table(cur, w)
+            idx = positive[min(bisect.bisect_right(cum, us[n] * total), len(positive) - 1)]
             yield cur, part, w, idx
             cur = part.children[idx]
 
@@ -344,6 +333,25 @@ class TreeMeasure:
         for _, part, _, idx in self.walk(seed, steps):
             path.append(part.children[idx])
         return path
+
+
+def _require_dyadic(mu: TreeMeasure) -> None:
+    if not mu.dyadic_splits:
+        raise TypeError(
+            "porosity probes and pushforwards run on full dyadic trees; pass the "
+            "measure's dyadic base, not a porous re-tree"
+        )
+
+
+def _choice_table(q: CubeAddress, w: Weights) -> tuple[list[int], list[float], float]:
+    """The positive children of offspring vector ``w`` at ``q``, their
+    cumulative weights and fsum(w): a draw u takes the first positive child
+    whose cumulative weight exceeds u * fsum(w), else the last one."""
+    total = math.fsum(w)
+    if total <= 0.0:
+        raise ValueError(f"all-zero offspring vector at {q.serialize()}: malformed measure")
+    positive = [j for j, wj in enumerate(w) if wj > 0.0]
+    return positive, list(accumulate(w[j] for j in positive)), total
 
 
 def build_tree_measure(
@@ -500,7 +508,7 @@ def _descend(
     ``where(node, mass)`` returns _TAKE (yield the node), _DROP (skip its
     subtree) or _SPLIT (visit its children).  An explicit stack replaces
     recursion, so depth costs no stack frames; a split zero-mass node expands
-    into its uniform children at mass 0 without being realized.
+    into ``subdivide_uniform``'s children at mass 0 without being realized.
     """
     stack = list(start)
     while stack:
@@ -509,7 +517,7 @@ def _descend(
         if verdict == _TAKE:
             yield node, node_mass
         elif verdict == _SPLIT and node_mass == 0.0:
-            stack.extend((node.uniform_child(j), 0.0) for j in range(1 << node.d))
+            stack.extend((ch, 0.0) for ch in subdivide_uniform(node).children)
         elif verdict == _SPLIT:
             part, w = offspring(node)
             stack.extend((ch, node_mass * wj) for ch, wj in zip(part.children, w))
@@ -570,8 +578,7 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     underflow; the translation experiment draws translations of at most 50
     digits (depth <= 50).
     """
-    if not mu.dyadic_splits:
-        raise ValueError("apply_homothety needs a dyadic-split source measure")
+    _require_dyadic(mu)
     if len(h.translation) != mu.d:
         raise ValueError("translation dimension does not match the measure")
     m = h.log2_ratio

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, count, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .measure import (
     TreeMeasure,
     Weights,
     _descend,
+    _require_dyadic,
     apply_homothety,
     derived_rng,
 )
@@ -56,14 +58,6 @@ class PorosityCheck:
     hole_ratio: float | None
 
 
-def _require_dyadic(mu: TreeMeasure) -> None:
-    if not mu.dyadic_splits:
-        raise TypeError(
-            "porosity probes run on full dyadic trees; pass the measure's "
-            "dyadic base, not a porous re-tree"
-        )
-
-
 def _min_entry(frontier: dict[CubeAddress, float]) -> tuple[CubeAddress, float]:
     """Smallest ratio; ties broken by lexicographic address order."""
     best_addr, best = None, math.inf
@@ -77,11 +71,11 @@ class LineageClassifier:
     """Porosity decisions on the nodes of a lineage of one dyadic measure.
 
     The classifier keeps one memo: each node's offspring, realized once.
-    A query on q builds q's conditional-mass frontiers from it afresh (level
-    j maps the depth-j descendants R to mu(R)/mu(q)).  The porous test at
-    (k, eps) reads frontier k, por2 the first frontier whose minimum is
-    <= eps.  Holes persist to deeper levels, so por2 <= k exactly when q is
-    porous at (k, eps).
+    A query on q builds q's conditional-mass frontiers from it afresh and
+    lazily, level by level (level j maps the depth-j descendants R to
+    mu(R)/mu(q)).  The porous test at (k, eps) reads frontiers 1..k, por2 up
+    to the first whose minimum is <= eps.  Holes persist to deeper levels, so
+    por2 <= k exactly when q is porous at (k, eps).
 
     A por2 query at level n, or ``drop_above(n)``, forgets the nodes above
     level n, so memory along a path does not grow with depth; classification
@@ -109,27 +103,20 @@ class LineageClassifier:
             for key in [key for key in self._offspring if key.level < level]:
                 del self._offspring[key]
 
-    def frontiers(self, q: CubeAddress, depth: int) -> list[dict[CubeAddress, float]]:
-        """q's frontiers at levels 1..depth."""
-        frontiers = [{q: 1.0}]
-        for _ in range(depth):
-            frontiers.append(self._deeper(frontiers[-1]))
-        return frontiers[1:]
-
-    def _deeper(self, frontier: dict[CubeAddress, float]) -> dict[CubeAddress, float]:
-        """One dyadic level deeper."""
-        level = next(iter(frontier)).level + 1
-        return dict(_descend(
-            self.offspring, frontier.items(),
-            lambda node, _: _TAKE if node.level == level else _SPLIT,
-        ))
+    def frontiers(self, q: CubeAddress) -> Iterator[dict[CubeAddress, float]]:
+        """q's frontiers at levels 1, 2, ..., each built when it is read."""
+        frontier = {q: 1.0}
+        for level in count(q.level + 1):
+            frontier = dict(_descend(
+                self.offspring, frontier.items(),
+                lambda node, _: _TAKE if node.level == level else _SPLIT,
+            ))
+            yield frontier
 
     def por2(self, q: CubeAddress, eps: float, cap: int) -> float:
         """Least j <= cap whose frontier holds an eps-hole, else math.inf."""
         self.drop_above(q.level)
-        frontier = {q: 1.0}
-        for j in range(1, cap + 1):
-            frontier = self._deeper(frontier)
+        for j, frontier in enumerate(islice(self.frontiers(q), cap), start=1):
             if _min_entry(frontier)[1] <= eps:
                 return j
         return math.inf
@@ -155,7 +142,7 @@ def _classify_full(
     clf: LineageClassifier, q: CubeAddress, k: int, eps: float
 ) -> tuple[PorosityCheck, list[dict[CubeAddress, float]]]:
     """Classification plus q's conditional-mass frontiers at levels 1..k."""
-    frontiers = clf.frontiers(q, k)
+    frontiers = list(islice(clf.frontiers(q), k))
     hole, ratio = _min_entry(frontiers[k - 1])
     if ratio <= eps:
         return PorosityCheck(True, hole, ratio), frontiers
@@ -283,9 +270,9 @@ def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: in
 
     ``dyadic_fraction[n-1]`` is (1/n) |{i in [n] : por2(mu, x, i, eps) <= k}|.
     The flags come from the lineage's walk on the porous re-tree, which
-    needs the cubes x_path[0..n_max + k]; each node is realized once.
+    needs the cubes x_path[0..n_max + k], a lineage; each node is realized once.
     """
-    clf = LineageClassifier(mu)
+    _check_porosity(mu.d, k, eps)
     if n_max < 1:
         raise ValueError("lineage too shallow for any porous-scale statistics")
     if n_max + k > mu.depth:
@@ -298,7 +285,12 @@ def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: in
             f"x_path holds {len(x_path)} cubes; n_max={n_max} at k={k} needs "
             f"{n_max + k + 1}"
         )
-    walk = porous_walk(clf.retree(k, eps), x_path[: n_max + k + 1], k)
+    lineage = x_path[: n_max + k + 1]
+    last = lineage[-1]
+    if last.level != n_max + k or any(q != last.ancestor(n) for n, q in enumerate(lineage)):
+        raise ValueError("x_path is not a lineage")
+    clf = LineageClassifier(mu)
+    walk = porous_walk(clf.retree(k, eps), lineage, k)
     levels = chain.from_iterable(flags for _, flags in _porous_levels(clf, walk, k, eps))
     flags = tuple(islice(levels, n_max))
     running = (hits / n for n, hits in enumerate(accumulate(flags), start=1))

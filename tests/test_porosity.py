@@ -10,8 +10,10 @@ from porodim.measure import (
     CascadeDirichlet,
     CantorMiddleHalf,
     CascadeFiniteMixture,
+    Homothety,
     Uniform,
     UnrealizedNodeError,
+    apply_homothety,
     derived_rng,
 )
 from porodim.porosity import (
@@ -62,9 +64,19 @@ class TestClassify:
         assert chk.hole_ratio == pytest.approx(0.01, abs=1e-15)
 
     def test_requires_dyadic_tree(self, bern_quarter):
+        # every probe of a re-tree fails in the one check, with one message
         view = porous_retree(bern_quarter, 1, 0.3)
-        with pytest.raises(TypeError, match="dyadic"):
-            classify_porous(view, root(1), 1, 0.3)
+        probes = [
+            lambda: classify_porous(view, root(1), 1, 0.3),
+            lambda: apply_homothety(view, Homothety(0.25, (0.0,)), 8),
+            lambda: run_translation_trials(view, 0.25, 0.25, 0.0, 8, 0, range(1)),
+        ]
+        messages = set()
+        for probe in probes:
+            with pytest.raises(TypeError, match="dyadic") as exc:
+                probe()
+            messages.add(str(exc.value))
+        assert len(messages) == 1
 
     def test_inadmissible_eps_raises(self, uniform1):
         # above 2^-kd every node is porous: the test says nothing there

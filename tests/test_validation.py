@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porodim.measure
-from porodim.bounds import dimension_bound
+from porodim.bounds import dimension_bound, solve_s
 from porodim.cli import build_parser, main
 from porodim.dimension import estimate_packing_dim, path_trajectory
 from porodim.dyadic import CubeAddress
@@ -40,6 +40,8 @@ from conftest import make_measure
 
 NAN, INF = math.nan, math.inf
 CANTOR = make_measure(1, CantorMiddleHalf(), depth=12)
+BERN = make_measure(1, Bernoulli((0.25, 0.75)))
+BERN_PATH = BERN.sample_path(1, steps=16)
 
 #: (k, eps) pairs outside the paper's range at d = 1, where 2^-kd = 1/2 at
 #: k = 1, with the message each must raise
@@ -49,6 +51,7 @@ BAD_K_EPS = [
     (1, NAN, "eps must lie"),
     (1, -1.0, "eps must lie"),
     (1, 0.6, "eps must lie"),
+    (1.5, 0.0, "must be integers"),
 ]
 
 #: Library entries taking (k, eps) on the uniform measure ``mu`` at d = 1
@@ -102,6 +105,11 @@ OTHER_BAD_CALLS = [
         CANTOR, [CANTOR.root], 1, 0.0, n_max=0), "too shallow"),
     ("porous_fraction_trajectory below depth", lambda: porous_fraction_trajectory(
         CANTOR, [CANTOR.root], 1, 0.0, n_max=12), "maximum level 12"),
+    *((f"porous_fraction_trajectory {name}", lambda x_path=x_path:
+       porous_fraction_trajectory(BERN, x_path, 1, 0.1, n_max=15), "not a lineage")
+      for name, x_path in (("last cube only", [BERN.root] * 16 + [BERN_PATH[16]]),
+                           ("root only", [BERN.root] * 17))),
+    ("solve_s d=2.0", lambda: solve_s(2.0, 1, 0.1), "must be integers"),
     *((f"CubeAddress{args!r}", lambda args=args: CubeAddress(*args), "must be integers")
       for args in ((1.5, (0,)), ("1", (0,)), (2, (1.0,)), (2, (np.float64(1.0),)),
                    (2, (0.5, 1)), (2, None), (2, "1"))),
@@ -151,6 +159,24 @@ def test_por2_cap_bounds_the_frontier():
     with pytest.raises(ValueError, match="k\\*d = 24 exceeds 16"):
         por2_depth(mu, [mu.root], 0, 0.0)
     assert por2_depth(mu, [mu.root], 0, 0.0, cap=2) == math.inf  # no zero mass
+
+
+@pytest.mark.parametrize("model, eps, depth, realized", [
+    (Bernoulli((0.25, 0.75)), 0.25, 1, 1),
+    (Bernoulli((0.1, 0.9)), 0.05, 2, 3),
+])
+def test_por2_builds_only_the_frontiers_it_reads(count_realizations, model, eps, depth,
+                                                 realized):
+    # por2 stops at the first hole: frontiers 1..j realize the 2^j - 1 nodes above level j
+    mu = make_measure(1, model)
+    path = mu.sample_path(3, steps=10)
+    count_realizations.clear()
+    assert por2_depth(mu, path, 0, eps) == depth
+    assert len(count_realizations) == realized
+
+
+def test_integer_k_of_any_type_is_accepted():
+    assert solve_s(1, np.int64(2), 0.1) == 0.9256054564853002
 
 
 def test_address_constructor_stores_python_ints():
