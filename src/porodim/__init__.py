@@ -19,7 +19,6 @@ from .dimension import (
     PathTrajectory,
     estimate_packing_dim,
     hmin_and_converse,
-    path_trajectory,
 )
 from .dyadic import (
     CubeAddress,
@@ -59,5 +58,4 @@ from .porosity import (
     por2_depth,
     porous_fraction_trajectory,
     porous_retree,
-    translation_experiment,
 )

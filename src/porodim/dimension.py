@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import LOG2, _check_eps, _check_eta, psi
-from .dyadic import CubeAddress, subdivide_uniform
+from .dyadic import subdivide_uniform
 from .measure import (
     _PATH_STREAM,
     TreeMeasure,
@@ -118,32 +118,17 @@ def _assemble(levels, I, L, H, lam, porous) -> PathTrajectory:
     )
 
 
-def path_trajectory(mu: TreeMeasure, path: list[CubeAddress]) -> PathTrajectory:
-    """Trajectory statistics along ``path``, a lineage in mu's own tree
-    (dyadic or re-treed)."""
-    try:
-        steps = list(mu.steps_to(path[-1])) if path else []
-    except UnrealizedNodeError as exc:
-        raise ValueError(f"path is not a lineage of the measure: {exc}") from exc
-    if [node for node, *_ in steps] != path[:-1]:
-        raise ValueError("path is not a lineage of the measure")
-    if not steps:
-        raise ValueError("path has no usable steps")
-    return _trajectory_from_steps(steps)
-
-
 @dataclass(frozen=True)
 class DimensionEstimate:
     """Entropy-average packing-dimension estimate over sampled paths.
 
     ``value`` is the sample maximum of the terminal quotients: the estimator
     targets an essential supremum, which finite sampling can only
-    under-estimate, so mean and 95th percentile are reported alongside.
+    under-estimate, so the mean and every path's quotient are reported alongside.
     """
 
     value: float
     mean: float
-    p95: float
     per_path: tuple[float, ...]
     depth: int
     paths: int
@@ -210,7 +195,6 @@ def estimate_packing_dim(
     return DimensionEstimate(
         value=float(arr.max()),
         mean=float(arr.mean()),
-        p95=float(np.percentile(arr, 95)),
         per_path=tuple(terms),
         depth=depth,
         paths=paths,

@@ -6,9 +6,9 @@ disjointness and cover checks run on integer addresses, never on floats, so
 they are exact.
 
 Addresses are validated once, at the public ``CubeAddress`` constructor.  The
-addresses this module derives from a valid one (children, ancestors,
-descendants, the cubes of a split) are valid by construction and are built
-with ``_addr``, which skips the check.
+addresses this module derives from a valid one (children, ancestors, the
+cubes of a split) are valid by construction and are built with ``_addr``,
+which skips the check.
 """
 
 from __future__ import annotations
@@ -82,21 +82,6 @@ class CubeAddress(tuple):
             raise ValueError(f"offset index {offset_index} outside [0, 2^{self.d})")
         return subdivide_uniform(self).children[offset_index]
 
-    def descendant(self, rel_coords: tuple[int, ...], depth: int) -> "CubeAddress":
-        """Descendant ``depth`` levels down with the given in-cube coordinates."""
-        depth = operator.index(depth)
-        rel_coords = tuple(map(operator.index, rel_coords))
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        if len(rel_coords) != self.d:
-            raise ValueError("relative coordinates have wrong dimension")
-        lim = 1 << depth
-        for rc in rel_coords:
-            if not 0 <= rc < lim:
-                raise ValueError(f"relative coordinate {rc} outside [0, 2^{depth})")
-        coords = tuple((c << depth) | rc for c, rc in zip(self.coords, rel_coords))
-        return _addr(self.level + depth, coords)
-
     def serialize(self) -> str:
         """Wire format ``level:c0,c1,...``."""
         return f"{self.level}:{','.join(str(c) for c in self.coords)}"
@@ -108,9 +93,17 @@ def _addr(level: int, coords: tuple[int, ...]) -> CubeAddress:
     return tuple.__new__(CubeAddress, (level, coords))
 
 
+def _index(value: int, what: str) -> int:
+    """``value`` as a Python int; ValueError for a non-integer such as 2.0."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def root(d: int) -> CubeAddress:
     """The unit cube [0,1)^d."""
-    if d < 1:
+    if _index(d, "ambient dimension") < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {d}")
     return CubeAddress(0, (0,) * d)
 

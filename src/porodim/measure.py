@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dyadic import CubeAddress, CubePartition, root, subdivide_uniform
+from .dyadic import CubeAddress, CubePartition, _index, root, subdivide_uniform
 
 Weights = tuple[float, ...]
 
@@ -176,6 +176,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _index(self.d, "ambient dimension"))
+        object.__setattr__(self, "seed", _index(self.seed, "seed"))
         if not 1 <= self.d <= MAX_DIM:
             raise ValueError(f"ambient dimension must lie in [1, {MAX_DIM}], got {self.d}")
         n = 1 << self.d
@@ -225,10 +227,10 @@ class TreeMeasure:
 
     ``realizer(q) -> (CubePartition, Weights)`` supplies node data on demand.
     ``depth`` bounds the dyadic level of any node, and so the number of tree
-    steps along any path.  The measure keeps no node data: every ``offspring``
-    call runs the realizer, and a realizer that is costly to repeat memoizes
-    itself (``apply_homothety`` memoizes both its own realizer and the
-    source's offspring, for the life of the pushforward).
+    steps along any path.  ``log_mass`` is the one mass query, since a mass
+    underflows near level 540.  The measure keeps no node data: every
+    ``offspring`` call runs the realizer, and a realizer that is costly to
+    repeat memoizes itself, as ``apply_homothety``'s does.
     """
 
     def __init__(
@@ -281,31 +283,13 @@ class TreeMeasure:
             yield cur, part, w, idx
             cur = part.children[idx]
 
-    def lineage_weights(self, q: CubeAddress) -> list[float]:
-        """Conditional weights along the lineage root -> q, up to the first
-        zero: zero-mass subtrees are not realized."""
-        out = []
-        for _, _, w, idx in self.steps_to(q):
-            out.append(w[idx])
-            if w[idx] == 0.0:
-                break
-        return out
-
-    def mass(self, q: CubeAddress) -> float:
-        """Product of conditional weights along the lineage; mass(root) = 1.
-
-        The product underflows to 0.0 on deep lineages (level ~540 for 1/4
-        splits); ``log_mass`` does not.
-        """
-        return math.prod(self.lineage_weights(q), start=1.0)
-
     def log_mass(self, q: CubeAddress) -> float:
-        """log of mass(q); -inf for exact-zero nodes."""
+        """log mu(q), summed along the lineage; -inf for exact-zero nodes."""
         total = 0.0
-        for w in self.lineage_weights(q):
-            if w == 0.0:
+        for _, _, w, idx in self.steps_to(q):
+            if w[idx] == 0.0:
                 return -math.inf
-            total += math.log(w)
+            total += math.log(w[idx])
         return total
 
     def walk(self, seed: int | np.random.Generator, steps: int):
@@ -398,6 +382,14 @@ _SCHEMA_HINT = (
 )
 
 
+def _numbers(items: Iterable) -> tuple[float, ...]:
+    """A config's weights, probabilities or concentrations: JSON numbers."""
+    items = tuple(items)
+    if not all(type(x) in (int, float) for x in items):
+        raise TypeError(f"expected numbers, got {items!r}")
+    return items
+
+
 def spec_from_json(data: str | dict) -> tuple[GeneratorSpec, int | None]:
     """Parse a generator config; returns (spec, depth or None).
 
@@ -411,13 +403,13 @@ def spec_from_json(data: str | dict) -> tuple[GeneratorSpec, int | None]:
         if typ == "uniform":
             model: GeneratorModel = Uniform()
         elif typ == "bernoulli":
-            model = Bernoulli(tuple(gen["weights"]))
+            model = Bernoulli(_numbers(gen["weights"]))
         elif typ == "mixture":
-            comps = tuple(tuple(item["weights"]) for item in gen["mixture"])
-            probs = tuple(item["prob"] for item in gen["mixture"])
+            comps = tuple(_numbers(item["weights"]) for item in gen["mixture"])
+            probs = _numbers(item["prob"] for item in gen["mixture"])
             model = CascadeFiniteMixture(comps, probs)
         elif typ == "dirichlet":
-            model = CascadeDirichlet(tuple(gen["concentration"]))
+            model = CascadeDirichlet(_numbers(gen["concentration"]))
         elif typ == "cantor_middle_half":
             model = CantorMiddleHalf()
         else:

@@ -55,7 +55,6 @@ class PorosityCheck:
 
     porous: bool
     hole: CubeAddress | None
-    hole_ratio: float | None
 
 
 def _min_entry(frontier: dict[CubeAddress, float]) -> tuple[CubeAddress, float]:
@@ -144,9 +143,8 @@ def _classify_full(
     """Classification plus q's conditional-mass frontiers at levels 1..k."""
     frontiers = list(islice(clf.frontiers(q), k))
     hole, ratio = _min_entry(frontiers[k - 1])
-    if ratio <= eps:
-        return PorosityCheck(True, hole, ratio), frontiers
-    return PorosityCheck(False, None, None), frontiers
+    porous = ratio <= eps
+    return PorosityCheck(porous, hole if porous else None), frontiers
 
 
 def classify_porous(
@@ -331,7 +329,9 @@ def run_translation_trials(
     indices,
 ) -> list[TranslationTrial]:
     """The trials with the given absolute indices; seeds are per-index, so any
-    partition of the index set over workers reproduces the serial run."""
+    partition of the index set over workers reproduces the serial run.  Trial
+    i maps mu by x -> (r/2) x + t, t on the 2^-depth grid in [0, 1/2)^d, and
+    keeps the fraction of the image's scales porous at (k(alpha, r), eps)."""
     _require_dyadic(mu)
     if not 1 <= depth <= 50:
         raise ValueError("depth must lie in [1, 50] so grid translations stay exact")
@@ -350,30 +350,6 @@ def run_translation_trials(
         report = porous_fraction_trajectory(nu, path, k, eps, n_max=depth)
         out.append(TranslationTrial(i, t, report.dyadic_fraction[-1]))
     return out
-
-
-def translation_experiment(
-    mu: TreeMeasure,
-    r: float,
-    alpha: float,
-    eps: float,
-    trials: int,
-    depth: int,
-    seed: int,
-    eta_target: float | None = None,
-) -> TranslationReport:
-    """Monte Carlo probe of the porosity-transfer statement: the homothetic
-    copies r*mu + t should be dyadic porous at (k(alpha, r), eps) on at least
-    a (1-2r)^d fraction of scales, for typical grid translations t.
-
-    The input is rescaled to [0, 1/2)^d first, so the effective map is
-    x -> (r/2) x + t; translations are sampled uniformly on the grid of
-    multiples of 2^-depth inside [0, 1/2)^d.  ``eta_target`` is the known or
-    measured mean-porosity level of ``mu``; when given, the report checks the
-    mean fraction against (1-2r)^d * eta_target.
-    """
-    out = run_translation_trials(mu, r, alpha, eps, depth, seed, range(trials))
-    return translation_report(out, mu.d, r, alpha, eps, depth, eta_target)
 
 
 def translation_report(

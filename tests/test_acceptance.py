@@ -24,7 +24,7 @@ from porodim.measure import (
     spec_from_json,
 )
 from porodim.oracle import fixed_point_candidate, maximize_bruteforce
-from porodim.porosity import translation_experiment
+from porodim.porosity import run_translation_trials, translation_report
 
 BERNOULLI_DIM = (psi(0.25) + psi(0.75)) / LOG2
 
@@ -250,9 +250,11 @@ def test_criterion_10_translation_monte_carlo():
     cant = build_tree_measure(
         GeneratorSpec(1, CantorMiddleHalf()), "uniform", 16, max_level=16
     )
-    rep = translation_experiment(
-        cant, r=0.25, alpha=0.25, eps=0.0, trials=100, depth=12, seed=2024,
-        eta_target=1.0,
+    trials = run_translation_trials(
+        cant, r=0.25, alpha=0.25, eps=0.0, depth=12, seed=2024, indices=range(100)
+    )
+    rep = translation_report(
+        trials, d=1, r=0.25, alpha=0.25, eps=0.0, depth=12, eta_target=1.0
     )
     dt = time.time() - t0
     ok = rep.mean_fraction >= 0.4 and rep.min_fraction >= 0.25 and dt < 60.0

@@ -397,6 +397,11 @@ class TestErrors:
             ({"type": "dirichlet"}, {}),
             ({"type": "bernoulli", "weights": 0.5}, {}),
             ({"type": "uniform"}, {"depth": [3]}),
+            ({"type": "bernoulli", "weights": ["0.5", "0.5"]}, {}),
+            ({"type": "bernoulli", "weights": [True, False]}, {}),
+            ({"type": "mixture", "mixture": [{"weights": [0.5, 0.5], "prob": "1"}]}, {}),
+            ({"type": "mixture", "mixture": [{"weights": [0.5, 0.5], "prob": True}]}, {}),
+            ({"type": "dirichlet", "concentration": ["0.5", 0.5]}, {}),
         ],
     )
     def test_malformed_generator_config_one_line(

@@ -36,7 +36,7 @@ def test_uniform_split_address_arithmetic():
 def test_porous_split_child_count():
     # d=2, k=3: 1 + 3*3 = 10 children
     parent = root(2)
-    hole = parent.descendant((5, 2), 3)
+    hole = CubeAddress(3, (5, 2))
     part = porous_split(parent, hole, 3)
     assert len(part.children) == 10
     assert part.hole == hole
@@ -54,7 +54,7 @@ def test_porous_split_k1_is_uniform_as_a_set():
 
 def test_porous_split_d2_k2_volume():
     parent = root(2)
-    hole = parent.descendant((1, 3), 2)
+    hole = CubeAddress(2, (1, 3))
     part = porous_split(parent, hole, 2)
     assert len(part.children) == 1 + 3 * 2
     validate_partition(part)  # includes the exact cover/volume check
@@ -62,7 +62,7 @@ def test_porous_split_d2_k2_volume():
 
 def test_porous_split_regularity():
     parent = CubeAddress(1, (1, 0))
-    hole = parent.descendant((0, 0), 3)
+    hole = CubeAddress(4, (8, 0))
     part = porous_split(parent, hole, 3)
     ratios = [2.0 ** -(c.level - parent.level) for c in part.children]
     delta = 2.0**-3
@@ -73,10 +73,9 @@ def test_porous_split_regularity():
 def test_porous_split_bad_hole():
     parent = root(2)
     with pytest.raises(ValueError, match="depth-2"):
-        porous_split(parent, parent.descendant((0, 0), 3), 2)
-    other = CubeAddress(2, (3, 3))
-    with pytest.raises(ValueError):
-        porous_split(CubeAddress(1, (0, 0)), other.descendant((0, 0), 1), 2)
+        porous_split(parent, CubeAddress(3, (0, 0)), 2)
+    with pytest.raises(ValueError):  # a depth-2 cube below 2:3,3, not below 1:0,0
+        porous_split(CubeAddress(1, (0, 0)), CubeAddress(3, (6, 6)), 2)
 
 
 def test_uniform_descent_binary_expansion():
@@ -89,7 +88,7 @@ def test_uniform_descent_binary_expansion():
 
 
 def test_porous_split_hole_digit_jumps_k_levels():
-    hole = root(2).descendant((3, 1), 2)
+    hole = CubeAddress(2, (3, 1))
     part = porous_split(root(2), hole, 2)
     got = part.children[len(part.children) - 1]
     assert got.level == 2
@@ -122,7 +121,8 @@ def test_porous_split_invariants(d, k, data):
     coords = tuple(data.draw(st.integers(0, (1 << level) - 1)) for _ in range(d))
     parent = CubeAddress(level, coords)
     rel = tuple(data.draw(st.integers(0, (1 << k) - 1)) for _ in range(d))
-    part = porous_split(parent, parent.descendant(rel, k), k)
+    hole = CubeAddress(level + k, tuple((c << k) | r for c, r in zip(coords, rel)))
+    part = porous_split(parent, hole, k)
     assert len(part.children) == ((1 << d) - 1) * k + 1
     validate_partition(part)
     # volume conservation, exact in integers, is part of validate_partition;
@@ -151,15 +151,13 @@ def test_derived_addresses_are_valid(d, level, data):
     # constructor builds from its fields, and pickles and prints like one
     a = CubeAddress(level, tuple(data.draw(st.integers(0, (1 << level) - 1))
                                  for _ in range(d)))
-    depth = data.draw(st.integers(0, 64))
-    rel = tuple(data.draw(st.integers(0, (1 << depth) - 1)) for _ in range(d))
     k = data.draw(st.integers(1, 3))
-    hole = a.descendant(tuple(data.draw(st.integers(0, (1 << k) - 1)) for _ in range(d)), k)
+    hole = CubeAddress(level + k, tuple((c << k) | data.draw(st.integers(0, (1 << k) - 1))
+                                        for c in a.coords))
     derived = [
         *subdivide_uniform(a).children,
         *(a.uniform_child(j) for j in range(1 << d)),
         a.ancestor(data.draw(st.integers(0, level))),
-        a.descendant(rel, depth),
         *porous_split(a, hole, k).children,
     ]
     for b in derived:

@@ -32,15 +32,17 @@ from conftest import make_measure
 class TestBuildAndMass:
     def test_uniform_masses(self, uniform2):
         for j in range(3):
-            assert uniform2.offspring(root(2).descendant((j, j), 2))[1] == (0.25,) * 4
-        assert uniform2.mass(CubeAddress(3, (5, 2))) == pytest.approx(4.0**-3, abs=1e-12)
+            assert uniform2.offspring(CubeAddress(2, (j, j)))[1] == (0.25,) * 4
+        assert uniform2.log_mass(CubeAddress(3, (5, 2))) == pytest.approx(
+            math.log(4.0**-3), abs=1e-12)
 
     def test_bernoulli_direct_read(self, bern_quarter):
-        assert bern_quarter.mass(CubeAddress(1, (1,))) == 0.75
-        assert bern_quarter.mass(CubeAddress(2, (3,))) == pytest.approx(9 / 16, abs=1e-12)
+        assert bern_quarter.log_mass(CubeAddress(1, (1,))) == math.log(0.75)
+        assert bern_quarter.log_mass(CubeAddress(2, (3,))) == pytest.approx(
+            math.log(9 / 16), abs=1e-12)
 
     def test_root_mass_is_one(self, bern_quarter):
-        assert bern_quarter.mass(root(1)) == 1.0
+        assert bern_quarter.log_mass(root(1)) == 0.0
 
     def test_rebuild_determinism(self):
         model = CascadeFiniteMixture(((0.5, 0.5), (0.25, 0.75)), (0.5, 0.5))
@@ -72,8 +74,8 @@ class TestBuildAndMass:
         mu = make_measure(2, CascadeDirichlet((0.7, 0.7, 0.7, 0.7)), seed=3)
         for q in [root(2), CubeAddress(1, (0, 1)), CubeAddress(2, (3, 2))]:
             part, w = mu.offspring(q)
-            m = mu.mass(q)
-            children_total = math.fsum(mu.mass(c) for c in part.children)
+            m = math.exp(mu.log_mass(q))
+            children_total = math.fsum(math.exp(mu.log_mass(c)) for c in part.children)
             assert abs(children_total - m) < 1e-10
 
     def test_depth_guard(self):
@@ -96,14 +98,16 @@ class TestBuildAndMass:
 
     def test_log_mass_deep(self):
         mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=200)
-        path = mu.sample_path(5, steps=100)
-        q = path[-1]
-        lw = mu.lineage_weights(q)
-        assert mu.log_mass(q) == pytest.approx(math.fsum(math.log(w) for w in lw))
+        walk = list(mu.walk(5, steps=100))
+        _, part, _, idx = walk[-1]
+        assert mu.log_mass(part.children[idx]) == pytest.approx(
+            math.fsum(math.log(w[i]) for _, _, w, i in walk))
 
     def test_deep_mass_is_the_exact_product(self):
-        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=600)
-        assert mu.mass(CubeAddress(500, (0,))) == 2.0**-1000
+        # the log of 2^-1000, and of 2^-1200, which as a float underflows to 0.0
+        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
+        assert mu.log_mass(CubeAddress(500, (0,))) == pytest.approx(math.log(2.0**-1000))
+        assert mu.log_mass(CubeAddress(600, (0,))) == pytest.approx(-1200 * math.log(2))
 
 
 #: Levels where a coordinate's uint32 word count changes, drawn on purpose
@@ -214,27 +218,29 @@ class TestJsonConfig:
 class TestHomothety:
     def test_uniform_quarter_scaling(self, uniform2):
         nu = apply_homothety(uniform2, Homothety(0.25, (0.0, 0.0)), 8)
-        assert nu.mass(CubeAddress(2, (0, 0))) == 1.0
+        assert nu.log_mass(CubeAddress(2, (0, 0))) == 0.0
         # deeper structure uniform within the image
         assert nu.offspring(CubeAddress(2, (0, 0)))[1] == (0.25,) * 4
-        assert nu.mass(CubeAddress(4, (1, 1))) == pytest.approx(1 / 16, abs=1e-12)
+        assert nu.log_mass(CubeAddress(4, (1, 1))) == pytest.approx(
+            math.log(1 / 16), abs=1e-12)
 
     def test_point_mass_pushforward(self):
         pt = make_measure(2, Bernoulli((1.0, 0.0, 0.0, 0.0)))
         nu = apply_homothety(pt, Homothety(0.25, (0.5, 0.5)), 10)
-        assert nu.mass(CubeAddress(1, (1, 1))) == 1.0
-        assert nu.mass(CubeAddress(6, (32, 32))) == 1.0
+        assert nu.log_mass(CubeAddress(1, (1, 1))) == 0.0
+        assert nu.log_mass(CubeAddress(6, (32, 32))) == 0.0
 
     def test_bernoulli_shift(self, bern_quarter):
         nu = apply_homothety(bern_quarter, Homothety(0.25, (0.25,)), 10)
-        assert nu.mass(CubeAddress(2, (1,))) == 1.0
-        assert nu.mass(CubeAddress(3, (2,))) == pytest.approx(0.25, abs=1e-12)
+        assert nu.log_mass(CubeAddress(2, (1,))) == 0.0
+        assert nu.log_mass(CubeAddress(3, (2,))) == pytest.approx(math.log(0.25), abs=1e-12)
 
     def test_total_mass_preserved(self, cantor):
         nu = apply_homothety(cantor, Homothety(0.125, (0.375,)), 12)
-        assert nu.mass(root(1)) == 1.0
+        assert nu.log_mass(root(1)) == 0.0
         level3 = [CubeAddress(3, (c,)) for c in range(8)]
-        assert math.fsum(nu.mass(q) for q in level3) == pytest.approx(1.0, abs=1e-12)
+        total = math.fsum(math.exp(nu.log_mass(q)) for q in level3)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_dyadic_cubes_map_to_dyadic_cubes(self, cantor):
         # side 2^-m -> side 2^-(m+2) for r = 1/4 and grid-aligned t
@@ -243,7 +249,7 @@ class TestHomothety:
             for c in range(1 << m):
                 src = CubeAddress(m, (c,))
                 img = CubeAddress(m + 2, ((1 << (m + 1)) + c,))
-                assert nu.mass(img) == pytest.approx(cantor.mass(src), abs=1e-12)
+                assert nu.log_mass(img) == pytest.approx(cantor.log_mass(src), abs=1e-12)
 
     def test_support_leaving_cube_rejected(self, uniform1):
         with pytest.raises(ValueError, match="unit cube"):
@@ -260,7 +266,7 @@ class TestHomothety:
         # 4:5 lies outside the image, so its source box clips away; 4:1 is the
         # image of the source gap cube 2:1, whose own split is (1/2, 1/2)
         for gap in (CubeAddress(4, (5,)), CubeAddress(4, (1,))):
-            assert nu.mass(gap) == 0.0
+            assert nu.log_mass(gap) == -math.inf
             with pytest.raises(UnrealizedNodeError, match="zero-mass"):
                 nu.offspring(gap)
 
@@ -314,8 +320,8 @@ class TestHomothety:
                 q = CubeAddress(n, (coord,))
                 L = max(n, t_grid, m) - m
                 total = math.fsum(
-                    mu.mass(CubeAddress(L, (c,)))
+                    math.exp(mu.log_mass(CubeAddress(L, (c,))))
                     for c in range(1 << L)
                     if (c + (tn << (L + m - t_grid))) >> (L + m - n) == coord
                 )
-                assert nu.mass(q) == pytest.approx(total, abs=1e-12)
+                assert math.exp(nu.log_mass(q)) == pytest.approx(total, abs=1e-12)

@@ -25,7 +25,7 @@ from porodim.porosity import (
     porous_walk,
     run_translation_trials,
     sample_porous_path,
-    translation_experiment,
+    translation_report,
 )
 
 from conftest import make_measure
@@ -43,25 +43,27 @@ class TestClassify:
         # at every node
         nodes = [root(2), CubeAddress(1, (1, 0)), CubeAddress(3, (5, 2))]
         for k in (1, 2):
+            eps = 2.0 ** (-k * 2)
             for q in nodes:
-                chk = classify_porous(uniform2, q, k, 2.0 ** (-k * 2))
+                chk = classify_porous(uniform2, q, k, eps)
                 assert chk.porous
-                assert chk.hole_ratio == 2.0 ** (-k * 2)
+                assert porous_retree(uniform2, k, eps).offspring(q)[1][-1] == eps
                 # lexicographic tie-break picks the lowest corner
-                assert chk.hole == q.descendant((0, 0), k)
+                assert chk.hole == CubeAddress(q.level + k, tuple(c << k for c in q.coords))
 
     def test_point_mass_zero_hole(self, point_mass):
         chk = classify_porous(point_mass, root(1), 1, 0.0)
         assert chk.porous
-        assert chk.hole_ratio == 0.0
+        assert porous_retree(point_mass, 1, 0.0).offspring(root(1))[1][-1] == 0.0
         assert chk.hole == CubeAddress(1, (1,))
 
-    def test_bernoulli_hole_ratio(self):
+    def test_bernoulli_hole_weight(self):
         mu = make_measure(1, Bernoulli((0.1, 0.9)))
         chk = classify_porous(mu, root(1), 2, 0.05)
         assert chk.porous
         assert chk.hole == CubeAddress(2, (0,))
-        assert chk.hole_ratio == pytest.approx(0.01, abs=1e-15)
+        hole_weight = porous_retree(mu, 2, 0.05).offspring(root(1))[1][-1]
+        assert hole_weight == pytest.approx(0.01, abs=1e-15)
 
     def test_requires_dyadic_tree(self, bern_quarter):
         # every probe of a re-tree fails in the one check, with one message
@@ -244,7 +246,7 @@ class TestRetree:
         view = porous_retree(mu, 2, 0.05)
         # the intermediate left child at level 1 is not a node of the re-tree
         with pytest.raises(UnrealizedNodeError):
-            view.mass(CubeAddress(1, (0,)))
+            view.log_mass(CubeAddress(1, (0,)))
 
     def test_uniform_view_is_dyadic(self, uniform1):
         view = porous_retree(uniform1, 1, 0.1)
@@ -281,20 +283,21 @@ class TestTranslation:
 
     def test_point_mass_all_scales(self):
         pt = make_measure(1, Bernoulli((1.0, 0.0)), depth=20)
-        rep = translation_experiment(pt, 0.25, 0.25, 0.0, trials=8, depth=12, seed=4)
+        trials = run_translation_trials(pt, 0.25, 0.25, 0.0, 12, 4, range(8))
+        rep = translation_report(trials, 1, 0.25, 0.25, 0.0, 12)
         assert rep.min_fraction == 1.0
 
     def test_uniform_fraction_vanishes_asymptotically(self):
         # only the O(1) shallow scales where the shrunken support leaves
         # empty cubes are flagged, so the fraction decays like 1/depth
         uni = make_measure(1, Uniform(), depth=45)
-        rep = translation_experiment(uni, 0.25, 0.25, 0.0, trials=6, depth=40, seed=4)
+        trials = run_translation_trials(uni, 0.25, 0.25, 0.0, 40, 4, range(6))
+        rep = translation_report(trials, 1, 0.25, 0.25, 0.0, 40)
         assert rep.mean_fraction <= 0.25
 
     def test_cantor_threshold(self, cantor):
-        rep = translation_experiment(
-            cantor, 0.25, 0.25, 0.0, trials=25, depth=12, seed=21, eta_target=1.0
-        )
+        trials = run_translation_trials(cantor, 0.25, 0.25, 0.0, 12, 21, range(25))
+        rep = translation_report(trials, 1, 0.25, 0.25, 0.0, 12, eta_target=1.0)
         assert rep.k == 4
         assert rep.threshold == pytest.approx(0.5)
         assert rep.passed
@@ -302,9 +305,11 @@ class TestTranslation:
         assert rep.min_fraction >= 0.25
 
     def test_determinism(self, cantor):
-        a = translation_experiment(cantor, 0.25, 0.25, 0.0, 6, 12, seed=33)
-        b = translation_experiment(cantor, 0.25, 0.25, 0.0, 6, 12, seed=33)
-        assert a == b
+        def run():
+            trials = run_translation_trials(cantor, 0.25, 0.25, 0.0, 12, 33, range(6))
+            return translation_report(trials, 1, 0.25, 0.25, 0.0, 12)
+
+        assert run() == run()
 
     @pytest.mark.parametrize("d, model, depth, alpha, eps", [
         (1, CantorMiddleHalf(), 12, 0.25, 0.0),
@@ -329,4 +334,4 @@ class TestTranslation:
 
     def test_depth_guard(self, cantor):
         with pytest.raises(ValueError, match="too small"):
-            translation_experiment(cantor, 0.25, 0.25, 0.0, 2, 3, seed=1)
+            run_translation_trials(cantor, 0.25, 0.25, 0.0, 3, 1, range(2))

@@ -1,6 +1,7 @@
 """One check per input quantity: every library entry rejects a bad (k, eps),
-eta or generator weight with ValueError before it realizes a node, and no
-CLI argv ends other than in exit 0, 1 or 2 with one line on exit 1."""
+eta, generator weight or generator integer with ValueError before it
+realizes a node, and no CLI argv ends other than in exit 0, 1 or 2 with one
+line on exit 1."""
 
 import argparse
 import json
@@ -14,15 +15,17 @@ from hypothesis import strategies as st
 import porodim.measure
 from porodim.bounds import dimension_bound, solve_s
 from porodim.cli import build_parser, main
-from porodim.dimension import estimate_packing_dim, path_trajectory
-from porodim.dyadic import CubeAddress
+from porodim.dimension import estimate_packing_dim
+from porodim.dyadic import CubeAddress, root
 from porodim.measure import (
     Bernoulli,
     CantorMiddleHalf,
     CascadeDirichlet,
     CascadeFiniteMixture,
+    GeneratorSpec,
     Uniform,
     spec_from_json,
+    spec_to_json,
 )
 from porodim.oracle import fixed_point_candidate, maximize_bruteforce
 from porodim.porosity import (
@@ -94,8 +97,6 @@ OTHER_BAD_CALLS = [
                     {"seed": None})),
     ("estimate_packing_dim paths=0", lambda: estimate_packing_dim(CANTOR, 10, 0, 1),
      "at least one path"),
-    ("path_trajectory root only", lambda: path_trajectory(CANTOR, [CANTOR.root]),
-     "no usable steps"),
     ("translation_report no trials", lambda: translation_report(
         [], 1, 0.25, 0.25, 0.0, 8), "trials must be >= 1"),
     *((f"translate depth={depth}", lambda depth=depth: run_translation_trials(
@@ -110,6 +111,11 @@ OTHER_BAD_CALLS = [
       for name, x_path in (("last cube only", [BERN.root] * 16 + [BERN_PATH[16]]),
                            ("root only", [BERN.root] * 17))),
     ("solve_s d=2.0", lambda: solve_s(2.0, 1, 0.1), "must be integers"),
+    *((f"GeneratorSpec d={d!r}", lambda d=d: GeneratorSpec(d, Uniform()),
+       "ambient dimension must be an integer") for d in (1.5, 2.0)),
+    ("GeneratorSpec seed=1.5", lambda: GeneratorSpec(1, Uniform(), seed=1.5),
+     "seed must be an integer"),
+    ("root d=1.5", lambda: root(1.5), "ambient dimension must be an integer"),
     *((f"CubeAddress{args!r}", lambda args=args: CubeAddress(*args), "must be integers")
       for args in ((1.5, (0,)), ("1", (0,)), (2, (1.0,)), (2, (np.float64(1.0),)),
                    (2, (0.5, 1)), (2, None), (2, "1"))),
@@ -177,6 +183,12 @@ def test_por2_builds_only_the_frontiers_it_reads(count_realizations, model, eps,
 
 def test_integer_k_of_any_type_is_accepted():
     assert solve_s(1, np.int64(2), 0.1) == 0.9256054564853002
+
+
+def test_numpy_int_spec_round_trips_through_json():
+    spec = GeneratorSpec(np.int64(2), Bernoulli((0.1, 0.2, 0.3, 0.4)), seed=np.int64(-3))
+    assert type(spec.d) is int and type(spec.seed) is int
+    assert spec_from_json(spec_to_json(spec)) == (GeneratorSpec(2, spec.model, -3), None)
 
 
 def test_address_constructor_stores_python_ints():
