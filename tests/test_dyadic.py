@@ -74,7 +74,7 @@ def test_porous_split_bad_hole():
     parent = root(2)
     with pytest.raises(ValueError, match="depth-2"):
         porous_split(parent, CubeAddress(3, (0, 0)), 2)
-    with pytest.raises(ValueError):  # a depth-2 cube below 2:3,3, not below 1:0,0
+    with pytest.raises(ValueError):  # two levels down, but under 2:3,3, not 1:0,0
         porous_split(CubeAddress(1, (0, 0)), CubeAddress(3, (6, 6)), 2)
 
 
@@ -152,8 +152,8 @@ def test_derived_addresses_are_valid(d, level, data):
     a = CubeAddress(level, tuple(data.draw(st.integers(0, (1 << level) - 1))
                                  for _ in range(d)))
     k = data.draw(st.integers(1, 3))
-    hole = CubeAddress(level + k, tuple((c << k) | data.draw(st.integers(0, (1 << k) - 1))
-                                        for c in a.coords))
+    rel = tuple(data.draw(st.integers(0, (1 << k) - 1)) for _ in range(d))
+    hole = CubeAddress(level + k, tuple((c << k) | r for c, r in zip(a.coords, rel)))
     derived = [
         *subdivide_uniform(a).children,
         *(a.uniform_child(j) for j in range(1 << d)),
