@@ -17,8 +17,9 @@ bisection.  At eps = 0, where 0 log 0 = 0, the equation reduces to
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+
+from .dyadic import _index
 
 LOG2 = math.log(2.0)
 
@@ -39,10 +40,7 @@ def _check_eps(d: int, k: int, eps: float) -> None:
     """Integers d and k with 1 <= d <= 1023, where 2^d - 1 is a float, k >= 1
     and k*d <= 1074, where 2^-kd is a positive float; eps in [0, 2^-kd], which
     NaN is not."""
-    try:
-        d, k = operator.index(d), operator.index(k)
-    except TypeError:
-        raise ValueError(f"d and k must be integers, got d={d!r}, k={k!r}") from None
+    d, k = _index(d, "d"), _index(k, "k")
     if not (1 <= d <= 1023 and 1 <= k and k * d <= 1074):
         raise ValueError(f"need 1 <= d <= 1023, k >= 1 and k*d <= 1074, got d={d}, k={k}")
     hi = 2.0 ** (-k * d)
@@ -52,7 +50,7 @@ def _check_eps(d: int, k: int, eps: float) -> None:
 
 def _check_points(points: int) -> None:
     """2 <= points <= MAX_TABLE_POINTS, the grid of a solve or hmin table."""
-    if not 2 <= points <= MAX_TABLE_POINTS:
+    if not 2 <= _index(points, "points") <= MAX_TABLE_POINTS:
         raise ValueError(f"need 2 <= points <= {MAX_TABLE_POINTS}, got {points}")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import LOG2, _check_eps, _check_eta, psi
-from .dyadic import subdivide_uniform
+from .dyadic import _index, subdivide_uniform
 from .measure import (
     _PATH_STREAM,
     TreeMeasure,
@@ -137,17 +137,20 @@ class DimensionEstimate:
 def sampled_trajectory(
     mu: TreeMeasure, depth: int, seed: int | np.random.Generator
 ) -> PathTrajectory:
-    """Sample one lineage and record its trajectory in a single pass.
-
+    """Sample one lineage of ``depth`` steps, an integer in 1..mu.depth checked
+    before any node is realized, and record its trajectory in a single pass.
     A product measure (``mu.product_weights`` set) is walked in numpy; its
-    trajectory equals the one of ``mu.walk`` bit for bit.
-    """
+    trajectory equals the one of ``mu.walk`` bit for bit."""
+    depth = _index(depth, "walk depth")
+    if depth < 1:
+        raise ValueError("empty walk")
+    if depth > mu.depth:
+        raise UnrealizedNodeError(
+            f"a {depth}-step walk passes the measure's maximum level {mu.depth}"
+        )
     if mu.product_weights is not None:
         return _product_trajectory(mu, depth, seed)
-    steps = list(mu.walk(seed, steps=depth))
-    if not steps:
-        raise ValueError("empty walk")
-    return _trajectory_from_steps(steps)
+    return _trajectory_from_steps(list(mu.walk(seed, steps=depth)))
 
 
 def _product_trajectory(
@@ -155,12 +158,6 @@ def _product_trajectory(
 ) -> PathTrajectory:
     """``walk``'s draws and ``_choice_table`` search on the one offspring
     vector of a product measure, done for all steps at once; no node is realized."""
-    if depth > mu.depth:
-        raise UnrealizedNodeError(
-            f"a {depth}-step walk passes the measure's maximum level {mu.depth}"
-        )
-    if depth == 0:
-        raise ValueError("empty walk")
     us = _path_rng(seed).random(depth)
     w = mu.product_weights
     positive, cum, total = _choice_table(mu.root, w)
@@ -185,7 +182,7 @@ def estimate_packing_dim(
 ) -> DimensionEstimate:
     """Sample ``paths`` lineages of ``depth`` steps and aggregate terminal
     entropy-average quotients sum H(R_i) / log(1/side(R_n))."""
-    if paths < 1:
+    if _index(paths, "paths") < 1:
         raise ValueError("need at least one path")
     terms = []
     for i in range(paths):

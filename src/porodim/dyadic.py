@@ -28,15 +28,11 @@ class CubeAddress(tuple):
     __slots__ = ()
 
     def __new__(cls, level: int, coords: tuple[int, ...]) -> "CubeAddress":
+        level = _index(level, "level", 0)
         try:
-            level = operator.index(level)
-            coords = tuple(map(operator.index, coords))
+            coords = tuple(_index(c, "coordinate") for c in coords)
         except TypeError:
-            raise ValueError(
-                f"level and coords must be integers, got {level!r} and {coords!r}"
-            ) from None
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
+            raise ValueError(f"coords {coords!r} must be an integer sequence") from None
         if not coords:
             raise ValueError("coords must have at least one component")
         for c in coords:
@@ -62,7 +58,7 @@ class CubeAddress(tuple):
 
     def ancestor(self, level: int) -> "CubeAddress":
         """The unique level-``level`` cube containing this one."""
-        level = operator.index(level)
+        level = _index(level, "ancestor level")
         if not 0 <= level <= self.level:
             raise ValueError(f"ancestor level {level} outside [0, {self.level}]")
         shift = self.level - level
@@ -77,8 +73,7 @@ class CubeAddress(tuple):
 
     def uniform_child(self, offset_index: int) -> "CubeAddress":
         """Child one level down; bit i of ``offset_index`` is the offset on axis i."""
-        offset_index = operator.index(offset_index)
-        if not 0 <= offset_index < (1 << self.d):
+        if not 0 <= _index(offset_index, "offset index") < (1 << self.d):
             raise ValueError(f"offset index {offset_index} outside [0, 2^{self.d})")
         return subdivide_uniform(self).children[offset_index]
 
@@ -93,19 +88,21 @@ def _addr(level: int, coords: tuple[int, ...]) -> CubeAddress:
     return tuple.__new__(CubeAddress, (level, coords))
 
 
-def _index(value: int, what: str) -> int:
-    """``value`` as a Python int; ValueError for a non-integer such as 2.0."""
+def _index(value: int, what: str, least: int | None = None) -> int:
+    """``value`` as a Python int; ValueError for a non-integer such as 2.0,
+    or for an integer below ``least`` when one is given."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def root(d: int) -> CubeAddress:
     """The unit cube [0,1)^d."""
-    if _index(d, "ambient dimension") < 1:
-        raise ValueError(f"ambient dimension must be >= 1, got {d}")
-    return CubeAddress(0, (0,) * d)
+    return CubeAddress(0, (0,) * _index(d, "ambient dimension", 1))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import bisect
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
@@ -55,29 +56,25 @@ def _u64(seed: int) -> int:
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
-def node_rng(seed: int, q: CubeAddress) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, node stream, node address).
-
-    The entropy is the array of uint32 words numpy's ``SeedSequence`` would
-    make of the tuple (u64(seed), node stream, level, *coords): each int as
-    max(1, ceil(bits / 32)) words, least significant first, so zero is one 0
-    word.  The words are built here in one pass because numpy converts an
-    int one word at a time in a Python loop, a cost that grows with the
-    level, since a coordinate has ``level`` bits.  Given the ready array,
-    ``SeedSequence`` builds the same pool, so the Philox state and every
-    draw are unchanged.
-    """
-    key = (_u64(seed), _NODE_STREAM, q.level, *q.coords)
+def _keyed_rng(*key: int) -> np.random.Generator:
+    """Philox generator seeded as numpy's ``SeedSequence`` seeds it from ``key``,
+    a tuple of non-negative ints taken as max(1, ceil(bits / 32)) uint32 words
+    each, least significant first.  The words are built here in one pass: numpy
+    converts an int a word at a time in a Python loop, slow for deep nodes."""
     words = b"".join(n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
                      for n in key)
     entropy = np.frombuffer(words, "<u4")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def node_rng(seed: int, q: CubeAddress) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, node stream, node address)."""
+    return _keyed_rng(_u64(seed), _NODE_STREAM, q.level, *q.coords)
+
+
 def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Generator for the ``index``-th path/trial, independent of schedule."""
-    entropy = (_u64(seed), stream, index)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return _keyed_rng(_u64(_index(seed, "seed")), stream, _index(index, "index", 0))
 
 
 def _path_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -87,8 +84,19 @@ def _path_rng(seed: int | np.random.Generator) -> np.random.Generator:
     return derived_rng(seed, _PATH_STREAM, 0)
 
 
+def _reals(xs: Iterable, what: str) -> tuple[float, ...]:
+    """Generator numbers as floats; TypeError unless each is a real number, not a bool."""
+    xs = tuple(xs)
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in xs):
+        raise TypeError(f"{what} must be numbers, got {xs!r}")
+    try:
+        return tuple(map(float, xs))
+    except OverflowError:  # an int above the largest float
+        raise ValueError(f"{what} has an entry beyond the float range") from None
+
+
 def _check_weights(w: Sequence[float], n: int, what: str) -> Weights:
-    w = tuple(float(x) for x in w)
+    w = _reals(w, what)
     if len(w) != n:
         raise ValueError(f"{what} must have {n} entries, got {len(w)}")
     if not all(0.0 <= x <= 1.0 for x in w):  # NaN included
@@ -146,7 +154,7 @@ class CascadeDirichlet:
     concentration: tuple[float, ...]
 
     def __post_init__(self):
-        conc = tuple(float(x) for x in self.concentration)
+        conc = _reals(self.concentration, "concentration")
         if not conc or not all(0.0 < a < math.inf for a in conc):
             raise ValueError(f"concentration must be positive and finite, got {conc}")
         object.__setattr__(self, "concentration", conc)
@@ -241,11 +249,9 @@ class TreeMeasure:
         *,
         dyadic_splits: bool = True,
     ):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+        self.depth = _index(depth, "depth", 0)
         self.root = root(d)
         self.d = d
-        self.depth = depth
         self._realizer = realizer
         #: True when every partition is the uniform dyadic split.
         self.dyadic_splits = dyadic_splits
@@ -300,6 +306,7 @@ class TreeMeasure:
         ``dimension.sampled_trajectory`` searches the same ``_choice_table``
         in numpy for product measures.
         """
+        steps = _index(steps, "steps", 0)
         us = _path_rng(seed).random(steps)
         cur = self.root
         for n in range(steps):
@@ -382,14 +389,6 @@ _SCHEMA_HINT = (
 )
 
 
-def _numbers(items: Iterable) -> tuple[float, ...]:
-    """A config's weights, probabilities or concentrations: JSON numbers."""
-    items = tuple(items)
-    if not all(type(x) in (int, float) for x in items):
-        raise TypeError(f"expected numbers, got {items!r}")
-    return items
-
-
 def spec_from_json(data: str | dict) -> tuple[GeneratorSpec, int | None]:
     """Parse a generator config; returns (spec, depth or None).
 
@@ -403,13 +402,13 @@ def spec_from_json(data: str | dict) -> tuple[GeneratorSpec, int | None]:
         if typ == "uniform":
             model: GeneratorModel = Uniform()
         elif typ == "bernoulli":
-            model = Bernoulli(_numbers(gen["weights"]))
+            model = Bernoulli(gen["weights"])
         elif typ == "mixture":
-            comps = tuple(_numbers(item["weights"]) for item in gen["mixture"])
-            probs = _numbers(item["prob"] for item in gen["mixture"])
+            comps = tuple(item["weights"] for item in gen["mixture"])
+            probs = tuple(item["prob"] for item in gen["mixture"])
             model = CascadeFiniteMixture(comps, probs)
         elif typ == "dirichlet":
-            model = CascadeDirichlet(_numbers(gen["concentration"]))
+            model = CascadeDirichlet(gen["concentration"])
         elif typ == "cantor_middle_half":
             model = CantorMiddleHalf()
         else:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import LOG2, _check_eps, psi, solve_s
+from .dyadic import _index
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-10
@@ -181,7 +182,7 @@ def maximize_bruteforce(
             f"grid^k enumeration for d={d}, k={k} is expensive; "
             f"the brute force covers d <= 2 and k <= 3"
         )
-    if grid < 2 or grid ** (k - 1) > MAX_GRID_POINTS:
+    if _index(grid, "grid") < 2 or grid ** (k - 1) > MAX_GRID_POINTS:
         raise ValueError(f"need grid >= 2 and grid^(k-1) <= {MAX_GRID_POINTS}, "
                          f"got grid={grid}, k={k}")
     L = (1 << d) - 1

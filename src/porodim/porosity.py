@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .bounds import _check_eps, _check_eta, k_of_alpha
-from .dyadic import CubeAddress, CubePartition, porous_split
+from .dyadic import CubeAddress, CubePartition, _index, porous_split
 from .measure import (
     _PATH_STREAM,
     _SPLIT,
@@ -173,7 +173,7 @@ def por2_depth(mu: TreeMeasure, x_path: list[CubeAddress], n: int, eps: float,
     """
     _check_eps(mu.d, 1, eps)
     _check_porosity(mu.d, cap, 0.0)  # cap >= 1 and cap*d <= MAX_KD
-    return LineageClassifier(mu).por2(x_path[n], eps, cap)
+    return LineageClassifier(mu).por2(x_path[_index(n, "n")], eps, cap)
 
 
 def por2_profile(mu: TreeMeasure, x_path: list[CubeAddress], n_max: int, eps: float,
@@ -182,7 +182,7 @@ def por2_profile(mu: TreeMeasure, x_path: list[CubeAddress], n_max: int, eps: fl
     _check_eps(mu.d, 1, eps)
     _check_porosity(mu.d, cap, 0.0)
     clf = LineageClassifier(mu)
-    return tuple(clf.por2(x_path[n], eps, cap) for n in range(n_max))
+    return tuple(clf.por2(x_path[n], eps, cap) for n in range(_index(n_max, "n_max")))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: in
     needs the cubes x_path[0..n_max + k], a lineage; each node is realized once.
     """
     _check_porosity(mu.d, k, eps)
-    if n_max < 1:
+    if _index(n_max, "n_max") < 1:
         raise ValueError("lineage too shallow for any porous-scale statistics")
     if n_max + k > mu.depth:
         raise ValueError(
@@ -333,7 +333,7 @@ def run_translation_trials(
     i maps mu by x -> (r/2) x + t, t on the 2^-depth grid in [0, 1/2)^d, and
     keeps the fraction of the image's scales porous at (k(alpha, r), eps)."""
     _require_dyadic(mu)
-    if not 1 <= depth <= 50:
+    if not 1 <= _index(depth, "depth") <= 50:
         raise ValueError("depth must lie in [1, 50] so grid translations stay exact")
     d = mu.d
     k = k_of_alpha(d, alpha, r)

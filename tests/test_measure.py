@@ -17,9 +17,12 @@ from porodim.measure import (
     Uniform,
     UnrealizedNodeError,
     _NODE_STREAM,
+    _PATH_STREAM,
+    _TRIAL_STREAM,
     _u64,
     apply_homothety,
     build_tree_measure,
+    derived_rng,
     node_rng,
     node_weights,
     spec_from_json,
@@ -145,6 +148,26 @@ def test_node_rng_matches_numpy_keying(level, d, seed, data):
     assert got.dirichlet(conc).tobytes() == want.dirichlet(conc).tobytes()
     spec = GeneratorSpec(d, CascadeDirichlet(conc), seed)
     assert node_weights(spec, q) == tuple(float(x) for x in reference().dirichlet(conc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([-1, 0, 2**64, 2**64 + 5]), st.integers(-2**70, 2**70)),
+    stream=st.sampled_from([_NODE_STREAM, _PATH_STREAM, _TRIAL_STREAM]),
+    index=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**70]),
+                    st.integers(0, 2**70)),
+)
+def test_derived_rng_matches_numpy_keying(seed, stream, index):
+    # derived_rng and node_rng share one word builder; numpy's own conversion
+    # of the (seed, stream, index) tuple is the reference
+    want = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((_u64(seed), stream, index))))
+    assert derived_rng(seed, stream, index).random(4).tobytes() == want.random(4).tobytes()
+
+
+def test_derived_rng_takes_any_integer_type():
+    got = derived_rng(np.int64(-3), _PATH_STREAM, np.uint64(7)).random(4)
+    assert got.tobytes() == derived_rng(-3, _PATH_STREAM, 7).random(4).tobytes()
 
 
 class TestSamplePath:

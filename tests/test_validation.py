@@ -1,7 +1,8 @@
 """One check per input quantity: every library entry rejects a bad (k, eps),
-eta, generator weight or generator integer with ValueError before it
-realizes a node, and no CLI argv ends other than in exit 0, 1 or 2 with one
-line on exit 1."""
+eta, generator weight, integer, count or index with ValueError before it
+realizes a node, a generator number that is not a real number with
+TypeError, and no CLI argv ends other than in exit 0, 1 or 2 with one line
+on exit 1."""
 
 import argparse
 import json
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porodim.measure
-from porodim.bounds import dimension_bound, solve_s
+from porodim.bounds import dimension_bound, solve_s, solve_table
 from porodim.cli import build_parser, main
-from porodim.dimension import estimate_packing_dim
+from porodim.dimension import estimate_packing_dim, sampled_trajectory
 from porodim.dyadic import CubeAddress, root
 from porodim.measure import (
     Bernoulli,
@@ -23,7 +24,10 @@ from porodim.measure import (
     CascadeDirichlet,
     CascadeFiniteMixture,
     GeneratorSpec,
+    TreeMeasure,
     Uniform,
+    UnrealizedNodeError,
+    build_tree_measure,
     spec_from_json,
     spec_to_json,
 )
@@ -54,7 +58,7 @@ BAD_K_EPS = [
     (1, NAN, "eps must lie"),
     (1, -1.0, "eps must lie"),
     (1, 0.6, "eps must lie"),
-    (1.5, 0.0, "must be integers"),
+    pytest.param(1.5, 0.0, "k must be an integer", id="1.5-0.0-must be integers"),
 ]
 
 #: Library entries taking (k, eps) on the uniform measure ``mu`` at d = 1
@@ -73,7 +77,7 @@ K_EPS_ENTRIES = {
 }
 
 #: Calls with one bad eta, weight, probability, concentration, config integer,
-#: count or depth
+#: count, index or depth
 OTHER_BAD_CALLS = [
     *((f"translate eps={eps}", lambda eps=eps: run_translation_trials(
         CANTOR, 0.25, 0.25, eps, 8, 0, range(1)),
@@ -88,6 +92,9 @@ OTHER_BAD_CALLS = [
       for p in ((NAN,), (INF,))),
     *((f"dirichlet {a}", lambda a=a: CascadeDirichlet(a), "positive and finite")
       for a in ((NAN, 1.0), (INF, 1.0), (1.0, -INF))),
+    ("config weight 10**400", lambda: spec_from_json(
+        {"d": 1, "generator": {"type": "bernoulli", "weights": [10**400, 0]}}),
+     "beyond the float range"),
     ("config prob NaN", lambda: spec_from_json(
         '{"d": 1, "generator": {"type": "mixture", "mixture": '
         '[{"weights": [0.5, 0.5], "prob": NaN}]}}'), "outside"),
@@ -110,19 +117,48 @@ OTHER_BAD_CALLS = [
        porous_fraction_trajectory(BERN, x_path, 1, 0.1, n_max=15), "not a lineage")
       for name, x_path in (("last cube only", [BERN.root] * 16 + [BERN_PATH[16]]),
                            ("root only", [BERN.root] * 17))),
-    ("solve_s d=2.0", lambda: solve_s(2.0, 1, 0.1), "must be integers"),
+    ("solve_s d=2.0", lambda: solve_s(2.0, 1, 0.1), "d must be an integer"),
     *((f"GeneratorSpec d={d!r}", lambda d=d: GeneratorSpec(d, Uniform()),
        "ambient dimension must be an integer") for d in (1.5, 2.0)),
     ("GeneratorSpec seed=1.5", lambda: GeneratorSpec(1, Uniform(), seed=1.5),
      "seed must be an integer"),
     ("root d=1.5", lambda: root(1.5), "ambient dimension must be an integer"),
-    *((f"CubeAddress{args!r}", lambda args=args: CubeAddress(*args), "must be integers")
+    *((f"CubeAddress{args!r}", lambda args=args: CubeAddress(*args), "must be an integer")
       for args in ((1.5, (0,)), ("1", (0,)), (2, (1.0,)), (2, (np.float64(1.0),)),
                    (2, (0.5, 1)), (2, None), (2, "1"))),
     *((f"CubeAddress{args!r}", lambda args=args: CubeAddress(*args), message)
       for args, message in (((-1, (0,)), "level must be >= 0"),
                             ((2, ()), "at least one component"),
                             ((2, (4,)), "outside"), ((2, (1, -1)), "outside"))),
+    ("ancestor level=1.5", lambda: BERN_PATH[3].ancestor(1.5),
+     "ancestor level must be an integer"),
+    ("uniform_child 0.0", lambda: BERN.root.uniform_child(0.0),
+     "offset index must be an integer"),
+    ("TreeMeasure depth=1.5", lambda: TreeMeasure(1, 1.5, CANTOR.offspring),
+     "depth must be an integer"),
+    ("build_tree_measure depth=1.5", lambda: build_tree_measure(
+        GeneratorSpec(1, Uniform()), "uniform", 1.5), "depth must be an integer"),
+    ("estimate_packing_dim depth=1.5", lambda: estimate_packing_dim(BERN, 1.5, 1, 0),
+     "walk depth must be an integer"),
+    ("estimate_packing_dim paths=1.5", lambda: estimate_packing_dim(BERN, 10, 1.5, 0),
+     "paths must be an integer"),
+    ("walk steps=1.5", lambda: list(BERN.walk(1, 1.5)), "steps must be an integer"),
+    ("sample_path steps=-1", lambda: BERN.sample_path(1, -1), "steps must be >= 0"),
+    ("translate depth=1.5", lambda: run_translation_trials(
+        CANTOR, 0.25, 0.25, 0.0, 1.5, 0, range(1)), "depth must be an integer"),
+    *((f"translate trial {i}", lambda i=i: run_translation_trials(
+        CANTOR, 0.25, 0.25, 0.0, 8, 0, [i]), message)
+      for i, message in ((1.5, "index must be an integer"), (-1, "index must be >= 0"))),
+    ("porous_fraction_trajectory n_max=1.5", lambda: porous_fraction_trajectory(
+        CANTOR, [CANTOR.root], 1, 0.0, n_max=1.5), "n_max must be an integer"),
+    ("por2_depth n=1.5", lambda: por2_depth(BERN, BERN_PATH, 1.5, 0.1),
+     "n must be an integer"),
+    ("por2_profile n_max=1.5", lambda: por2_profile(BERN, BERN_PATH, 1.5, 0.1),
+     "n_max must be an integer"),
+    ("solve_table points=2.5", lambda: solve_table(1, 1, 2.5),
+     "points must be an integer"),
+    ("maximize_bruteforce grid=2.5", lambda: maximize_bruteforce(1, 2, 0.1, 2.5),
+     "grid must be an integer"),
 ]
 
 
@@ -157,6 +193,40 @@ def test_bad_parameter_raises_before_any_node(count_realizations, call, message)
     with pytest.raises(ValueError, match=message):
         call()
     assert count_realizations == []
+
+
+@pytest.mark.parametrize("model", [Bernoulli((0.25, 0.75)), CascadeDirichlet((1.0, 1.0))],
+                         ids=["product", "cascade"])
+def test_overlong_walk_raises_before_any_node(count_realizations, model):
+    mu = make_measure(1, model, depth=50)
+    count_realizations.clear()
+    with pytest.raises(UnrealizedNodeError, match="60-step walk"):
+        sampled_trajectory(mu, 60, 0)
+    assert count_realizations == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Bernoulli(("0.25", "0.75")),
+    lambda: Bernoulli((True, False)),
+    lambda: CascadeDirichlet(("1", True)),
+    lambda: CascadeFiniteMixture(((0.5, 0.5),), ("1",)),
+], ids=["bernoulli strings", "bernoulli bools", "dirichlet", "mixture probs"])
+def test_generator_numbers_must_be_real(build):
+    with pytest.raises(TypeError, match="must be numbers"):
+        build()
+
+
+def test_numpy_generator_numbers_build_the_same_model():
+    f, i = np.float64, np.int64
+    assert Bernoulli((f(0.25), f(0.75))) == Bernoulli((0.25, 0.75))
+    assert Bernoulli((i(1), i(0))) == Bernoulli((1.0, 0.0))
+    assert CascadeDirichlet((i(2), f(0.5))) == CascadeDirichlet((2.0, 0.5))
+    mixture = CascadeFiniteMixture(((f(0.5), i(0), f(0.5), i(0)),), (i(1),))
+    assert mixture == CascadeFiniteMixture(((0.5, 0.0, 0.5, 0.0),), (1.0,))
+    entries = (*Bernoulli((i(1), i(0))).weights,
+               *CascadeDirichlet((i(2), f(0.5))).concentration,
+               *mixture.components[0], *mixture.probs)
+    assert all(type(x) is float for x in entries)
 
 
 def test_por2_cap_bounds_the_frontier():
