@@ -49,7 +49,7 @@ def _check_eps(d: int, k: int, eps: float) -> None:
 
 
 def _check_points(points: int) -> None:
-    """2 <= points <= MAX_TABLE_POINTS, the grid of a solve or hmin table."""
+    """2 <= points <= MAX_TABLE_POINTS, the size of an ``eps_grid``."""
     if not 2 <= _index(points, "points") <= MAX_TABLE_POINTS:
         raise ValueError(f"need 2 <= points <= {MAX_TABLE_POINTS}, got {points}")
 
@@ -193,18 +193,21 @@ def dimension_bound(
     )
 
 
-def solve_table(d: int, k: int, points: int = 101) -> list[dict]:
-    """Rows of the dimension-drop curve over the scaled abscissa
-    eps_scaled = eps * 2^kd in [0, 1]."""
+def eps_grid(d: int, k: int, points: int) -> list[float]:
+    """``points`` evenly spaced eps values j / (points - 1) * 2^-kd, from 0 to 2^-kd."""
     _check_points(points)
     _check_eps(d, k, 0.0)  # d and k, before 2^-kd is formed
     hi = 2.0 ** (-k * d)
+    return [j / (points - 1) * hi for j in range(points)]
+
+
+def solve_table(d: int, k: int, points: int = 101) -> list[dict]:
+    """Rows of the dimension-drop curve over the scaled abscissa
+    eps_scaled = eps * 2^kd in [0, 1]."""
     rows = []
-    for j in range(points):
-        scaled = j / (points - 1)
-        eps = scaled * hi
+    for j, eps in enumerate(eps_grid(d, k, points)):
         s = solve_s(d, k, eps)
         rows.append(
-            {"d": d, "k": k, "eps": eps, "eps_scaled": scaled, "s": s, "t": d - s}
+            {"d": d, "k": k, "eps": eps, "eps_scaled": j / (points - 1), "s": s, "t": d - s}
         )
     return rows

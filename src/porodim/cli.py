@@ -215,9 +215,7 @@ def _cmd_oracle(args) -> int:
     cases = _cases(args, [(1, 1), (1, 2), (2, 1), (2, 2)])
     rows = []
     for d, k in cases:
-        bounds._check_eps(d, k, 0.0)  # d and k, before 2^-kd is formed
-        hi = 2.0 ** (-k * d)
-        eps_list = [args.eps] if args.eps is not None else [0.0, hi / 2.0, hi]
+        eps_list = [args.eps] if args.eps is not None else bounds.eps_grid(d, k, 3)
         for eps in eps_list:
             row = oracle.compare(d, k, eps, args.grid)
             am = row["argmax"]
@@ -265,18 +263,16 @@ def _cmd_translate(args) -> int:
     elif args.strict:
         raise ParameterError("--strict checks the fraction against --eta; give --eta")
 
+    k = bounds.k_of_alpha(spec.d, alpha, r)
     jobs = _jobs(args.jobs, trials)
     cuts = [j * trials // jobs for j in range(jobs + 1)]
     tasks = [(spec, r, alpha, eps, depth, seed, range(lo, hi))
              for lo, hi in zip(cuts, cuts[1:])]
     results = [tr for chunk in _map(_translate_chunk, tasks, jobs) for tr in chunk]
-    report = translation_report(results, spec.d, r, alpha, eps, depth, args.eta)
+    report = translation_report(results, spec.d, r, args.eta)
 
-    rows = [
-        (tr.trial, "|".join(_fmt(t) for t in tr.translation), tr.fraction, report.k,
-         eps, depth)
-        for tr in report.trials
-    ]
+    rows = [(tr.trial, "|".join(_fmt(t) for t in tr.translation), tr.fraction, k, eps, depth)
+            for tr in report.trials]
     write_csv(
         args.out,
         "translate",
@@ -308,10 +304,7 @@ def _cmd_translate(args) -> int:
 def _cmd_hmin(args) -> int:
     d, eta, points = args.d, args.eta, args.points
     if args.eps is None:
-        points = 33 if points is None else points
-        bounds._check_points(points)
-        bounds._check_eps(d, 1, 0.0)  # d, before 2^-d is formed
-        eps_list = [j / (points - 1) * 2.0 ** -d for j in range(points)]
+        eps_list = bounds.eps_grid(d, 1, 33 if points is None else points)
     elif points is not None:
         raise ParameterError("--points sets the eps grid, which --eps replaces")
     else:

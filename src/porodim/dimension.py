@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +46,11 @@ class PathTrajectory:
     """Per-step statistics along one lineage.
 
     Arrays are indexed by step; ``I[n]`` is the information -log of the
-    conditional weight taken at step n, ``L[n]`` the log length drop
-    log(side(R_n)/side(R_{n+1})), ``D[n]`` the running entropy-average
-    quotient after n+1 steps, and ``res_H``/``res_L`` the martingale residuals
-    (1/n)(sum I - sum H) and (1/n)(sum L - sum lambda).
+    conditional weight taken at step n and ``L[n]`` the log length drop
+    log(side(R_n)/side(R_{n+1})).  The running entropy-average quotient
+    ``D[n]`` after n+1 steps and the martingale residuals ``res_H``/``res_L``,
+    (1/n)(sum I - sum H) and (1/n)(sum L - sum lambda), are derived from these
+    columns on first read.
     """
 
     levels: np.ndarray
@@ -57,9 +59,6 @@ class PathTrajectory:
     H: np.ndarray
     lam: np.ndarray
     porous: np.ndarray
-    D: np.ndarray
-    res_H: np.ndarray
-    res_L: np.ndarray
 
     @property
     def steps(self) -> int:
@@ -69,6 +68,20 @@ class PathTrajectory:
     def terminal_D(self) -> float:
         """Terminal quotient from compensated sums."""
         return math.fsum(self.H) / math.fsum(self.L)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return np.cumsum(self.H) / np.cumsum(self.L)
+
+    @cached_property
+    def res_H(self) -> np.ndarray:
+        counts = np.arange(1, self.steps + 1, dtype=float)
+        return (np.cumsum(self.I) - np.cumsum(self.H)) / counts
+
+    @cached_property
+    def res_L(self) -> np.ndarray:
+        counts = np.arange(1, self.steps + 1, dtype=float)
+        return (np.cumsum(self.L) - np.cumsum(self.lam)) / counts
 
     def csv_rows(self):
         """Rows n,I,L,H,lambda,Mbar,Dn,resH,resL,porous; the Mbar column,
@@ -94,27 +107,10 @@ def _trajectory_from_steps(steps) -> PathTrajectory:
         porous.append(part.hole is not None)
         levels.append(node.level)
     levels.append(steps[-1][1].children[steps[-1][3]].level if I else 0)
-    return _assemble(
+    return PathTrajectory(
         np.frombuffer(levels, dtype=np.int64),
         *(np.frombuffer(a) for a in (I, L, H, lam)),
         np.frombuffer(porous, dtype=bool),
-    )
-
-
-def _assemble(levels, I, L, H, lam, porous) -> PathTrajectory:
-    """The trajectory from its per-step columns: running quotient and
-    martingale residuals."""
-    counts = np.arange(1, len(I) + 1, dtype=float)
-    return PathTrajectory(
-        levels=levels,
-        I=I,
-        L=L,
-        H=H,
-        lam=lam,
-        porous=porous,
-        D=np.cumsum(H) / np.cumsum(L),
-        res_H=(np.cumsum(I) - np.cumsum(H)) / counts,
-        res_L=(np.cumsum(L) - np.cumsum(lam)) / counts,
     )
 
 
@@ -130,8 +126,6 @@ class DimensionEstimate:
     value: float
     mean: float
     per_path: tuple[float, ...]
-    depth: int
-    paths: int
 
 
 def sampled_trajectory(
@@ -167,7 +161,7 @@ def _product_trajectory(
     # every node splits uniformly, one level down, with the same weights
     root = mu.root
     h, lyap = _entropy_and_lyapunov(root.level, subdivide_uniform(root).children, w)
-    return _assemble(
+    return PathTrajectory(
         np.arange(depth + 1, dtype=np.int64),
         info[pick],
         np.full(depth, LOG2),
@@ -190,12 +184,7 @@ def estimate_packing_dim(
         terms.append(traj.terminal_D)
     arr = np.asarray(terms)
     return DimensionEstimate(
-        value=float(arr.max()),
-        mean=float(arr.mean()),
-        per_path=tuple(terms),
-        depth=depth,
-        paths=paths,
-    )
+        value=float(arr.max()), mean=float(arr.mean()), per_path=tuple(terms))
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,11 @@ def _addr(level: int, coords: tuple[int, ...]) -> CubeAddress:
 
 
 def _index(value: int, what: str, least: int | None = None) -> int:
-    """``value`` as a Python int; ValueError for a non-integer such as 2.0,
-    or for an integer below ``least`` when one is given."""
+    """``value`` as a Python int; ValueError for a non-integer such as 2.0 or
+    True, or for an integer below ``least`` when one is given."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None

@@ -51,10 +51,14 @@ def _check_porosity(d: int, k: int, eps: float) -> None:
 
 @dataclass(frozen=True)
 class PorosityCheck:
-    """Outcome of the porous test at one node."""
+    """Outcome of the porous test at one node: the selected hole, None when
+    the node is not porous."""
 
-    porous: bool
     hole: CubeAddress | None
+
+    @property
+    def porous(self) -> bool:
+        return self.hole is not None
 
 
 def _min_entry(frontier: dict[CubeAddress, float]) -> tuple[CubeAddress, float]:
@@ -143,8 +147,7 @@ def _classify_full(
     """Classification plus q's conditional-mass frontiers at levels 1..k."""
     frontiers = list(islice(clf.frontiers(q), k))
     hole, ratio = _min_entry(frontiers[k - 1])
-    porous = ratio <= eps
-    return PorosityCheck(porous, hole if porous else None), frontiers
+    return PorosityCheck(hole if ratio <= eps else None), frontiers
 
 
 def classify_porous(
@@ -256,8 +259,6 @@ class ScaleReport:
     """Porous-scale flags along one lineage, one per dyadic level, and their
     running fractions."""
 
-    k: int
-    eps: float
     dyadic_flags: tuple[bool, ...]
     dyadic_fraction: tuple[float, ...]
 
@@ -292,7 +293,7 @@ def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: in
     levels = chain.from_iterable(flags for _, flags in _porous_levels(clf, walk, k, eps))
     flags = tuple(islice(levels, n_max))
     running = (hits / n for n, hits in enumerate(accumulate(flags), start=1))
-    return ScaleReport(k=k, eps=eps, dyadic_flags=flags, dyadic_fraction=tuple(running))
+    return ScaleReport(dyadic_flags=flags, dyadic_fraction=tuple(running))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +309,6 @@ class TranslationTrial:
 
 @dataclass(frozen=True)
 class TranslationReport:
-    k: int
-    eps: float
-    ratio: float
-    depth: int
     trials: tuple[TranslationTrial, ...]
     mean_fraction: float
     min_fraction: float
@@ -356,9 +353,6 @@ def translation_report(
     trials: list[TranslationTrial],
     d: int,
     r: float,
-    alpha: float,
-    eps: float,
-    depth: int,
     eta_target: float | None = None,
 ) -> TranslationReport:
     """Mean and minimum fraction over the trials, and the check against
@@ -371,5 +365,4 @@ def translation_report(
     mean_fraction = math.fsum(fractions) / len(fractions)
     threshold = None if eta_target is None else (1.0 - 2.0 * r) ** d * eta_target
     passed = None if threshold is None else mean_fraction >= threshold
-    return TranslationReport(k_of_alpha(d, alpha, r), eps, r, depth, tuple(trials),
-                             mean_fraction, min(fractions), threshold, passed)
+    return TranslationReport(tuple(trials), mean_fraction, min(fractions), threshold, passed)

@@ -141,6 +141,20 @@ class TestTrajectory:
         assert len(rows) == 5
         assert len(rows[0]) == 10
 
+    @pytest.mark.parametrize("model", [CascadeDirichlet((1.0, 1.0)), Bernoulli((0.25, 0.75))],
+                             ids=["scalar walk", "product path"])
+    def test_running_columns_are_derived_on_read(self, model):
+        traj = sampled_trajectory(make_measure(1, model, depth=40), 40, 7)
+        assert [f.name for f in dataclasses.fields(traj)] == [
+            "levels", "I", "L", "H", "lam", "porous"]
+        assert traj.terminal_D > 0.0
+        # the estimator reads only terminal_D, so it builds no running column
+        assert not {"D", "res_H", "res_L"} & traj.__dict__.keys()
+        counts = np.arange(1, 41, dtype=float)
+        assert np.array_equal(traj.D, np.cumsum(traj.H) / np.cumsum(traj.L))
+        assert np.array_equal(traj.res_H, (np.cumsum(traj.I) - np.cumsum(traj.H)) / counts)
+        assert np.array_equal(traj.res_L, (np.cumsum(traj.L) - np.cumsum(traj.lam)) / counts)
+
 
 def scalar_trajectory(mu, depth, seed):
     """The reference: ``_trajectory_from_steps`` over the scalar walk."""

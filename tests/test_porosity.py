@@ -284,7 +284,7 @@ class TestTranslation:
     def test_point_mass_all_scales(self):
         pt = make_measure(1, Bernoulli((1.0, 0.0)), depth=20)
         trials = run_translation_trials(pt, 0.25, 0.25, 0.0, 12, 4, range(8))
-        rep = translation_report(trials, 1, 0.25, 0.25, 0.0, 12)
+        rep = translation_report(trials, 1, 0.25)
         assert rep.min_fraction == 1.0
 
     def test_uniform_fraction_vanishes_asymptotically(self):
@@ -292,13 +292,12 @@ class TestTranslation:
         # empty cubes are flagged, so the fraction decays like 1/depth
         uni = make_measure(1, Uniform(), depth=45)
         trials = run_translation_trials(uni, 0.25, 0.25, 0.0, 40, 4, range(6))
-        rep = translation_report(trials, 1, 0.25, 0.25, 0.0, 40)
+        rep = translation_report(trials, 1, 0.25)
         assert rep.mean_fraction <= 0.25
 
     def test_cantor_threshold(self, cantor):
         trials = run_translation_trials(cantor, 0.25, 0.25, 0.0, 12, 21, range(25))
-        rep = translation_report(trials, 1, 0.25, 0.25, 0.0, 12, eta_target=1.0)
-        assert rep.k == 4
+        rep = translation_report(trials, 1, 0.25, eta_target=1.0)
         assert rep.threshold == pytest.approx(0.5)
         assert rep.passed
         assert rep.mean_fraction >= 0.4
@@ -307,7 +306,7 @@ class TestTranslation:
     def test_determinism(self, cantor):
         def run():
             trials = run_translation_trials(cantor, 0.25, 0.25, 0.0, 12, 33, range(6))
-            return translation_report(trials, 1, 0.25, 0.25, 0.0, 12)
+            return translation_report(trials, 1, 0.25)
 
         assert run() == run()
 

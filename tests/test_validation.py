@@ -1,12 +1,13 @@
 """One check per input quantity: every library entry rejects a bad (k, eps),
 eta, generator weight, integer, count or index with ValueError before it
-realizes a node, a generator number that is not a real number with
-TypeError, and no CLI argv ends other than in exit 0, 1 or 2 with one line
-on exit 1."""
+realizes a node, a generator number that is not a real number or a model
+that is not a generator model with TypeError, and no CLI argv ends other
+than in exit 0, 1 or 2 with one line on exit 1."""
 
 import argparse
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,21 +18,25 @@ import porodim.measure
 from porodim.bounds import dimension_bound, solve_s, solve_table
 from porodim.cli import build_parser, main
 from porodim.dimension import estimate_packing_dim, sampled_trajectory
-from porodim.dyadic import CubeAddress, root
+from porodim.dyadic import (CubeAddress, CubePartition, porous_split, root,
+                            validate_partition)
 from porodim.measure import (
     Bernoulli,
     CantorMiddleHalf,
     CascadeDirichlet,
     CascadeFiniteMixture,
     GeneratorSpec,
+    Homothety,
     TreeMeasure,
     Uniform,
     UnrealizedNodeError,
+    apply_homothety,
     build_tree_measure,
     spec_from_json,
     spec_to_json,
 )
-from porodim.oracle import fixed_point_candidate, maximize_bruteforce
+from porodim.oracle import (RawVector, ReducedPoint, fixed_point_candidate,
+                            maximize_bruteforce, raw_objective, reduced_objective)
 from porodim.porosity import (
     classify_porous,
     por2_depth,
@@ -49,6 +54,7 @@ NAN, INF = math.nan, math.inf
 CANTOR = make_measure(1, CantorMiddleHalf(), depth=12)
 BERN = make_measure(1, Bernoulli((0.25, 0.75)))
 BERN_PATH = BERN.sample_path(1, steps=16)
+HALVES = tuple(CubeAddress(1, (c,)) for c in (0, 1))  # the children of [0, 1)
 
 #: (k, eps) pairs outside the paper's range at d = 1, where 2^-kd = 1/2 at
 #: k = 1, with the message each must raise
@@ -77,7 +83,8 @@ K_EPS_ENTRIES = {
 }
 
 #: Calls with one bad eta, weight, probability, concentration, config integer,
-#: count, index or depth
+#: count, index or depth, or a malformed address, partition, model, homothety
+#: or oracle vector
 OTHER_BAD_CALLS = [
     *((f"translate eps={eps}", lambda eps=eps: run_translation_trials(
         CANTOR, 0.25, 0.25, eps, 8, 0, range(1)),
@@ -104,8 +111,8 @@ OTHER_BAD_CALLS = [
                     {"seed": None})),
     ("estimate_packing_dim paths=0", lambda: estimate_packing_dim(CANTOR, 10, 0, 1),
      "at least one path"),
-    ("translation_report no trials", lambda: translation_report(
-        [], 1, 0.25, 0.25, 0.0, 8), "trials must be >= 1"),
+    ("translation_report no trials", lambda: translation_report([], 1, 0.25),
+     "trials must be >= 1"),
     *((f"translate depth={depth}", lambda depth=depth: run_translation_trials(
         CANTOR, 0.25, 0.25, 0.0, depth, 0, range(1)), "depth must lie")
       for depth in (0, 51)),
@@ -159,6 +166,53 @@ OTHER_BAD_CALLS = [
      "points must be an integer"),
     ("maximize_bruteforce grid=2.5", lambda: maximize_bruteforce(1, 2, 0.1, 2.5),
      "grid must be an integer"),
+    # a bool is not an integer, as in a config
+    ("GeneratorSpec d=True", lambda: GeneratorSpec(True, Uniform(), seed=False),
+     "ambient dimension must be an integer, got True"),
+    ("CubeAddress(True, (True,))", lambda: CubeAddress(True, (True,)),
+     "level must be an integer, got True"),
+    ("solve_s(True, True, 0.1)", lambda: solve_s(True, True, 0.1),
+     "d must be an integer, got True"),
+    ("estimate_packing_dim depth=True", lambda: estimate_packing_dim(BERN, True, 1, 0),
+     "walk depth must be an integer, got True"),
+    # addresses and partitions
+    ("ancestor level 4 of a level-3 cube", lambda: BERN_PATH[3].ancestor(4), "outside \\[0, 3\\]"),
+    ("uniform_child 2 at d=1", lambda: BERN.root.uniform_child(2), "outside \\[0, 2\\^1\\)"),
+    ("porous_split k=0", lambda: porous_split(BERN.root, BERN.root, 0),
+     "hole depth k must be >= 1"),
+    *((f"validate_partition {name}", lambda children=children: validate_partition(
+        CubePartition(BERN.root, children)), message)
+      for name, children, message in (
+          ("no children", (), "no children"),
+          ("d mismatch", (CubeAddress(1, (0, 0)),), "dimension mismatch"),
+          ("parent itself", (BERN.root,), "not a proper descendant"),
+          ("overlap", (*HALVES, CubeAddress(2, (0,))), "not disjoint"),
+          ("gap", HALVES[:1], "do not cover"))),
+    # generator models
+    ("mixture unequal components", lambda: CascadeFiniteMixture(
+        ((0.5, 0.5), (0.25,) * 4), (0.5, 0.5)), "component 1 must have 2 entries"),
+    ("mixture empty", lambda: CascadeFiniteMixture((), ()), "at least one component"),
+    ("GeneratorSpec mixture width", lambda: GeneratorSpec(
+        2, CascadeFiniteMixture(((0.5, 0.5),), (1.0,))), "must have 4 entries for d=2"),
+    ("GeneratorSpec dirichlet width", lambda: GeneratorSpec(2, CascadeDirichlet((1.0, 1.0))),
+     "must have 4 entries for d=2"),
+    ("build_tree_measure porous rule", lambda: build_tree_measure(
+        GeneratorSpec(1, Uniform()), "porous"), "builds the dyadic frame"),
+    # homotheties
+    ("Homothety t=1.0", lambda: Homothety(0.25, (1.0,)), "outside \\[0, 1\\)"),
+    ("apply_homothety d mismatch", lambda: apply_homothety(
+        CANTOR, Homothety(0.25, (0.0, 0.0)), 8), "translation dimension"),
+    ("apply_homothety shallow source", lambda: apply_homothety(
+        CANTOR, Homothety(0.25, (0.0,)), 20), "needs the source realized to level 18"),
+    # the oracle's mass vectors and objectives
+    ("RawVector length", lambda: RawVector(1, 1, (1.0,)), "need 2 masses"),
+    ("ReducedPoint length", lambda: ReducedPoint(1, 2, (1.0,), 0.0), "need 2 level masses"),
+    ("ReducedPoint p<0", lambda: ReducedPoint(1, 1, (1.5,), -0.5), "nonnegative"),
+    # raw_objective reads only d, k and p: a vector built without RawVector's check
+    ("raw_objective zero", lambda: raw_objective(SimpleNamespace(d=1, k=1, p=(0.0, 0.0))),
+     "zero Lyapunov denominator"),
+    ("reduced_objective zero", lambda: reduced_objective(1, 1, (0.0,), 0.0),
+     "zero Lyapunov denominator"),
 ]
 
 
@@ -214,6 +268,11 @@ def test_overlong_walk_raises_before_any_node(count_realizations, model):
 def test_generator_numbers_must_be_real(build):
     with pytest.raises(TypeError, match="must be numbers"):
         build()
+
+
+def test_unknown_generator_model_raises_type_error():
+    with pytest.raises(TypeError, match="unknown generator model"):
+        GeneratorSpec(1, "uniform")
 
 
 def test_numpy_generator_numbers_build_the_same_model():
