@@ -35,6 +35,18 @@ def entropy(weights: Weights) -> float:
     return math.fsum(psi(w) for w in weights)
 
 
+def _exact_sum(col: np.ndarray) -> float:
+    """``math.fsum(col)`` bit for bit.  fsum rounds the exact sum once, so a
+    column of n copies of x sums to the IEEE product x * n (n <= 2^53), and to
+    +0.0 when x is a zero of either sign."""
+    if len(col):
+        x = float(col[0])
+        s = x * len(col) + 0.0
+        if math.isfinite(s) and (col == x).all():
+            return s
+    return math.fsum(col.tolist())
+
+
 def _entropy_and_lyapunov(level: int, children, dist: Weights) -> tuple[float, float]:
     """H = E(-log w) and lambda = E(log side(parent)/side(child))."""
     lam = math.fsum(w * (c.level - level) * LOG2 for w, c in zip(dist, children))
@@ -67,7 +79,7 @@ class PathTrajectory:
     @property
     def terminal_D(self) -> float:
         """Terminal quotient from compensated sums."""
-        return math.fsum(self.H) / math.fsum(self.L)
+        return _exact_sum(self.H) / _exact_sum(self.L)
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -86,9 +98,11 @@ class PathTrajectory:
     def csv_rows(self):
         """Rows n,I,L,H,lambda,Mbar,Dn,resH,resL,porous; the Mbar column,
         the length drop on the dyadic frame, repeats L."""
-        for n in range(self.steps):
-            yield (n, self.I[n], self.L[n], self.H[n], self.lam[n], self.L[n],
-                   self.D[n], self.res_H[n], self.res_L[n], int(self.porous[n]))
+        I, L, H, lam, D, res_H, res_L = (
+            c.tolist() for c in (self.I, self.L, self.H, self.lam, self.D,
+                                 self.res_H, self.res_L))
+        yield from zip(range(self.steps), I, L, H, lam, L, D, res_H, res_L,
+                       map(int, self.porous.tolist()))
 
 
 def _trajectory_from_steps(steps) -> PathTrajectory:
@@ -151,24 +165,23 @@ def _product_trajectory(
     mu: TreeMeasure, depth: int, seed: int | np.random.Generator
 ) -> PathTrajectory:
     """``walk``'s draws and ``_choice_table`` search on the one offspring
-    vector of a product measure, done for all steps at once; no node is realized."""
+    vector of a product measure, done for all steps at once; no node is realized.
+    The columns every step shares are read-only zero-stride views."""
     us = _path_rng(seed).random(depth)
     w = mu.product_weights
     positive, cum, total = _choice_table(mu.root, w)
-    pick = np.searchsorted(cum, us * total, side="right")
+    us *= total  # walk's targets u * total, in place
+    pick = np.searchsorted(cum, us, side="right")
+    del us  # spent: free the draws before the gather allocates I
     np.minimum(pick, len(positive) - 1, out=pick)
     info = np.array([-math.log(w[j]) for j in positive])
     # every node splits uniformly, one level down, with the same weights
     root = mu.root
     h, lyap = _entropy_and_lyapunov(root.level, subdivide_uniform(root).children, w)
-    return PathTrajectory(
-        np.arange(depth + 1, dtype=np.int64),
-        info[pick],
-        np.full(depth, LOG2),
-        np.full(depth, h),
-        np.full(depth, lyap),
-        np.zeros(depth, dtype=bool),
-    )
+    L, H, lam, porous = (np.broadcast_to(np.array(x), depth)
+                         for x in (LOG2, h, lyap, False))
+    return PathTrajectory(np.arange(depth + 1, dtype=np.int64), info[pick],
+                          L, H, lam, porous)
 
 
 def estimate_packing_dim(

@@ -59,9 +59,10 @@ class RawVector:
         n = ((1 << self.d) - 1) * self.k + 1
         if len(self.p) != n:
             raise ValueError(f"need {n} masses for d={self.d}, k={self.k}")
-        if any(x < 0.0 for x in self.p):
+        # written so that NaN fails each test
+        if any(not x >= 0.0 for x in self.p):
             raise ValueError("masses must be nonnegative")
-        if abs(math.fsum(self.p) - 1.0) > 1e-9:
+        if not abs(math.fsum(self.p) - 1.0) <= 1e-9:
             raise ValueError(f"masses sum to {math.fsum(self.p)!r}, not 1")
 
 
@@ -103,10 +104,10 @@ class ReducedPoint:
     def __post_init__(self):
         if len(self.q) != self.k:
             raise ValueError(f"need {self.k} level masses")
-        if any(x < 0.0 for x in self.q) or self.p < 0.0:
+        if any(not x >= 0.0 for x in (*self.q, self.p)):
             raise ValueError("masses must be nonnegative")
         L = (1 << self.d) - 1
-        if abs(L * math.fsum(self.q) + self.p - 1.0) > 1e-9:
+        if not abs(L * math.fsum(self.q) + self.p - 1.0) <= 1e-9:
             raise ValueError("level masses do not satisfy L sum q = 1 - p")
 
     def to_raw(self) -> RawVector:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from porodim.bounds import LOG2, psi, solve_s
 from porodim.dimension import (
     PathTrajectory,
     _entropy_and_lyapunov,
+    _exact_sum,
     _trajectory_from_steps,
     estimate_packing_dim,
     hmin_and_converse,
@@ -166,6 +168,7 @@ def assert_same_bytes(a: PathTrajectory, b: PathTrajectory) -> None:
         x, y = getattr(a, field.name), getattr(b, field.name)
         assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
         assert x.tobytes() == y.tobytes(), field.name
+    assert a.terminal_D.hex() == b.terminal_D.hex()
 
 
 class Draws(np.random.Generator):
@@ -253,6 +256,12 @@ class TestProductTrajectory:
                 scalar_trajectory(mu, 20_000, derived_rng(3, _PATH_STREAM, i)),
             )
 
+    def test_shared_columns_are_read_only_views(self):
+        traj = sampled_trajectory(make_measure(1, Bernoulli((0.25, 0.75))), 30, 0)
+        for col in (traj.L, traj.H, traj.lam, traj.porous):
+            assert col.strides == (0,)
+            assert not col.flags.writeable
+
     @pytest.mark.parametrize("spec", [SPECS[0], SPECS[2]], ids=["product", "cascade"])
     def test_depth_bound_and_empty_walk(self, spec):
         d, model, seed = spec
@@ -280,6 +289,38 @@ class TestProductTrajectory:
         assert all(mu.product_weights is None for mu in scalar)
 
 
+def fsum_outcome(sum_, col):
+    try:
+        return sum_(col).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+class TestExactSum:
+    """``_exact_sum`` is ``math.fsum`` bit for bit, constant columns or not."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.sampled_from([0.0, -0.0])
+           | st.floats(-2.0**-1022, 2.0**-1022, exclude_min=True, exclude_max=True)
+           | st.floats(-1e300, 1e300),
+           n=st.integers(1, 10**5))
+    def test_constant_column(self, x, n):
+        for col in (np.full(n, x), np.broadcast_to(np.array(x), n)):
+            assert _exact_sum(col).hex() == math.fsum(col.tolist()).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(st.floats(-1e300, 1e300), max_size=50))
+    def test_any_finite_column(self, xs):
+        col = np.array(xs, dtype=float)
+        assert _exact_sum(col).hex() == math.fsum(col.tolist()).hex()
+
+    @pytest.mark.parametrize("xs", [[1e308] * 10, [math.inf] * 3, [-math.inf] * 2,
+                                    [math.nan] * 2])
+    def test_overflow_and_non_finite(self, xs):
+        col = np.array(xs)
+        assert fsum_outcome(_exact_sum, col) == fsum_outcome(math.fsum, xs)
+
+
 class TestEstimator:
     def test_uniform_exact_any_depth(self):
         from porodim.measure import Uniform
@@ -301,6 +342,20 @@ class TestEstimator:
         est = estimate_packing_dim(mu, 10_000, 20, seed=12)
         assert est.value == pytest.approx(BERNOULLI_DIM, abs=0.02)
         assert est.mean <= est.value
+
+    def test_product_path_memory(self):
+        # a product path allocates two 800 kB per-step columns and holds at
+        # most three while it is built, next to the previous path's two
+        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=100_000)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            estimate_packing_dim(mu, 100_000, 3, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_schedule_independence(self):
         # per-path derived seeds: the same battery in any order

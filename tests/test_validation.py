@@ -208,6 +208,8 @@ OTHER_BAD_CALLS = [
     ("RawVector length", lambda: RawVector(1, 1, (1.0,)), "need 2 masses"),
     ("ReducedPoint length", lambda: ReducedPoint(1, 2, (1.0,), 0.0), "need 2 level masses"),
     ("ReducedPoint p<0", lambda: ReducedPoint(1, 1, (1.5,), -0.5), "nonnegative"),
+    ("RawVector nan", lambda: RawVector(1, 1, (NAN, NAN)), "nonnegative"),
+    ("ReducedPoint nan", lambda: ReducedPoint(1, 1, (NAN,), NAN), "nonnegative"),
     # raw_objective reads only d, k and p: a vector built without RawVector's check
     ("raw_objective zero", lambda: raw_objective(SimpleNamespace(d=1, k=1, p=(0.0, 0.0))),
      "zero Lyapunov denominator"),
