@@ -405,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float,
                    help="one hole mass threshold (default 0, 2^-kd/2 and 2^-kd)")
     p.add_argument("--grid", type=int, default=500,
-                   help=f"grid points per free dimension, with grid^(k-1) <= "
-                        f"{oracle.MAX_GRID_POINTS}")
+                   help=f"grid points per free dimension, with grid and "
+                        f"grid^(k-1) <= {oracle.MAX_GRID_POINTS}")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("translate", help="random-translation porosity transfer")

@@ -421,7 +421,7 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err == (
-            "error: grid^k enumeration for d=3, k=1 is expensive; "
+            "error: grid^(k-1) enumeration for d=3, k=1 is expensive; "
             "the brute force covers d <= 2 and k <= 3\n"
         )
 
@@ -463,6 +463,8 @@ class TestErrors:
             ["solve", "--d", "2000", "--k", "1"],
             *REJECTED_BEFORE_ANY_NODE,
             ["oracle", "--d", "1", "--k", "3", "--grid", "100000000"],
+            # k = 1 reads one point per hole mass, but grid still sizes a row
+            ["oracle", "--d", "1", "--k", "1", "--eps", "0.25", "--grid", "10000000"],
             ["solve", "--d", "2", "--k", "1", "--points", "100000000"],
             ["simulate", "--gen", "uniform", "--slack", "nan", "--strict"],
             ["translate", "--gen", "cantor_middle_half", "--eta", "nan", "--strict"],

@@ -7,9 +7,10 @@ only Philox ``random()``; Dirichlet draws depend on numpy's sampler, so they
 are left out.  The d = 2 Bernoulli translate run (k = 4) pins the pushforward
 and its porosity tests in two dimensions, and the d = 1 mixture translate run
 pins a pushforward of a cascade source, whose nodes each draw their own
-weights.  The two oracle tables (the default
-battery, and d = 2, k = 3 at grid 500) pin every grid maximum and
-golden-section polish of the brute force to the last digit.
+weights.  The three oracle tables (the default battery, d = 2, k = 3 at
+grid 500, and d = 1, k = 3 at grid 1000, where the brute force skips the
+most grid tiles) pin every grid maximum and golden-section polish of the
+brute force to the last digit.
 """
 
 import hashlib
@@ -79,6 +80,10 @@ RUNS = {
     "oracle_d2k3": (
         ["oracle", "--d", "2", "--k", "3", "--eps", "0.0009765625"],
         "abaebf3e208a14f7ff685a0906142a4d26ad90f237496cf9e916f5491cc483b9",
+    ),
+    "oracle_d1k3_grid1000": (
+        ["oracle", "--d", "1", "--k", "3", "--grid", "1000", "--eps", "0.05"],
+        "fc94e3183fd576a7bf02b663669e95870c979ef4b09e7a0e4ea0a40cf33c021d",
     ),
 }
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from porodim.bounds import LOG2, psi, solve_s
 from porodim.oracle import (
     RawVector,
     ReducedPoint,
+    _grid_max,
+    _grid_values,
+    _tile_bounds,
+    _tiles,
+    _xlogx,
     alpha_vector,
     fixed_point_candidate,
     maximize_bruteforce,
@@ -172,3 +178,97 @@ def test_bruteforce_never_beats_solver(d, k, frac, grid):
     # exceed the supremum s(d, k, eps)
     eps = frac * 2.0 ** (-k * d)
     assert maximize_bruteforce(d, k, eps, grid).value <= solve_s(d, k, eps) + 1e-9
+
+
+def full_enumeration(d, k, eps, grid):
+    """Reference: the grid maximum and its free coordinates (q_1..q_{k-1}, p)
+    from evaluating every grid point, as the brute force did before it
+    skipped tiles."""
+    L = (1 << d) - 1
+    p_grid = np.linspace(0.0, eps, min(grid, 65)) if eps > 0.0 else np.array([0.0])
+    idx = np.indices((grid,) * (k - 1)).reshape(k - 1, grid ** (k - 1))
+    idx = idx[:, idx.sum(axis=0) < grid]
+    zero = np.zeros(idx.shape[1])
+    best_val = -math.inf
+    best_free = None
+    for p in p_grid:
+        budget = (1.0 - p) / L
+        a = np.linspace(0.0, budget, grid)
+        q = [a[col] for col in idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a_ent = _xlogx(a)
+            total, ent, lin = zero, zero, zero
+            for i, (col, qi) in enumerate(zip(idx, q), start=1):
+                total = total + qi
+                ent = ent + a_ent[col]
+                lin = lin + qi * i
+            keep = total <= budget + 1e-15
+            qk = budget - total
+            ent = ent + _xlogx(qk)
+            lin = lin + qk * k
+            num = L * (-ent) + psi(float(p))
+            den = LOG2 * (L * lin + k * float(p))
+        vals = np.where(keep, num / den, -np.inf)
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val = float(vals[j])
+            best_free = (*(float(qi[j]) for qi in q), float(p))
+    return best_val, best_free
+
+
+def assert_same_grid_max(d, k, eps, grid):
+    want_val, want_free = full_enumeration(d, k, eps, grid)
+    got_val, got_free = _grid_max(d, k, eps, grid)
+    assert got_val.hex() == want_val.hex()
+    assert [x.hex() for x in got_free] == [x.hex() for x in want_free]
+
+
+class TestPrunedGridIsExact:
+    @pytest.mark.parametrize("grid", [2, 3, 17, 101, 500])
+    @pytest.mark.parametrize("frac", [0.0, 1e-6, 0.5, 1.0])
+    @pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+    def test_matches_full_enumeration(self, d, k, frac, grid):
+        assert_same_grid_max(d, k, frac * 2.0 ** (-k * d), grid)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 2),
+        k=st.integers(1, 3),
+        frac=st.floats(0.0, 1.0),
+        grid=st.integers(2, 300),
+    )
+    def test_matches_full_enumeration_randomized(self, d, k, frac, grid):
+        assert_same_grid_max(d, k, frac * 2.0 ** (-k * d), grid)
+
+    def test_tile_bounds_hold(self):
+        # every computed value in a tile lies at or below the tile's bound
+        rng = np.random.default_rng(31)
+        for case in range(60):
+            d, k = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            eps = 2.0 ** (-k * d) * (0.0, 1.0, rng.random())[case % 3]
+            grid = int(rng.integers(2, 400 if k == 3 else 3000))
+            L = (1 << d) - 1
+            side, first, last = _tiles(grid, k)
+            offsets = np.indices((side,) * (k - 1)).reshape(k - 1, side ** (k - 1))
+            for p in np.linspace(0.0, eps, 4).tolist():
+                a = np.linspace(0.0, (1.0 - p) / L, grid)
+                bound = _tile_bounds(a[first], a[last], p, k, L)
+                for t in range(first.shape[1]):
+                    cols = first[:, t, None] + offsets
+                    cols = cols[:, cols.sum(axis=0) < grid]
+                    assert (cols <= last[:, t, None]).all()
+                    assert _grid_values(a[cols], p, psi(p), k, L).max() <= bound[t]
+
+    @pytest.mark.parametrize(
+        "args, limit_mb", [((2, 3, 2.0**-10, 500), 12), ((1, 2, 0.1, 10**6), 100)]
+    )
+    def test_peak_memory(self, args, limit_mb):
+        # the full enumeration held every grid point's intermediates at once:
+        # 14.3 and 122 MB
+        tracemalloc.start()
+        try:
+            maximize_bruteforce(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
