@@ -4,9 +4,7 @@ entropy-average packing-dimension estimation, and dimension-drop bounds."""
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundReport,
     c_const,
-    dimension_bound,
     k_of_alpha,
     solve_s,
     solve_table,
@@ -51,8 +49,6 @@ from .oracle import (
     reduce_within_levels,
 )
 from .porosity import (
-    PorosityCheck,
-    ScaleReport,
     TranslationReport,
     classify_porous,
     por2_depth,

@@ -17,7 +17,6 @@ bisection.  At eps = 0, where 0 log 0 = 0, the equation reduces to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dyadic import _index
 
@@ -94,8 +93,11 @@ def solve_s(d: int, k: int, eps: float) -> float:
 
 
 def t_dk(d: int, k: int, eps: float) -> float:
-    """Dimension drop t(d, k, eps) = d - s(d, k, eps); zero exactly at the
-    admissibility boundary eps = 2^-kd and strictly positive below it."""
+    """Dimension drop t(d, k, eps) = d - s(d, k, eps), zero at the
+    admissibility boundary eps = 2^-kd and positive below it.  The bisection
+    holds s, and so t, to an absolute 1e-12 only: once t is below about
+    1e-10 the value returned is noise, and from about k*d = 60 it is 0.0
+    (t(1, 60, 0) and t(2, 30, 0) read 0.0)."""
     return d - solve_s(d, k, eps)
 
 
@@ -130,69 +132,6 @@ def c_const(d: int) -> float:
     return math.ldexp(2.0 / (5.0 * LOG2 * d ** (d / 2.0)), -4 * d)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A packing-dimension upper bound d - eta * t and its surroundings.
-
-    ``eps_threshold_provable`` is 2^-dk, below which the drop is strictly
-    positive.  On the alpha route, ``eps_threshold_stated`` is the looser
-    closed-form threshold 2^-2d d^{-d/2} alpha^d, and ``consistency_ok``
-    records whether 2^-kd >= 2^-3d d^{-d/2} alpha^d, the inequality that makes
-    the c_d constant valid.  Both thresholds are reported because the ceiling
-    in k(alpha) can push 2^-dk below the closed form.
-    """
-
-    d: int
-    k: int
-    eta: float
-    eps: float
-    c_d: float
-    t: float
-    bound: float
-    eps_threshold_provable: float
-    eps_threshold_stated: float | None = None
-    consistency_ok: bool | None = None
-
-
-def dimension_bound(
-    d: int,
-    eta: float,
-    eps: float,
-    k: int | None = None,
-    alpha: float | None = None,
-) -> BoundReport:
-    """Evaluate the applicable bound d - eta * t for the given route.
-
-    Pass ``k`` for the dyadic route (t = t_dk) or ``alpha`` for the Euclidean
-    route (t = 2^-d t_dk at k = k(alpha)); exactly one of them.
-    """
-    if (k is None) == (alpha is None):
-        raise ValueError("pass exactly one of k or alpha")
-    _check_eta(eta)
-    if alpha is not None:
-        kk = k_of_alpha(d, alpha)
-        t = t_dalpha(d, alpha, eps)
-        stated = 2.0 ** (-2 * d) * d ** (-d / 2.0) * alpha**d
-        consistent = 2.0 ** (-kk * d) >= 2.0 ** (-3 * d) * d ** (-d / 2.0) * alpha**d
-    else:
-        kk = k
-        t = t_dk(d, k, eps)
-        stated = None
-        consistent = None
-    return BoundReport(
-        d=d,
-        k=kk,
-        eta=eta,
-        eps=eps,
-        c_d=c_const(d),
-        t=t,
-        bound=d - eta * t,
-        eps_threshold_provable=2.0 ** (-d * kk),
-        eps_threshold_stated=stated,
-        consistency_ok=consistent,
-    )
-
-
 def eps_grid(d: int, k: int, points: int) -> list[float]:
     """``points`` evenly spaced eps values j / (points - 1) * 2^-kd, from 0 to 2^-kd."""
     _check_points(points)
@@ -201,13 +140,12 @@ def eps_grid(d: int, k: int, points: int) -> list[float]:
     return [j / (points - 1) * hi for j in range(points)]
 
 
-def solve_table(d: int, k: int, points: int = 101) -> list[dict]:
-    """Rows of the dimension-drop curve over the scaled abscissa
-    eps_scaled = eps * 2^kd in [0, 1]."""
+def solve_table(d: int, k: int, points: int = 101) -> list[tuple[float, float, float, float]]:
+    """The dimension-drop curve as (eps, eps_scaled, s, t) rows, one per
+    ``eps_grid`` point, over the scaled abscissa eps_scaled = eps * 2^kd =
+    j / (points - 1) in [0, 1]."""
     rows = []
     for j, eps in enumerate(eps_grid(d, k, points)):
         s = solve_s(d, k, eps)
-        rows.append(
-            {"d": d, "k": k, "eps": eps, "eps_scaled": j / (points - 1), "s": s, "t": d - s}
-        )
+        rows.append((eps, j / (points - 1), s, d - s))
     return rows

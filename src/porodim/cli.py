@@ -102,12 +102,7 @@ def _cases(args, default: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _cmd_solve(args) -> int:
     pairs = _cases(args, [(2, 1), (2, 2)])
-    rows = []
-    for d, k in pairs:
-        for row in bounds.solve_table(d, k, args.points):
-            rows.append(
-                (row["d"], row["k"], row["eps"], row["eps_scaled"], row["s"], row["t"])
-            )
+    rows = [(d, k, *row) for d, k in pairs for row in bounds.solve_table(d, k, args.points)]
     write_csv(
         args.out,
         "solve",
@@ -173,10 +168,11 @@ def _cmd_simulate(args) -> int:
 
     dim_estimate = max(r[2] for r in rows)
     eta_hat = sum(r[5] for r in rows) / len(rows)
-    report = bounds.dimension_bound(d, eta_hat, eps, k=k)
-    passed = dim_estimate <= report.bound + args.slack
-    rows.append(("summary", depth, dim_estimate, "", "", eta_hat, "", "", report.t,
-                 report.bound, int(passed)))
+    t = bounds.t_dk(d, k, eps)
+    bound = d - eta_hat * t
+    passed = dim_estimate <= bound + args.slack
+    rows.append(("summary", depth, dim_estimate, "", "", eta_hat, "", "", t, bound,
+                 int(passed)))
     write_csv(
         args.out,
         "simulate",
@@ -217,20 +213,9 @@ def _cmd_oracle(args) -> int:
     for d, k in cases:
         eps_list = [args.eps] if args.eps is not None else bounds.eps_grid(d, k, 3)
         for eps in eps_list:
-            row = oracle.compare(d, k, eps, args.grid)
-            am = row["argmax"]
-            rows.append(
-                (
-                    row["d"],
-                    row["k"],
-                    row["eps"],
-                    row["value_bruteforce"],
-                    row["value_candidate"],
-                    row["value_solver"],
-                    row["gap"],
-                    "q=" + "|".join(_fmt(x) for x in am.q) + ";p=" + _fmt(am.p),
-                )
-            )
+            *values, am = oracle.compare(d, k, eps, args.grid)
+            argmax = "q=" + "|".join(_fmt(x) for x in am.q) + ";p=" + _fmt(am.p)
+            rows.append((d, k, eps, *values, argmax))
     write_csv(
         args.out,
         "oracle",
@@ -272,7 +257,7 @@ def _cmd_translate(args) -> int:
     report = translation_report(results, spec.d, r, args.eta)
 
     rows = [(tr.trial, "|".join(_fmt(t) for t in tr.translation), tr.fraction, k, eps, depth)
-            for tr in report.trials]
+            for tr in results]
     write_csv(
         args.out,
         "translate",

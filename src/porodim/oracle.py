@@ -143,7 +143,6 @@ def _xlogx(c: np.ndarray) -> np.ndarray:
 class BruteForceResult:
     value: float
     argmax: ReducedPoint
-    grid: int
 
 
 def _golden_section(f, lo: float, hi: float) -> float:
@@ -330,7 +329,7 @@ def maximize_bruteforce(
                 improved = True
         if not improved:
             break
-    return BruteForceResult(value=fz, argmax=ReducedPoint(d, k, *point(z)), grid=grid)
+    return BruteForceResult(value=fz, argmax=ReducedPoint(d, k, *point(z)))
 
 
 @dataclass(frozen=True)
@@ -374,18 +373,13 @@ def fixed_point_candidate(d: int, k: int, eps: float) -> FixedPointResult:
     )
 
 
-def compare(d: int, k: int, eps: float, grid: int = 500) -> dict:
-    """One comparison row: brute force vs fixed-point candidate vs solver."""
+def compare(d: int, k: int, eps: float,
+            grid: int = 500) -> tuple[float, float, float, float, ReducedPoint]:
+    """One comparison of brute force, fixed-point candidate and solver:
+    (value_bruteforce, value_candidate, value_solver, gap, argmax), where gap
+    is the larger distance of either value from the solver's and argmax is the
+    brute force's ReducedPoint."""
     bf = maximize_bruteforce(d, k, eps, grid)
     fp = fixed_point_candidate(d, k, eps)
     sv = solve_s(d, k, eps)
-    return {
-        "d": d,
-        "k": k,
-        "eps": eps,
-        "value_bruteforce": bf.value,
-        "value_candidate": fp.value,
-        "value_solver": sv,
-        "gap": max(abs(bf.value - sv), abs(fp.value - sv)),
-        "argmax": bf.argmax,
-    }
+    return bf.value, fp.value, sv, max(abs(bf.value - sv), abs(fp.value - sv)), bf.argmax

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, islice
+from itertools import chain, count, islice
 from typing import Iterator
 
 import numpy as np
@@ -47,18 +47,6 @@ def _check_porosity(d: int, k: int, eps: float) -> None:
     _check_eps(d, k, eps)
     if k * d > MAX_KD:
         raise ValueError(f"k*d = {k * d} exceeds {MAX_KD}: a frontier of 2^{k * d} nodes")
-
-
-@dataclass(frozen=True)
-class PorosityCheck:
-    """Outcome of the porous test at one node: the selected hole, None when
-    the node is not porous."""
-
-    hole: CubeAddress | None
-
-    @property
-    def porous(self) -> bool:
-        return self.hole is not None
 
 
 def _min_entry(frontier: dict[CubeAddress, float]) -> tuple[CubeAddress, float]:
@@ -130,10 +118,10 @@ class LineageClassifier:
         _check_porosity(base.d, k, eps)
 
         def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
-            check, frontiers = _classify_full(self, q, k, eps)
-            if not check.porous:
+            hole, frontiers = _classify_full(self, q, k, eps)
+            if hole is None:
                 return self.offspring(q)
-            part = porous_split(q, check.hole, k)
+            part = porous_split(q, hole, k)
             return part, tuple(
                 frontiers[child.level - q.level - 1][child] for child in part.children
             )
@@ -143,23 +131,25 @@ class LineageClassifier:
 
 def _classify_full(
     clf: LineageClassifier, q: CubeAddress, k: int, eps: float
-) -> tuple[PorosityCheck, list[dict[CubeAddress, float]]]:
-    """Classification plus q's conditional-mass frontiers at levels 1..k."""
+) -> tuple[CubeAddress | None, list[dict[CubeAddress, float]]]:
+    """q's selected hole, None when q is not porous, and q's conditional-mass
+    frontiers at levels 1..k."""
     frontiers = list(islice(clf.frontiers(q), k))
     hole, ratio = _min_entry(frontiers[k - 1])
-    return PorosityCheck(hole if ratio <= eps else None), frontiers
+    return (hole if ratio <= eps else None), frontiers
 
 
 def classify_porous(
     mu: TreeMeasure, q: CubeAddress, k: int, eps: float
-) -> PorosityCheck:
+) -> CubeAddress | None:
     """Is some R in D_k(q) an eps-hole (conditional mass <= eps)?
 
-    Returns the selected hole: the depth-k descendant of minimal conditional
-    mass, ties broken by lexicographic address order, so runs are
-    reproducible.  The caller is responsible for q having positive mass;
-    conditional ratios below q are well defined regardless.  Raises
-    ValueError unless k >= 1, k*d <= MAX_KD and eps lies in [0, 2^-kd].
+    Returns the selected hole, or None when q is not porous at (k, eps).  The
+    hole is the depth-k descendant of minimal conditional mass, ties broken
+    by lexicographic address order, so runs are reproducible.  The caller is
+    responsible for q having positive mass; conditional ratios below q are
+    well defined regardless.  Raises ValueError unless k >= 1, k*d <= MAX_KD
+    and eps lies in [0, 2^-kd].
     """
     _check_porosity(mu.d, k, eps)
     return _classify_full(LineageClassifier(mu), q, k, eps)[0]
@@ -254,22 +244,15 @@ def sample_porous_path(
     return walk, flags
 
 
-@dataclass(frozen=True)
-class ScaleReport:
-    """Porous-scale flags along one lineage, one per dyadic level, and their
-    running fractions."""
-
-    dyadic_flags: tuple[bool, ...]
-    dyadic_fraction: tuple[float, ...]
-
-
 def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: int,
-                               eps: float, n_max: int) -> ScaleReport:
-    """Running porous-scale fractions along a lineage of ``mu``.
+                               eps: float, n_max: int) -> tuple[bool, ...]:
+    """The porous-scale flags of a lineage of ``mu``, one per dyadic level.
 
-    ``dyadic_fraction[n-1]`` is (1/n) |{i in [n] : por2(mu, x, i, eps) <= k}|.
-    The flags come from the lineage's walk on the porous re-tree, which
-    needs the cubes x_path[0..n_max + k], a lineage; each node is realized once.
+    ``flags[n]`` is por2(mu, x, n, eps) <= k: is the level-n cube porous at
+    (k, eps), for n in 0..n_max-1; the fraction of porous scales among the
+    first n levels is sum(flags[:n]) / n.  The flags come from the lineage's
+    walk on the porous re-tree, which needs the cubes x_path[0..n_max + k],
+    a lineage; each node is realized once.
     """
     _check_porosity(mu.d, k, eps)
     if _index(n_max, "n_max") < 1:
@@ -291,9 +274,7 @@ def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: in
     clf = LineageClassifier(mu)
     walk = porous_walk(clf.retree(k, eps), lineage, k)
     levels = chain.from_iterable(flags for _, flags in _porous_levels(clf, walk, k, eps))
-    flags = tuple(islice(levels, n_max))
-    running = (hits / n for n, hits in enumerate(accumulate(flags), start=1))
-    return ScaleReport(dyadic_flags=flags, dyadic_fraction=tuple(running))
+    return tuple(islice(levels, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +290,6 @@ class TranslationTrial:
 
 @dataclass(frozen=True)
 class TranslationReport:
-    trials: tuple[TranslationTrial, ...]
     mean_fraction: float
     min_fraction: float
     threshold: float | None
@@ -344,8 +324,8 @@ def run_translation_trials(
         t = tuple(float(u) * 2.0 ** -depth for u in t_units)
         nu = apply_homothety(mu, Homothety(r / 2.0, t), depth + k)
         path = nu.sample_path(derived_rng(seed, _PATH_STREAM, i), steps=depth + k)
-        report = porous_fraction_trajectory(nu, path, k, eps, n_max=depth)
-        out.append(TranslationTrial(i, t, report.dyadic_fraction[-1]))
+        flags = porous_fraction_trajectory(nu, path, k, eps, n_max=depth)
+        out.append(TranslationTrial(i, t, sum(flags) / len(flags)))
     return out
 
 
@@ -365,4 +345,4 @@ def translation_report(
     mean_fraction = math.fsum(fractions) / len(fractions)
     threshold = None if eta_target is None else (1.0 - 2.0 * r) ** d * eta_target
     passed = None if threshold is None else mean_fraction >= threshold
-    return TranslationReport(tuple(trials), mean_fraction, min(fractions), threshold, passed)
+    return TranslationReport(mean_fraction, min(fractions), threshold, passed)

@@ -3,10 +3,10 @@ import sys
 
 import pytest
 
+from porodim import bounds
 from porodim.bounds import (
     LOG2,
     c_const,
-    dimension_bound,
     k_of_alpha,
     psi,
     solve_s,
@@ -155,38 +155,40 @@ class TestConstantsAndBound:
         assert c_const(135) >= sys.float_info.min
         for d in (256, 1023):
             assert c_const(d) == 0.0
-            assert dimension_bound(d, eta=1.0, eps=0.0, k=1).c_d == 0.0
 
     def test_dyadic_route_bound(self):
-        rep = dimension_bound(2, eta=1.0, eps=0.0, k=1)
-        assert rep.bound == pytest.approx(2 - 0.4150375, abs=1e-6)
-        rep = dimension_bound(1, eta=1.0, eps=0.3, k=1)
-        assert rep.bound == pytest.approx(binary_entropy_bits(0.3), abs=1e-9)
+        # the bound d - eta * t at eta = 1 in two closed forms
+        assert 2 - t_dk(2, 1, 0.0) == pytest.approx(2 - 0.4150375, abs=1e-6)
+        assert 1 - t_dk(1, 1, 0.3) == pytest.approx(binary_entropy_bits(0.3), abs=1e-9)
 
-    def test_alpha_route_reports_both_thresholds(self):
-        rep = dimension_bound(2, eta=0.5, eps=0.0, alpha=0.25)
-        assert rep.k == 5
-        assert rep.eps_threshold_provable == 2.0**-10
-        assert rep.eps_threshold_stated == pytest.approx(
-            2.0**-4 * 2.0**-1 * 0.25**2
-        )
-        # the ceiling makes the provable threshold smaller here
-        assert rep.eps_threshold_provable < rep.eps_threshold_stated
-        assert rep.consistency_ok  # 2^-kd >= 2^-3d d^-d/2 alpha^d
-
-    def test_route_exclusivity(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            dimension_bound(2, eta=1.0, eps=0.0)
-        with pytest.raises(ValueError, match="exactly one"):
-            dimension_bound(2, eta=1.0, eps=0.0, k=1, alpha=0.25)
+    def test_euclidean_form_meets_c_const(self):
+        """The paper's Euclidean form t_dalpha(d, alpha, 0) >= c_d alpha^d at
+        alpha = 2^-(1 + m/8), wherever k(alpha) d <= 24.  Past that t is below
+        about 5e-8 and t_dk's absolute 1e-12 becomes a growing share of it.
+        From d = 5 on, k(1/2) d >= 25 already."""
+        checked = set()
+        for d in range(1, 9):
+            # t_dk holds t to the bisection's absolute tolerance, and
+            # t_dalpha = 2^-d t_dk scales that error with it
+            tol = 2.0**-d * bounds._BISECT_TOL
+            for m in range(200):
+                alpha = 0.5 * 2.0 ** (-m / 8)
+                if k_of_alpha(d, alpha) * d > 24:
+                    break
+                assert t_dalpha(d, alpha, 0.0) + tol >= c_const(d) * alpha**d, (d, m)
+                checked.add(d)
+        assert checked == {1, 2, 3, 4}
 
 
 def test_solve_table_shape_and_endpoints():
     rows = solve_table(2, 1, points=11)
     assert len(rows) == 11
-    assert rows[0]["eps_scaled"] == 0.0
-    assert rows[-1]["eps_scaled"] == 1.0
-    assert rows[0]["t"] == pytest.approx(2 - math.log2(3), abs=1e-9)
-    assert rows[-1]["t"] == pytest.approx(0.0, abs=1e-9)
-    ts = [r["t"] for r in rows]
+    eps, eps_scaled, s, ts = zip(*rows)
+    assert list(eps) == bounds.eps_grid(2, 1, 11)
+    assert eps_scaled[0] == 0.0
+    assert eps_scaled[-1] == 1.0
+    assert all(x * 4.0 == y for x, y in zip(eps, eps_scaled))
+    assert all(t == 2 - si for si, t in zip(s, ts))
+    assert ts[0] == pytest.approx(2 - math.log2(3), abs=1e-9)
+    assert ts[-1] == pytest.approx(0.0, abs=1e-9)
     assert all(a > b for a, b in zip(ts, ts[1:]))

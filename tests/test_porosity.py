@@ -35,8 +35,7 @@ class TestClassify:
     def test_uniform_never_porous_below_threshold(self, uniform2):
         for k in (1, 2):
             eps = 2.0 ** (-k * 2) * 0.999
-            chk = classify_porous(uniform2, root(2), k, eps)
-            assert not chk.porous
+            assert classify_porous(uniform2, root(2), k, eps) is None
 
     def test_uniform_porous_at_equality(self, uniform2):
         # every depth-k ratio is exactly 2^-kd: the equality case counts,
@@ -45,23 +44,23 @@ class TestClassify:
         for k in (1, 2):
             eps = 2.0 ** (-k * 2)
             for q in nodes:
-                chk = classify_porous(uniform2, q, k, eps)
-                assert chk.porous
+                hole = classify_porous(uniform2, q, k, eps)
+                assert hole is not None
                 assert porous_retree(uniform2, k, eps).offspring(q)[1][-1] == eps
                 # lexicographic tie-break picks the lowest corner
-                assert chk.hole == CubeAddress(q.level + k, tuple(c << k for c in q.coords))
+                assert hole == CubeAddress(q.level + k, tuple(c << k for c in q.coords))
 
     def test_point_mass_zero_hole(self, point_mass):
-        chk = classify_porous(point_mass, root(1), 1, 0.0)
-        assert chk.porous
+        hole = classify_porous(point_mass, root(1), 1, 0.0)
+        assert hole is not None
         assert porous_retree(point_mass, 1, 0.0).offspring(root(1))[1][-1] == 0.0
-        assert chk.hole == CubeAddress(1, (1,))
+        assert hole == CubeAddress(1, (1,))
 
     def test_bernoulli_hole_weight(self):
         mu = make_measure(1, Bernoulli((0.1, 0.9)))
-        chk = classify_porous(mu, root(1), 2, 0.05)
-        assert chk.porous
-        assert chk.hole == CubeAddress(2, (0,))
+        hole = classify_porous(mu, root(1), 2, 0.05)
+        assert hole is not None
+        assert hole == CubeAddress(2, (0,))
         hole_weight = porous_retree(mu, 2, 0.05).offspring(root(1))[1][-1]
         assert hole_weight == pytest.approx(0.01, abs=1e-15)
 
@@ -115,27 +114,28 @@ class TestFractionTrajectory:
     def test_uniform_fraction_zero(self, uniform1):
         path = uniform1.sample_path(5, steps=20)
         # d=1: every depth-1 ratio is exactly 1/2
-        rep = porous_fraction_trajectory(uniform1, path, 1, 0.5, n_max=15)
-        assert all(f == 1.0 for f in rep.dyadic_fraction)
-        rep = porous_fraction_trajectory(uniform1, path, 1, 0.3, n_max=15)
-        assert all(f == 0.0 for f in rep.dyadic_fraction)
+        flags = porous_fraction_trajectory(uniform1, path, 1, 0.5, n_max=15)
+        assert flags == (True,) * 15
+        flags = porous_fraction_trajectory(uniform1, path, 1, 0.3, n_max=15)
+        assert flags == (False,) * 15
 
     def test_bernoulli_every_scale_porous(self, bern_quarter):
         path = bern_quarter.sample_path(6, steps=25)
-        rep = porous_fraction_trajectory(bern_quarter, path, 1, 0.3, n_max=20)
-        assert all(f == 1.0 for f in rep.dyadic_fraction)
+        flags = porous_fraction_trajectory(bern_quarter, path, 1, 0.3, n_max=20)
+        assert flags == (True,) * 20
 
     def test_point_mass_fraction_one(self, point_mass):
         path = point_mass.sample_path(7, steps=20)
-        rep = porous_fraction_trajectory(point_mass, path, 1, 0.0, n_max=15)
-        assert rep.dyadic_fraction[-1] == 1.0
+        flags = porous_fraction_trajectory(point_mass, path, 1, 0.0, n_max=15)
+        assert len(flags) == 15
+        assert sum(flags) / len(flags) == 1.0
 
     def test_por2_profile_matches_flags(self):
         mu = make_measure(2, CascadeDirichlet((0.4,) * 4), seed=9, depth=20)
         path = mu.sample_path(10, steps=16)
-        rep = porous_fraction_trajectory(mu, path, 2, 0.01, n_max=10)
+        flags = porous_fraction_trajectory(mu, path, 2, 0.01, n_max=10)
         profile = por2_profile(mu, path, 10, 0.01)
-        assert rep.dyadic_flags == tuple(p <= 2 for p in profile)
+        assert flags == tuple(p <= 2 for p in profile)
 
     def test_short_lineage_rejected(self, bern_quarter):
         path = bern_quarter.sample_path(6, steps=12)
@@ -185,15 +185,15 @@ class TestLineageClassifier:
         assert 0 < sum(flags) < len(flags)
         for n, flag in enumerate(flags):
             assert flag == (por2_depth(mu, lineage, n, eps, cap=k) <= k)
-            assert flag == classify_porous(mu, lineage[n], k, eps).porous
+            assert flag == (classify_porous(mu, lineage[n], k, eps) is not None)
             assert flag == _brute_porous(mu, lineage[n], k, eps)
         for node, part, _, idx in walk:
             assert (part.hole is not None) == flags[node.level]
             jump = part.children[idx].level - node.level
             assert jump == 1 or part.hole is not None
         # translate's pass gives the same flags on the same lineage
-        rep = porous_fraction_trajectory(mu, lineage, k, eps, n_max=last.level - k)
-        assert rep.dyadic_flags == tuple(flags[: last.level - k])
+        got = porous_fraction_trajectory(mu, lineage, k, eps, n_max=last.level - k)
+        assert got == tuple(flags[: last.level - k])
 
     def test_fraction_trajectory_realizes_each_node_once(self, monkeypatch):
         import porodim.measure
@@ -208,11 +208,11 @@ class TestLineageClassifier:
         mu = make_measure(2, _DIRICHLET, seed=9, depth=40)
         path = mu.sample_path(10, steps=40)
         monkeypatch.setattr(porodim.measure, "node_weights", counting)
-        rep = porous_fraction_trajectory(mu, path, 2, 0.0125, n_max=30)
+        got = porous_fraction_trajectory(mu, path, 2, 0.0125, n_max=30)
         assert calls and set(calls.values()) == {1}
         monkeypatch.undo()
         flags = tuple(por2_depth(mu, path, n, 0.0125, cap=2) <= 2 for n in range(30))
-        assert rep.dyadic_flags == flags
+        assert got == flags
         # the walk has porous jumps, so levels inside them were probed
         walk = porous_walk(porous_retree(mu, 2, 0.0125), path[:33], 2)
         assert any(part.children[idx].level - node.level == 2

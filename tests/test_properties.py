@@ -30,7 +30,7 @@ def test_classification_monotone_in_eps(spec, seed, steps, cap, eps):
         por2 = [clf.por2(q, e, cap) for e in eps]
         assert por2 == sorted(por2, reverse=True)
         for k in range(1, cap + 1):
-            porous = [_classify_full(clf, q, k, e)[0].porous for e in eps]
+            porous = [_classify_full(clf, q, k, e)[0] is not None for e in eps]
             assert porous == sorted(porous)  # False ... False, True ... True
             assert porous == [clf.por2(q, e, k) <= k for e in eps]
 

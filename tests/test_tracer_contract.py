@@ -1,10 +1,11 @@
 """The benchmark's tracer wraps porodim names from outside the package; a
 renamed or deleted name, or a hook handed an iterator where it takes a list,
-breaks traced runs.  This runs the tracer over one tiny simulate, one tiny
-translate and one tiny k = 3 oracle, and checks that tracing changes no output
-and sees the porous steps or, for the oracle, the grid points.  The oracle run
-guards the wrap of maximize_bruteforce, which reads d, k, eps and grid
-positionally.
+breaks traced runs.  This runs the tracer over one tiny run of each
+subcommand, the oracle at k = 3, and checks that tracing changes no output
+and sees the counter the run moves: the porous steps, the oracle's grid
+points, the solver calls behind a solve table, or the bytes of an hmin CSV.
+The oracle run guards the wrap of maximize_bruteforce, which reads d, k, eps
+and grid positionally.
 """
 
 import sys
@@ -22,11 +23,14 @@ RUNS = {
     "translate": ["translate", "--gen", "cantor_middle_half", "--trials", "3",
                   "--depth", "12", "--seed", "4"],
     "oracle": ["oracle", "--d", "1", "--k", "3", "--grid", "50"],
+    "solve": ["solve", "--d", "1", "--k", "2", "--points", "5"],
+    "hmin": ["hmin", "--d", "1", "--points", "5"],
 }
 
 #: the tracer counter each run must see move
 COUNTER = {"simulate": "porosity.porous_steps", "translate": "porosity.porous_steps",
-           "oracle": "oracle.grid_points"}
+           "oracle": "oracle.grid_points", "solve": "bounds.solve_s.calls",
+           "hmin": "cli.csv_bytes"}
 
 
 @pytest.fixture(scope="module")

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porodim.measure
-from porodim.bounds import dimension_bound, solve_s, solve_table
+from porodim.bounds import solve_s, solve_table, t_dk
 from porodim.cli import build_parser, main
-from porodim.dimension import estimate_packing_dim, sampled_trajectory
+from porodim.dimension import estimate_packing_dim, hmin_and_converse, sampled_trajectory
 from porodim.dyadic import (CubeAddress, CubePartition, porous_split, root,
                             validate_partition)
 from porodim.measure import (
@@ -38,6 +38,7 @@ from porodim.measure import (
 from porodim.oracle import (RawVector, ReducedPoint, fixed_point_candidate,
                             maximize_bruteforce, raw_objective, reduced_objective)
 from porodim.porosity import (
+    TranslationTrial,
     classify_porous,
     por2_depth,
     por2_profile,
@@ -55,6 +56,7 @@ CANTOR = make_measure(1, CantorMiddleHalf(), depth=12)
 BERN = make_measure(1, Bernoulli((0.25, 0.75)))
 BERN_PATH = BERN.sample_path(1, steps=16)
 HALVES = tuple(CubeAddress(1, (c,)) for c in (0, 1))  # the children of [0, 1)
+ONE_TRIAL = TranslationTrial(0, (0.0,), 0.0)
 
 #: (k, eps) pairs outside the paper's range at d = 1, where 2^-kd = 1/2 at
 #: k = 1, with the message each must raise
@@ -79,7 +81,7 @@ K_EPS_ENTRIES = {
     "por2_profile": lambda mu, path, k, eps: por2_profile(mu, path, 5, eps, cap=k),
     "maximize_bruteforce": lambda mu, path, k, eps: maximize_bruteforce(1, k, eps, grid=5),
     "fixed_point_candidate": lambda mu, path, k, eps: fixed_point_candidate(1, k, eps),
-    "dimension_bound": lambda mu, path, k, eps: dimension_bound(1, 0.5, eps, k=k),
+    "t_dk": lambda mu, path, k, eps: t_dk(1, k, eps),
 }
 
 #: Calls with one bad eta, weight, probability, concentration, config integer,
@@ -89,8 +91,10 @@ OTHER_BAD_CALLS = [
     *((f"translate eps={eps}", lambda eps=eps: run_translation_trials(
         CANTOR, 0.25, 0.25, eps, 8, 0, range(1)),
        "eps must lie") for eps in (NAN, -1.0, 0.1)),  # k(1/4, 1/4) = 4 at d = 1
-    *((f"dimension_bound eta={eta}", lambda eta=eta: dimension_bound(1, eta, 0.0, k=1),
+    *((f"hmin_and_converse eta={eta}", lambda eta=eta: hmin_and_converse(1, 0.0, eta),
        "eta must lie") for eta in (NAN, -0.1, 1.5)),
+    *((f"translation_report eta={eta}", lambda eta=eta: translation_report(
+        [ONE_TRIAL], 1, 0.25, eta_target=eta), "eta must lie") for eta in (NAN, -0.1, 1.5)),
     *((f"bernoulli {w}", lambda w=w: Bernoulli(w), "outside")
       for w in ((0.5, NAN), (NAN, NAN), (INF, 0.0), (1e308, 1e308))),
     ("mixture component nan", lambda: CascadeFiniteMixture(
@@ -331,7 +335,9 @@ def test_address_constructor_stores_python_ints():
 
 
 def test_eta_zero_is_admissible():
-    assert dimension_bound(2, eta=0.0, eps=0.0, k=1).bound == 2.0
+    assert hmin_and_converse(2, 0.25, 0.0).lower_bound == 2.0
+    report = translation_report([ONE_TRIAL], 1, 0.25, eta_target=0.0)
+    assert report.threshold == 0.0 and report.passed
 
 
 # ---------------------------------------------------------------------------
