@@ -13,6 +13,7 @@ which skips the check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -66,16 +67,16 @@ class CubeAddress(tuple):
 
     def contains(self, other: "CubeAddress") -> bool:
         """True when ``other`` is this cube or a descendant of it."""
-        if other.d != self.d or other.level < self.level:
+        shift = other[0] - self[0]
+        if shift < 0 or len(other[1]) != len(self[1]):
             return False
-        shift = other.level - self.level
-        return all((oc >> shift) == c for oc, c in zip(other.coords, self.coords))
+        return all((oc >> shift) == c for oc, c in zip(other[1], self[1]))
 
     def uniform_child(self, offset_index: int) -> "CubeAddress":
         """Child one level down; bit i of ``offset_index`` is the offset on axis i."""
         if not 0 <= _index(offset_index, "offset index") < (1 << self.d):
             raise ValueError(f"offset index {offset_index} outside [0, 2^{self.d})")
-        return subdivide_uniform(self).children[offset_index]
+        return _children(self)[offset_index]
 
     def serialize(self) -> str:
         """Wire format ``level:c0,c1,...``."""
@@ -122,14 +123,43 @@ class CubePartition:
 
 
 def subdivide_uniform(parent: CubeAddress) -> CubePartition:
-    """Split ``parent`` into its 2^d dyadic children."""
-    level = parent.level + 1
-    coords = parent.coords
-    children = tuple(
-        _addr(level, tuple((c << 1) | ((j >> i) & 1) for i, c in enumerate(coords)))
-        for j in range(1 << len(coords))
-    )
-    return CubePartition(parent, children)
+    """Split ``parent`` into its 2^d dyadic children, in digit order."""
+    return CubePartition(parent, _children(parent))
+
+
+def _children(parent: CubeAddress) -> tuple[CubeAddress, ...]:
+    """The 2^d children of ``parent`` in digit order: bit i of child j's
+    digit is its offset on axis i, so axis 0 varies fastest."""
+    level = parent[0] + 1
+    pairs = [(c << 1, (c << 1) | 1) for c in reversed(parent[1])]
+    return tuple([_addr(level, coords[::-1]) for coords in itertools.product(*pairs)])
+
+
+@functools.cache
+def _lex_order(d: int, k: int) -> tuple[int, ...]:
+    """The digit-order indices of a cube's depth-k descendants, sorted by the
+    descendants' coords.  Index i holds k base-2^d digits, the first one
+    most significant, each a child digit as in ``_children``.  At d = 1
+    digit order is coords order; at d >= 2 it is not, since a digit's bit 0
+    is the axis-0 offset."""
+    return tuple(sorted(range(1 << (d * k)), key=lambda i: _offsets(i, d, k)))
+
+
+def _offsets(index: int, d: int, k: int) -> list[int]:
+    """Per-axis coordinate offsets of the depth-k descendant at digit-order
+    ``index``: its coords are the parent's shifted left by k, plus these."""
+    offs = [0] * d
+    for shift in range(d * (k - 1), -1, -d):
+        offs = [(o << 1) | ((index >> (shift + i)) & 1) for i, o in enumerate(offs)]
+    return offs
+
+
+def _descendant(parent: CubeAddress, k: int, index: int) -> CubeAddress:
+    """The depth-k descendant of ``parent`` at digit-order ``index``."""
+    coords = parent[1]
+    return _addr(parent[0] + k, tuple(map(
+        operator.or_, [c << k for c in coords], _offsets(index, len(coords), k)
+    )))
 
 
 def porous_split(parent: CubeAddress, hole: CubeAddress, k: int) -> CubePartition:
@@ -138,21 +168,23 @@ def porous_split(parent: CubeAddress, hole: CubeAddress, k: int) -> CubePartitio
 
     The resulting partition has (2^d - 1) k + 1 children and is 2^-k-regular.
     Children are ordered level 1..k (lexicographic within a level), hole last.
+    The level-j cubes are the siblings of the hole's level-j ancestor, built
+    from the hole's coordinate bits.
     """
     if k < 1:
         raise ValueError(f"hole depth k must be >= 1, got {k}")
-    if hole.level != parent.level + k or not parent.contains(hole):
+    if hole[0] != parent[0] + k or not parent.contains(hole):
         raise ValueError(
             f"hole {hole.serialize()} is not a depth-{k} descendant "
             f"of {parent.serialize()}"
         )
     children: list[CubeAddress] = []
-    spine = [hole.ancestor(parent.level + j) for j in range(k + 1)]  # spine[0] = parent
-    for j in range(1, k + 1):
-        siblings = subdivide_uniform(spine[j - 1]).children
-        children.extend(
-            sorted((c for c in siblings if c != spine[j]), key=lambda c: c.coords)
-        )
+    for level in range(parent[0] + 1, hole[0] + 1):
+        # the hole's ancestor at this level and its siblings, in coords order
+        spine = tuple(c >> (hole[0] - level) for c in hole[1])
+        pairs = [(s & ~1, s | 1) for s in spine]
+        children += [_addr(level, coords) for coords in itertools.product(*pairs)
+                     if coords != spine]
     children.append(hole)
     return CubePartition(parent, tuple(children), hole=hole)
 

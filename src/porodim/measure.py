@@ -9,7 +9,10 @@ porosity tests work with masses relative to an ancestor cube instead.
 Realization is lazy: node data is produced on demand by a
 deterministic realizer keyed by (seed, node address) through a counter-based
 generator (numpy Philox), so parallel and serial builds agree bit for bit and
-rebuilding with the same seed is identical.
+rebuilding with the same seed is identical.  Cascade nodes draw from one
+Philox per process, re-keyed for each node by assigning its state (the key
+``node_rng``'s SeedSequence derives, counter 0): the same stream as
+``node_rng(seed, q)``, without building a generator per node.
 """
 
 from __future__ import annotations
@@ -56,20 +59,61 @@ def _u64(seed: int) -> int:
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
+def _seed_sequence(*key: int) -> np.random.SeedSequence:
+    """numpy's ``SeedSequence`` of ``key``, a tuple of non-negative ints taken
+    as max(1, ceil(bits / 32)) uint32 words each, least significant first.
+    The words are built here in one pass: numpy converts an int a word at a
+    time in a Python loop, slow for deep nodes."""
+    words = b"".join([n.to_bytes(((n.bit_length() + 31) >> 5 or 1) << 2, "little")
+                      for n in key])
+    return np.random.SeedSequence(np.frombuffer(words, "<u4"))
+
+
 def _keyed_rng(*key: int) -> np.random.Generator:
-    """Philox generator seeded as numpy's ``SeedSequence`` seeds it from ``key``,
-    a tuple of non-negative ints taken as max(1, ceil(bits / 32)) uint32 words
-    each, least significant first.  The words are built here in one pass: numpy
-    converts an int a word at a time in a Python loop, slow for deep nodes."""
-    words = b"".join(n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
-                     for n in key)
-    entropy = np.frombuffer(words, "<u4")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    """Philox generator seeded from ``_seed_sequence(*key)``."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(*key)))
 
 
 def node_rng(seed: int, q: CubeAddress) -> np.random.Generator:
     """Counter-based generator keyed by (seed, node stream, node address)."""
     return _keyed_rng(_u64(seed), _NODE_STREAM, q.level, *q.coords)
+
+
+def _philox_key(pool: Sequence[int]) -> tuple[int, int]:
+    """``generate_state(2, np.uint64)`` of the SeedSequence whose pool is
+    ``pool``: the key a Philox seeded by it takes.  numpy's documented
+    hash of the four pool words, written out, since the call costs more
+    than the hash."""
+    mult = 0x8B51F9DD  # SeedSequence's INIT_B
+    words = []
+    for word in pool:
+        word ^= mult
+        mult = (mult * 0x58F38DED) & 0xFFFFFFFF  # MULT_B
+        word = (word * mult) & 0xFFFFFFFF
+        words.append(word ^ (word >> 16))
+    return words[0] | words[1] << 32, words[2] | words[3] << 32
+
+
+@functools.cache
+def _process_generator() -> np.random.Generator:
+    """The one node generator of this process, built on first use: importing
+    numpy.random costs as much as importing this package."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _node_generator(seed: int, q: CubeAddress) -> np.random.Generator:
+    """The process's node generator, re-keyed to ``node_rng(seed, q)``'s
+    stream: the key its Philox takes from its SeedSequence, counter 0 and an
+    empty buffer, as a fresh Philox starts.  The next call re-keys it, so
+    draw from it before realizing another node."""
+    seq = _seed_sequence(_u64(seed), _NODE_STREAM, q.level, *q.coords)
+    rng = _process_generator()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _philox_key(seq.pool.tolist())},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -159,6 +203,11 @@ class CascadeDirichlet:
             raise ValueError(f"concentration must be positive and finite, got {conc}")
         object.__setattr__(self, "concentration", conc)
 
+    @functools.cached_property
+    def _alpha(self) -> np.ndarray:
+        """The concentration as the float array ``Generator.dirichlet`` reads."""
+        return np.array(self.concentration)
+
 
 @dataclass(frozen=True)
 class CantorMiddleHalf:
@@ -213,7 +262,7 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
         if q.level % 2 == 0:
             return (0.5, 0.5)
         return (1.0, 0.0) if q.coords[0] % 2 == 0 else (0.0, 1.0)
-    rng = node_rng(spec.seed, q)
+    rng = _node_generator(spec.seed, q)
     if isinstance(m, CascadeFiniteMixture):
         u = rng.random()
         acc = 0.0
@@ -223,7 +272,7 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
                 return comp
         return m.components[-1]
     # CascadeDirichlet: GeneratorSpec admits no other model
-    return tuple(rng.dirichlet(m.concentration).tolist())
+    return tuple(rng.dirichlet(m._alpha).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +282,14 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
 class TreeMeasure:
     """An immutable measure realized as a partition tree.
 
-    ``realizer(q) -> (CubePartition, Weights)`` supplies node data on demand.
-    ``depth`` bounds the dyadic level of any node, and so the number of tree
-    steps along any path.  ``log_mass`` is the one mass query, since a mass
-    underflows near level 540.  The measure keeps no node data: every
-    ``offspring`` call runs the realizer, and a realizer that is costly to
-    repeat memoizes itself, as ``apply_homothety``'s does.
+    ``realizer(q) -> (CubePartition, Weights)`` supplies node data on demand;
+    ``weights(q)``, when given, supplies the offspring vector alone, for
+    readers that need no partition.  ``depth`` bounds the dyadic level of any
+    node, and so the number of tree steps along any path.  ``log_mass`` is
+    the one mass query, since a mass underflows near level 540.  The measure
+    keeps no node data: every ``offspring`` call runs the realizer, and a
+    realizer that is costly to repeat memoizes itself, as
+    ``apply_homothety``'s does.
     """
 
     def __init__(
@@ -248,11 +299,13 @@ class TreeMeasure:
         realizer: Callable[[CubeAddress], tuple[CubePartition, Weights]],
         *,
         dyadic_splits: bool = True,
+        weights: Callable[[CubeAddress], Weights] | None = None,
     ):
         self.depth = _index(depth, "depth", 0)
         self.root = root(d)
         self.d = d
         self._realizer = realizer
+        self._weights = weights or (lambda q: realizer(q)[1])
         #: True when every partition is the uniform dyadic split.
         self.dyadic_splits = dyadic_splits
         #: The offspring vector every node shares (product measures), else None.
@@ -260,11 +313,19 @@ class TreeMeasure:
 
     def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
         """Partition and conditional offspring vector at ``q``."""
+        self._check_level(q)
+        return self._realizer(q)
+
+    def weights(self, q: CubeAddress) -> Weights:
+        """The offspring vector at ``q``: ``offspring(q)[1]``."""
+        self._check_level(q)
+        return self._weights(q)
+
+    def _check_level(self, q: CubeAddress) -> None:
         if q.level >= self.depth:
             raise UnrealizedNodeError(
                 f"node {q.serialize()} is at the measure's maximum level {self.depth}"
             )
-        return self._realizer(q)
 
     def steps_to(self, target: CubeAddress, last: int | None = None,
                  start: CubeAddress | None = None):
@@ -371,10 +432,13 @@ def build_tree_measure(
             f"pass max_level explicitly to allow it"
         )
 
+    def weights(q: CubeAddress) -> Weights:
+        return node_weights(spec, q)
+
     def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
         return subdivide_uniform(q), node_weights(spec, q)
 
-    mu = TreeMeasure(spec.d, depth, realizer)
+    mu = TreeMeasure(spec.d, depth, realizer, weights=weights)
     if isinstance(spec.model, (Uniform, Bernoulli)):
         mu.product_weights = node_weights(spec, mu.root)
     return mu

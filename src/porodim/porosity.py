@@ -14,22 +14,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
 
 from .bounds import _check_eps, _check_eta, k_of_alpha
-from .dyadic import CubeAddress, CubePartition, _index, porous_split
+from .dyadic import (
+    CubeAddress,
+    CubePartition,
+    _children,
+    _descendant,
+    _index,
+    _lex_order,
+    porous_split,
+    subdivide_uniform,
+)
 from .measure import (
     _PATH_STREAM,
-    _SPLIT,
-    _TAKE,
     _TRIAL_STREAM,
     Homothety,
     TreeMeasure,
     Weights,
-    _descend,
     _require_dyadic,
     apply_homothety,
     derived_rng,
@@ -49,24 +55,25 @@ def _check_porosity(d: int, k: int, eps: float) -> None:
         raise ValueError(f"k*d = {k * d} exceeds {MAX_KD}: a frontier of 2^{k * d} nodes")
 
 
-def _min_entry(frontier: dict[CubeAddress, float]) -> tuple[CubeAddress, float]:
-    """Smallest ratio; ties broken by lexicographic address order."""
-    best_addr, best = None, math.inf
-    for addr, ratio in frontier.items():
-        if ratio < best or (ratio == best and addr.coords < best_addr.coords):
-            best_addr, best = addr, ratio
-    return best_addr, best
-
-
 class LineageClassifier:
     """Porosity decisions on the nodes of a lineage of one dyadic measure.
 
-    The classifier keeps one memo: each node's offspring, realized once.
-    A query on q builds q's conditional-mass frontiers from it afresh and
-    lazily, level by level (level j maps the depth-j descendants R to
-    mu(R)/mu(q)).  The porous test at (k, eps) reads frontiers 1..k, por2 up
-    to the first whose minimum is <= eps.  Holes persist to deeper levels, so
+    The classifier keeps one memo: each node's offspring vector, realized
+    once; it builds no partition.  A query on q builds q's conditional-mass
+    frontiers from it afresh and lazily, level by level.  Frontier j is a flat
+    list of mu(R)/mu(q) over the depth-j descendants R of q in digit order:
+    index i holds j base-2^d digits, the first most significant, each a
+    ``subdivide_uniform`` child digit.  Entry i * 2^d + c of frontier j + 1
+    is entry i of frontier j times its node's weight c, the product order of
+    ``_descend``; a zero entry expands to zeros without its node being
+    realized.  The porous test at (k, eps) reads frontiers 1..k, por2 up to
+    the first whose minimum is <= eps.  Holes persist to deeper levels, so
     por2 <= k exactly when q is porous at (k, eps).
+
+    The hole is the depth-k descendant of least conditional mass, ties
+    broken by lexicographic coords.  At d = 1 that is the first least entry;
+    at d >= 2 digit order is not coords order (a digit's bit 0 is the axis-0
+    offset), so a tie is resolved in ``dyadic._lex_order``.
 
     A por2 query at level n, or ``drop_above(n)``, forgets the nodes above
     level n, so memory along a path does not grow with depth; classification
@@ -79,36 +86,43 @@ class LineageClassifier:
         _require_dyadic(mu)
         self.mu = mu
         self._level = 0
-        self._offspring: dict[CubeAddress, tuple[CubePartition, Weights]] = {}
+        self._weights: dict[CubeAddress, Weights] = {}
 
-    def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
-        hit = self._offspring.get(q)
+    def weights(self, q: CubeAddress) -> Weights:
+        hit = self._weights.get(q)
         if hit is None:
-            hit = self._offspring[q] = self.mu.offspring(q)
+            hit = self._weights[q] = self.mu.weights(q)
         return hit
 
     def drop_above(self, level: int) -> None:
         """Forget the nodes above ``level``."""
         if level > self._level:
             self._level = level
-            for key in [key for key in self._offspring if key.level < level]:
-                del self._offspring[key]
+            for key in [key for key in self._weights if key.level < level]:
+                del self._weights[key]
 
-    def frontiers(self, q: CubeAddress) -> Iterator[dict[CubeAddress, float]]:
+    def frontiers(self, q: CubeAddress) -> Iterator[list[float]]:
         """q's frontiers at levels 1, 2, ..., each built when it is read."""
-        frontier = {q: 1.0}
-        for level in count(q.level + 1):
-            frontier = dict(_descend(
-                self.offspring, frontier.items(),
-                lambda node, _: _TAKE if node.level == level else _SPLIT,
-            ))
+        n = 1 << len(q[1])
+        zeros, nones = [0.0] * n, [None] * n
+        nodes, masses = [q], [1.0]
+        while True:
+            frontier = []
+            for node, mass in zip(nodes, masses):
+                if mass == 0.0:
+                    frontier += zeros
+                else:
+                    frontier += [mass * wj for wj in self.weights(node)]
             yield frontier
+            kids = chain.from_iterable(_children(node) if node else nones for node in nodes)
+            nodes = [kid if mass else None for kid, mass in zip(kids, frontier)]
+            masses = frontier
 
     def por2(self, q: CubeAddress, eps: float, cap: int) -> float:
         """Least j <= cap whose frontier holds an eps-hole, else math.inf."""
         self.drop_above(q.level)
         for j, frontier in enumerate(islice(self.frontiers(q), cap), start=1):
-            if _min_entry(frontier)[1] <= eps:
+            if min(frontier) <= eps:
                 return j
         return math.inf
 
@@ -120,23 +134,43 @@ class LineageClassifier:
         def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
             hole, frontiers = _classify_full(self, q, k, eps)
             if hole is None:
-                return self.offspring(q)
-            part = porous_split(q, hole, k)
-            return part, tuple(
-                frontiers[child.level - q.level - 1][child] for child in part.children
-            )
+                return subdivide_uniform(q), self.weights(q)
+            return porous_split(q, hole, k), _split_weights(frontiers, hole, k)
 
         return TreeMeasure(base.d, base.depth, realizer, dyadic_splits=False)
 
 
 def _classify_full(
     clf: LineageClassifier, q: CubeAddress, k: int, eps: float
-) -> tuple[CubeAddress | None, list[dict[CubeAddress, float]]]:
+) -> tuple[CubeAddress | None, list[list[float]]]:
     """q's selected hole, None when q is not porous, and q's conditional-mass
     frontiers at levels 1..k."""
     frontiers = list(islice(clf.frontiers(q), k))
-    hole, ratio = _min_entry(frontiers[k - 1])
-    return (hole if ratio <= eps else None), frontiers
+    last = frontiers[-1]
+    least = min(last)
+    if least > eps:
+        return None, frontiers
+    if last.count(least) == 1:
+        index = last.index(least)
+    else:
+        index = next(i for i in _lex_order(q.d, k) if last[i] == least)
+    return _descendant(q, k, index), frontiers
+
+
+def _split_weights(frontiers: list[list[float]], hole: CubeAddress, k: int) -> Weights:
+    """The conditional masses of ``porous_split(q, hole, k)``'s children, in
+    its order, read from q's frontiers 1..k along the hole's digits."""
+    d = len(hole[1])
+    low = [c & ((1 << k) - 1) for c in hole[1]]
+    weights: list[float] = []
+    index = 0
+    for shift, frontier in zip(range(k - 1, -1, -1), frontiers):
+        digit = sum(((c >> shift) & 1) << i for i, c in enumerate(low))
+        index <<= d
+        weights += [frontier[index + t] for t in _lex_order(d, 1) if t != digit]
+        index += digit
+    weights.append(frontiers[-1][index])
+    return tuple(weights)
 
 
 def classify_porous(

@@ -215,6 +215,41 @@ class TestSimulate:
             assert len(calls) >= level
             assert set(calls.values()) == {1}
 
+    def test_one_partition_per_step(self, monkeypatch):
+        # the classifier reads weights only: the re-tree builds one partition
+        # per walk step, uniform or porous, and realizes each node once
+        import sys
+
+        import porodim.dyadic
+        import porodim.measure
+
+        calls, built = {}, {"subdivide_uniform": 0, "porous_split": 0}
+        real_weights = porodim.measure.node_weights
+
+        def counting(spec, q):
+            calls[q] = calls.get(q, 0) + 1
+            return real_weights(spec, q)
+
+        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        for name in built:
+            real = getattr(porodim.dyadic, name)
+
+            def counted(*args, name=name, real=real):
+                built[name] += 1
+                return real(*args)
+
+            for module in [m for key, m in sys.modules.items() if key.startswith("porodim")]:
+                if vars(module).get(name) is real:
+                    monkeypatch.setattr(module, name, counted)
+        # the benchmark's d = 2 Dirichlet; at eps 0.001 both kinds of step occur
+        spec = GeneratorSpec(2, CascadeDirichlet((0.5,) * 4), 106)
+        row, _ = _simulate_one_path(spec, 2, 0.001, 40, 106, 0)
+        porous_steps = row[6]
+        assert set(calls.values()) == {1}
+        assert 0 < porous_steps < 40
+        assert built["subdivide_uniform"] + built["porous_split"] <= 40
+        assert built == {"subdivide_uniform": 40 - porous_steps, "porous_split": porous_steps}
+
     def test_jobs_clamped_to_tasks_and_cpus(self, tmp_path, monkeypatch):
         workers = []
 

@@ -125,6 +125,10 @@ def test_porous_split_invariants(d, k, data):
     part = porous_split(parent, hole, k)
     assert len(part.children) == ((1 << d) - 1) * k + 1
     validate_partition(part)
+    # levels 1..k, coords order within a level, the hole last
+    *siblings, last = part.children
+    assert siblings == sorted(siblings, key=lambda c: (c.level, c.coords))
+    assert last == hole == part.hole
     # volume conservation, exact in integers, is part of validate_partition;
     # double-check the float version stays at 1 up to rounding
     vol = sum(2.0 ** (-(c.level - parent.level) * d) for c in part.children)

@@ -19,6 +19,7 @@ from porodim.measure import (
     _NODE_STREAM,
     _PATH_STREAM,
     _TRIAL_STREAM,
+    _node_generator,
     _u64,
     apply_homothety,
     build_tree_measure,
@@ -168,6 +169,45 @@ def test_derived_rng_matches_numpy_keying(seed, stream, index):
 def test_derived_rng_takes_any_integer_type():
     got = derived_rng(np.int64(-3), _PATH_STREAM, np.uint64(7)).random(4)
     assert got.tobytes() == derived_rng(-3, _PATH_STREAM, 7).random(4).tobytes()
+
+
+@pytest.mark.parametrize("level", [0, 31, 32, 33, 64, 2000])  # word-count edges
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64 + 12345])
+def test_rekeyed_node_generator_replays_node_rng(level, d, seed):
+    # node realization re-keys the process's one Philox; whatever it drew
+    # before, the re-keyed stream is node_rng's, draw for draw
+    top = (1 << level) - 1
+    conc = np.linspace(0.3, 2.0, 1 << d)
+    middle = tuple(top * (i + 1) // (d + 1) for i in range(d))
+    for coords in ((0,) * d, (top,) * d, middle):
+        q = CubeAddress(level, coords)
+        _node_generator(seed + 1, q).random(3)  # leaves a part-used buffer
+        got = _node_generator(seed, q).random(5)
+        assert got.tobytes() == node_rng(seed, q).random(5).tobytes()
+        _node_generator(seed, q).integers(2**32, dtype=np.uint32)  # a spare word
+        got = _node_generator(seed, q).dirichlet(conc)
+        assert got.tobytes() == node_rng(seed, q).dirichlet(conc).tobytes()
+        got = _node_generator(seed, q).integers(2**32, size=3, dtype=np.uint32)
+        want = node_rng(seed, q).integers(2**32, size=3, dtype=np.uint32)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_node_realization_leaves_path_draws_alone():
+    # a walk's draws come from its own generator: realizing other nodes
+    # between its steps changes neither its path nor what it draws next
+    spec = GeneratorSpec(2, CascadeDirichlet((0.5,) * 4), 106)
+    mu = build_tree_measure(spec, "uniform", 40, max_level=40)
+    plain = derived_rng(106, _PATH_STREAM, 0)
+    path = [step[3] for step in mu.walk(plain, 30)]
+    rng = derived_rng(106, _PATH_STREAM, 0)
+    interleaved = []
+    for n, step in enumerate(mu.walk(rng, 30)):
+        node_weights(spec, CubeAddress(35, (n, 2 * n)))
+        interleaved.append(step[3])
+    assert interleaved == path
+    node_weights(spec, CubeAddress(36, (1, 2)))
+    assert rng.random(3).tobytes() == plain.random(3).tobytes()
 
 
 class TestSamplePath:

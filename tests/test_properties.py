@@ -1,14 +1,23 @@
 """Properties that the porosity classifier and the CLI's worker pools rely
-on: classification is monotone in eps, and the per-task functions behind
-``--jobs`` give the same rows whatever split of the tasks a pool runs."""
+on: the classifier agrees with a node-by-node reference, classification is
+monotone in eps, and the per-task functions behind ``--jobs`` give the same
+rows whatever split of the tasks a pool runs."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porodim.cli import _simulate_one_path, _translate_chunk
-from porodim.measure import CantorMiddleHalf, GeneratorSpec
-from porodim.porosity import LineageClassifier, _classify_full
+from porodim.dyadic import CubeAddress, porous_split, subdivide_uniform
+from porodim.measure import (
+    Bernoulli,
+    CantorMiddleHalf,
+    GeneratorSpec,
+    Uniform,
+)
+from porodim.porosity import LineageClassifier, _classify_full, porous_retree
 
 from conftest import SPECS, make_measure
 
@@ -17,6 +26,71 @@ eps_lists = st.lists(
     st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.25]) | st.floats(0.0, 0.5),
     min_size=2, max_size=4,
 ).map(sorted)
+
+
+#: SPECS plus the tie and zero-mass cases: every conditional mass ties under
+#: Uniform at d = 2, a Bernoulli with a zero weight and the Cantor measure
+#: leave zero-mass subtrees that expand without being realized
+REFERENCE_SPECS = [
+    *SPECS,
+    (2, Uniform(), 0),
+    (2, Bernoulli((0.0, 0.5, 0.25, 0.25)), 0),
+    (1, Bernoulli((0.0, 1.0)), 0),
+    (1, CantorMiddleHalf(), 0),
+]
+
+
+def _reference_frontiers(mu, q, k):
+    """q's depth-j descendants, j = 1..k, as dicts address -> conditional
+    mass in subdivide_uniform's child order: each node's mass is its
+    parent's times its weight, and a zero-mass node's children get 0 without
+    the node being realized."""
+    frontiers, frontier = [], {q: 1.0}
+    for _ in range(k):
+        deeper = {}
+        for node, mass in frontier.items():
+            children = subdivide_uniform(node).children
+            weights = mu.offspring(node)[1] if mass != 0.0 else (0.0,) * len(children)
+            for child, w in zip(children, weights):
+                deeper[child] = mass * w
+        frontiers.append(frontier := deeper)
+    return frontiers
+
+
+def _reference_hole(frontier):
+    """Least conditional mass, ties broken by lexicographic coords."""
+    return min(frontier.items(), key=lambda item: (item[1], item[0].coords))
+
+
+# 300 examples over 10 measures at d <= 2 and k = 1..3, so k*d <= 6: about 10 per
+# (measure, k) pair, each checking every frontier entry
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from(REFERENCE_SPECS), k=st.integers(1, 3),
+       level=st.integers(0, 6), data=st.data())
+def test_classifier_matches_node_by_node_reference(spec, k, level, data):
+    d, model, seed = spec
+    mu = make_measure(d, model, depth=level + k, seed=seed)
+    coords = tuple(data.draw(st.integers(0, (1 << level) - 1)) for _ in range(d))
+    q = CubeAddress(level, coords)
+    reference = _reference_frontiers(mu, q, k)
+    hole, least = _reference_hole(reference[-1])
+    top = 2.0 ** -(k * d)
+    eps = data.draw(st.sampled_from([0.0, min(least, top), top]) | st.floats(0.0, top))
+
+    got_hole, frontiers = _classify_full(LineageClassifier(mu), q, k, eps)
+    # every frontier entry, bit for bit, in digit order
+    assert frontiers == [list(ref.values()) for ref in reference]
+    assert min(frontiers[-1]) == least
+    assert got_hole == (hole if least <= eps else None)
+    por2 = next((j for j, ref in enumerate(reference, 1) if min(ref.values()) <= eps),
+                math.inf)
+    assert LineageClassifier(mu).por2(q, eps, k) == por2
+    part, weights = porous_retree(mu, k, eps).offspring(q)
+    if got_hole is None:
+        assert part == subdivide_uniform(q) and weights == mu.offspring(q)[1]
+    else:
+        assert part == porous_split(q, hole, k)
+        assert weights == tuple(reference[c.level - level - 1][c] for c in part.children)
 
 
 @settings(max_examples=25, deadline=None)

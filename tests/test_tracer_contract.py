@@ -1,13 +1,16 @@
 """The benchmark's tracer wraps porodim names from outside the package; a
 renamed or deleted name, or a hook handed an iterator where it takes a list,
 breaks traced runs.  This runs the tracer over one tiny run of each
-subcommand, the oracle at k = 3, and checks that tracing changes no output
-and sees the counter the run moves: the porous steps, the oracle's grid
+subcommand, the oracle at k = 3 and a Dirichlet cascade simulated at d = 2,
+k = 2, and checks that tracing changes no output and sees the counter the
+run moves: the porous steps, the k = 2 classifications, the oracle's grid
 points, the solver calls behind a solve table, or the bytes of an hmin CSV.
 The oracle run guards the wrap of maximize_bruteforce, which reads d, k, eps
-and grid positionally.
+and grid positionally; the cascade run guards the wraps of node_weights and
+of _classify_full, which reads k positionally.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -17,9 +20,14 @@ import porodim.cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+#: the generator config "{config}" stands for in a run
+CASCADE = {"d": 2, "generator": {"type": "dirichlet", "concentration": [0.5] * 4}}
+
 RUNS = {
     "simulate": ["simulate", "--gen", "bernoulli", "--weights", "0.1,0.9", "--k", "2",
                  "--eps", "0.05", "--depth", "40", "--paths", "2", "--seed", "3"],
+    "simulate-cascade": ["simulate", "--config", "{config}", "--k", "2", "--eps", "0.05",
+                         "--depth", "40", "--paths", "2", "--seed", "106"],
     "translate": ["translate", "--gen", "cantor_middle_half", "--trials", "3",
                   "--depth", "12", "--seed", "4"],
     "oracle": ["oracle", "--d", "1", "--k", "3", "--grid", "50"],
@@ -28,7 +36,9 @@ RUNS = {
 }
 
 #: the tracer counter each run must see move
-COUNTER = {"simulate": "porosity.porous_steps", "translate": "porosity.porous_steps",
+COUNTER = {"simulate": "porosity.porous_steps",
+           "simulate-cascade": "porosity.classify.calls.k2",
+           "translate": "porosity.porous_steps",
            "oracle": "oracle.grid_points", "solve": "bounds.solve_s.calls",
            "hmin": "cli.csv_bytes"}
 
@@ -45,7 +55,9 @@ def tracer_module():
 
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_traced_run_matches_untraced(tmp_path, tracer_module, command):
-    argv = RUNS[command]
+    config = tmp_path / "cascade.json"
+    config.write_text(json.dumps(CASCADE))
+    argv = [arg.format(config=config) for arg in RUNS[command]]
     plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
     assert porodim.cli.main([*argv, "--out", str(plain)]) == 0
     tr = tracer_module.Tracer()
