@@ -81,9 +81,9 @@ def node_rng(seed: int, q: CubeAddress) -> np.random.Generator:
 
 def _philox_key(pool: Sequence[int]) -> tuple[int, int]:
     """``generate_state(2, np.uint64)`` of the SeedSequence whose pool is
-    ``pool``: the key a Philox seeded by it takes.  numpy's documented
-    hash of the four pool words, written out, since the call costs more
-    than the hash."""
+    ``pool``: the key a Philox seeded by it takes.  This is the hash numpy's
+    ``generate_state`` applies to the four pool words, written out because
+    the call costs about three times the hash."""
     mult = 0x8B51F9DD  # SeedSequence's INIT_B
     words = []
     for word in pool:
@@ -436,7 +436,7 @@ def build_tree_measure(
         return node_weights(spec, q)
 
     def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
-        return subdivide_uniform(q), node_weights(spec, q)
+        return subdivide_uniform(q), weights(q)
 
     mu = TreeMeasure(spec.d, depth, realizer, weights=weights)
     if isinstance(spec.model, (Uniform, Bernoulli)):
