@@ -67,10 +67,10 @@ class CubeAddress(tuple):
 
     def contains(self, other: "CubeAddress") -> bool:
         """True when ``other`` is this cube or a descendant of it."""
-        shift = other[0] - self[0]
-        if shift < 0 or len(other[1]) != len(self[1]):
+        if other.d != self.d or other.level < self.level:
             return False
-        return all((oc >> shift) == c for oc, c in zip(other[1], self[1]))
+        shift = other.level - self.level
+        return all((oc >> shift) == c for oc, c in zip(other.coords, self.coords))
 
     def uniform_child(self, offset_index: int) -> "CubeAddress":
         """Child one level down; bit i of ``offset_index`` is the offset on axis i."""
@@ -173,15 +173,15 @@ def porous_split(parent: CubeAddress, hole: CubeAddress, k: int) -> CubePartitio
     """
     if k < 1:
         raise ValueError(f"hole depth k must be >= 1, got {k}")
-    if hole[0] != parent[0] + k or not parent.contains(hole):
+    if hole.level != parent.level + k or not parent.contains(hole):
         raise ValueError(
             f"hole {hole.serialize()} is not a depth-{k} descendant "
             f"of {parent.serialize()}"
         )
     children: list[CubeAddress] = []
-    for level in range(parent[0] + 1, hole[0] + 1):
+    for level in range(parent.level + 1, hole.level + 1):
         # the hole's ancestor at this level and its siblings, in coords order
-        spine = tuple(c >> (hole[0] - level) for c in hole[1])
+        spine = tuple(c >> (hole.level - level) for c in hole.coords)
         pairs = [(s & ~1, s | 1) for s in spine]
         children += [_addr(level, coords) for coords in itertools.product(*pairs)
                      if coords != spine]

@@ -24,11 +24,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import CubeAddress, CubePartition, _index, root, subdivide_uniform
+from .dyadic import CubeAddress, CubePartition, _children, _index, root, subdivide_uniform
 
 Weights = tuple[float, ...]
 
@@ -47,10 +47,6 @@ MAX_DIM = 8
 #: larger ``max_level``.
 DEFAULT_MAX_LEVEL = 60
 
-#: Verdicts of a ``_descend`` visitor on a node.
-_DROP, _TAKE, _SPLIT = range(3)
-
-
 class UnrealizedNodeError(LookupError):
     """A positive-mass node was queried beyond the realized/realizable tree."""
 
@@ -64,8 +60,8 @@ def _seed_sequence(*key: int) -> np.random.SeedSequence:
     as max(1, ceil(bits / 32)) uint32 words each, least significant first.
     The words are built here in one pass: numpy converts an int a word at a
     time in a Python loop, slow for deep nodes."""
-    words = b"".join([n.to_bytes(((n.bit_length() + 31) >> 5 or 1) << 2, "little")
-                      for n in key])
+    words = b"".join(n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
+                     for n in key)
     return np.random.SeedSequence(np.frombuffer(words, "<u4"))
 
 
@@ -82,8 +78,11 @@ def node_rng(seed: int, q: CubeAddress) -> np.random.Generator:
 def _philox_key(pool: Sequence[int]) -> tuple[int, int]:
     """``generate_state(2, np.uint64)`` of the SeedSequence whose pool is
     ``pool``: the key a Philox seeded by it takes.  This is the hash numpy's
-    ``generate_state`` applies to the four pool words, written out because
-    the call costs about three times the hash."""
+    ``generate_state`` applies to the four pool words, part of
+    SeedSequence's stable stream.  It is written out because numpy's call
+    costs three times the hash, about a tenth of cascade_bound's time; the
+    node-generator tests check it against the call and every re-keyed
+    stream against ``node_rng``'s."""
     mult = 0x8B51F9DD  # SeedSequence's INIT_B
     words = []
     for word in pool:
@@ -103,9 +102,9 @@ def _process_generator() -> np.random.Generator:
 
 def _node_generator(seed: int, q: CubeAddress) -> np.random.Generator:
     """The process's node generator, re-keyed to ``node_rng(seed, q)``'s
-    stream: the key its Philox takes from its SeedSequence, counter 0 and an
-    empty buffer, as a fresh Philox starts.  The next call re-keys it, so
-    draw from it before realizing another node."""
+    stream: the key a Philox takes from the node's SeedSequence, counter 0
+    and an empty buffer, as a fresh Philox starts.  The next call re-keys it,
+    so draw from it before realizing another node."""
     seq = _seed_sequence(_u64(seed), _NODE_STREAM, q.level, *q.coords)
     rng = _process_generator()
     rng.bit_generator.state = {
@@ -282,43 +281,52 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
 class TreeMeasure:
     """An immutable measure realized as a partition tree.
 
-    ``realizer(q) -> (CubePartition, Weights)`` supplies node data on demand;
-    ``weights(q)``, when given, supplies the offspring vector alone, for
-    readers that need no partition.  ``depth`` bounds the dyadic level of any
-    node, and so the number of tree steps along any path.  ``log_mass`` is
-    the one mass query, since a mass underflows near level 540.  The measure
-    keeps no node data: every ``offspring`` call runs the realizer, and a
-    realizer that is costly to repeat memoizes itself, as
-    ``apply_homothety``'s does.
+    Node data comes on demand from one of two sources.  ``weights(q) ->
+    Weights`` gives a dyadic tree: every partition is ``subdivide_uniform``'s
+    and readers that need no partition get the offspring vector alone.
+    ``realizer(q) -> (CubePartition, Weights)`` gives any partition tree,
+    which porosity probes and pushforwards reject as not dyadic.  ``depth``
+    bounds the dyadic level of any node, and so the number of tree steps
+    along any path.  ``log_mass`` is the one mass query, since a mass
+    underflows near level 540.  The measure keeps no node data: every query
+    runs its source, and a source that is costly to repeat memoizes itself,
+    as ``apply_homothety``'s does.
     """
 
     def __init__(
         self,
         d: int,
         depth: int,
-        realizer: Callable[[CubeAddress], tuple[CubePartition, Weights]],
+        realizer: Callable[[CubeAddress], tuple[CubePartition, Weights]] | None = None,
         *,
-        dyadic_splits: bool = True,
         weights: Callable[[CubeAddress], Weights] | None = None,
     ):
+        if (realizer is None) == (weights is None):
+            raise TypeError(
+                "TreeMeasure takes exactly one of a realizer and a weights function"
+            )
         self.depth = _index(depth, "depth", 0)
         self.root = root(d)
         self.d = d
         self._realizer = realizer
-        self._weights = weights or (lambda q: realizer(q)[1])
+        self._weights = weights
         #: True when every partition is the uniform dyadic split.
-        self.dyadic_splits = dyadic_splits
+        self.dyadic_splits = weights is not None
         #: The offspring vector every node shares (product measures), else None.
         self.product_weights: Weights | None = None
 
     def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
         """Partition and conditional offspring vector at ``q``."""
         self._check_level(q)
+        if self._realizer is None:
+            return subdivide_uniform(q), self._weights(q)
         return self._realizer(q)
 
     def weights(self, q: CubeAddress) -> Weights:
         """The offspring vector at ``q``: ``offspring(q)[1]``."""
         self._check_level(q)
+        if self._weights is None:
+            return self._realizer(q)[1]
         return self._weights(q)
 
     def _check_level(self, q: CubeAddress) -> None:
@@ -435,10 +443,7 @@ def build_tree_measure(
     def weights(q: CubeAddress) -> Weights:
         return node_weights(spec, q)
 
-    def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
-        return subdivide_uniform(q), weights(q)
-
-    mu = TreeMeasure(spec.d, depth, realizer, weights=weights)
+    mu = TreeMeasure(spec.d, depth, weights=weights)
     if isinstance(spec.model, (Uniform, Bernoulli)):
         mu.product_weights = node_weights(spec, mu.root)
     return mu
@@ -552,32 +557,6 @@ class Homothety:
         return nums, grid
 
 
-def _descend(
-    offspring: Callable[[CubeAddress], tuple[CubePartition, Weights]],
-    start: Iterable[tuple[CubeAddress, float]],
-    where: Callable[[CubeAddress, float], int],
-) -> Iterator[tuple[CubeAddress, float]]:
-    """Yield the (node, mass) pairs at or below the ``start`` pairs that
-    ``where`` takes; a child's mass is its parent's times its weight.
-
-    ``where(node, mass)`` returns _TAKE (yield the node), _DROP (skip its
-    subtree) or _SPLIT (visit its children).  An explicit stack replaces
-    recursion, so depth costs no stack frames; a split zero-mass node expands
-    into ``subdivide_uniform``'s children at mass 0 without being realized.
-    """
-    stack = list(start)
-    while stack:
-        node, node_mass = stack.pop()
-        verdict = where(node, node_mass)
-        if verdict == _TAKE:
-            yield node, node_mass
-        elif verdict == _SPLIT and node_mass == 0.0:
-            stack.extend((ch, 0.0) for ch in subdivide_uniform(node).children)
-        elif verdict == _SPLIT:
-            part, w = offspring(node)
-            stack.extend((ch, node_mass * wj) for ch, wj in zip(part.children, w))
-
-
 def _box_mass(
     offspring: Callable[[CubeAddress], tuple[CubePartition, Weights]],
     anchor: CubeAddress,
@@ -589,28 +568,36 @@ def _box_mass(
     inside the cube ``anchor``, exactly on addresses, where ``offspring`` is
     mu's node data.
 
-    Descends from the anchor; a node is either disjoint from the box,
-    contained in it, or splits further (box corners are integers at ``scale``,
-    so level-``scale`` nodes never straddle).
+    Descends from the anchor on an explicit stack, so depth costs no stack
+    frames; a child's mass is its parent's times its weight.  A node is
+    either massless or disjoint from the box, contained in it, or splits
+    further (box corners are integers at ``scale``, so level-``scale`` nodes
+    never straddle).
     """
     if any(h <= l for l, h in zip(lo, hi)):
         return 0.0
-
-    def where(node: CubeAddress, node_mass: float) -> int:
+    masses: list[float] = []
+    stack = [(anchor, 1.0)]
+    while stack:
+        node, node_mass = stack.pop()
         if node_mass == 0.0:
-            return _DROP
+            continue
         shift = scale - node.level
         inside = True
         for c, l, h in zip(node.coords, lo, hi):
             nlo = c << shift
             nhi = nlo + (1 << shift)
             if nhi <= l or h <= nlo:
-                return _DROP
+                break  # disjoint from the box
             if not (l <= nlo and nhi <= h):
                 inside = False
-        return _TAKE if inside else _SPLIT
-
-    return math.fsum(m for _, m in _descend(offspring, [(anchor, 1.0)], where))
+        else:
+            if inside:
+                masses.append(node_mass)
+            else:
+                part, w = offspring(node)
+                stack.extend((ch, node_mass * wj) for ch, wj in zip(part.children, w))
+    return math.fsum(masses)
 
 
 def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
@@ -622,12 +609,12 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     matching grid, and masses come out exact because box/cube intersections
     are resolved in integer coordinates.  A node's weights are the masses of
     its children's source boxes relative to the source cube anchoring its own
-    box, so they do not underflow with depth.  Each node is realized once and
-    kept, since it costs box-mass descents of the source.  Those descents
-    overlap from node to node, so each source node is realized once per
-    pushforward too: a memo of the source's offspring lives as long as the
-    returned measure and holds the distinct source nodes its realizations
-    touched: one trial's, in the translation experiment.
+    box, so they do not underflow with depth.  Each node's offspring vector
+    is computed once and kept, since it costs box-mass descents of the
+    source.  Those descents overlap from node to node, so each source node is
+    realized once per pushforward too: a memo of the source's offspring lives
+    as long as the returned measure and holds the distinct source nodes its
+    realizations touched: one trial's, in the translation experiment.
     Known limit: a translation with hundreds of binary digits can leave a
     box's anchor hundreds of levels above it, and then its relative mass can
     underflow; the translation experiment draws translations of at most 50
@@ -674,8 +661,7 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
             positive.add(part.children[idx])
         return True
 
-    def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
-        part = subdivide_uniform(q)
+    def weights(q: CubeAddress) -> Weights:
         lo, hi, scale = source_box(q)
         parent_mass = 0.0
         if all(l < h for l, h in zip(lo, hi)):
@@ -686,13 +672,13 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
         if parent_mass == 0.0 or not has_mass(anchor):
             raise UnrealizedNodeError(f"zero-mass node {q.serialize()} is not expanded")
         child_masses = [_box_mass(offspring, anchor, *source_box(c))
-                        for c in part.children]
+                        for c in _children(q)]
         total = math.fsum(child_masses)
         if abs(total - parent_mass) > 1e-10 * parent_mass:
             raise ArithmeticError(
                 f"mass conservation violated at {q.serialize()}: "
                 f"{total} vs {parent_mass}"
             )
-        return part, tuple(cm / total for cm in child_masses)
+        return tuple(cm / total for cm in child_masses)
 
-    return TreeMeasure(mu.d, depth, functools.cache(realizer))
+    return TreeMeasure(mu.d, depth, weights=functools.cache(weights))

@@ -64,11 +64,12 @@ class LineageClassifier:
     list of mu(R)/mu(q) over the depth-j descendants R of q in digit order:
     index i holds j base-2^d digits, the first most significant, each a
     ``subdivide_uniform`` child digit.  Entry i * 2^d + c of frontier j + 1
-    is entry i of frontier j times its node's weight c, the product order of
-    ``_descend``; a zero entry expands to zeros without its node being
-    realized.  The porous test at (k, eps) reads frontiers 1..k, por2 up to
-    the first whose minimum is <= eps.  Holes persist to deeper levels, so
-    por2 <= k exactly when q is porous at (k, eps).
+    is entry i of frontier j times its node's weight c, each mass formed from
+    its parent's as on a descent of the tree; a zero entry expands to zeros
+    without its node being realized.  The porous test at (k, eps) reads
+    frontiers 1..k, por2 up to the first whose minimum is <= eps.  Holes
+    persist to deeper levels, so por2 <= k exactly when q is porous at
+    (k, eps).
 
     The hole is the depth-k descendant of least conditional mass, ties
     broken by lexicographic coords.  At d = 1 that is the first least entry;
@@ -137,7 +138,7 @@ class LineageClassifier:
                 return subdivide_uniform(q), self.weights(q)
             return porous_split(q, hole, k), _split_weights(frontiers, hole, k)
 
-        return TreeMeasure(base.d, base.depth, realizer, dyadic_splits=False)
+        return TreeMeasure(base.d, base.depth, realizer)
 
 
 def _classify_full(
@@ -222,8 +223,8 @@ def porous_retree(base: TreeMeasure, k: int, eps: float) -> TreeMeasure:
     Porous nodes split into the depth-k hole plus the per-level cubes
     avoiding it; non-porous nodes split uniformly.  Offspring weights are the
     conditional masses of the children under ``base``.  The view is
-    2^-k-regular.  Its classifier keeps the offspring of every dyadic node it
-    realizes, so its memory grows with the length of a walk on it.  Raises
+    2^-k-regular.  Its classifier keeps the offspring vector of every dyadic
+    node it realizes, so its memory grows with the length of a walk on it.  Raises
     ValueError unless k >= 1, k*d <= MAX_KD and eps lies in [0, 2^-kd].
     """
     return LineageClassifier(base).retree(k, eps)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porodim.dyadic import CubeAddress, root
+from porodim.dyadic import CubeAddress, root, subdivide_uniform
 from porodim.measure import (
     Bernoulli,
     CantorMiddleHalf,
@@ -14,12 +14,15 @@ from porodim.measure import (
     CascadeFiniteMixture,
     GeneratorSpec,
     Homothety,
+    TreeMeasure,
     Uniform,
     UnrealizedNodeError,
     _NODE_STREAM,
     _PATH_STREAM,
     _TRIAL_STREAM,
     _node_generator,
+    _philox_key,
+    _seed_sequence,
     _u64,
     apply_homothety,
     build_tree_measure,
@@ -182,6 +185,9 @@ def test_rekeyed_node_generator_replays_node_rng(level, d, seed):
     middle = tuple(top * (i + 1) // (d + 1) for i in range(d))
     for coords in ((0,) * d, (top,) * d, middle):
         q = CubeAddress(level, coords)
+        seq = _seed_sequence(_u64(seed), _NODE_STREAM, level, *coords)
+        assert _philox_key(seq.pool.tolist()) == tuple(
+            seq.generate_state(2, np.uint64).tolist())
         _node_generator(seed + 1, q).random(3)  # leaves a part-used buffer
         got = _node_generator(seed, q).random(5)
         assert got.tobytes() == node_rng(seed, q).random(5).tobytes()
@@ -208,6 +214,30 @@ def test_node_realization_leaves_path_draws_alone():
     assert interleaved == path
     node_weights(spec, CubeAddress(36, (1, 2)))
     assert rng.random(3).tobytes() == plain.random(3).tobytes()
+
+
+def test_tree_measure_takes_one_node_data_source():
+    # a weights function makes a dyadic tree whose partitions are uniform
+    # splits; a realizer makes a partition tree no dyadic probe accepts
+    def weights(q):
+        return (0.25, 0.75)
+
+    def realizer(q):
+        return subdivide_uniform(q), weights(q)
+
+    for args, kwargs in (((), {}), ((realizer,), {"weights": weights})):
+        with pytest.raises(TypeError, match="exactly one of a realizer and a weights"):
+            TreeMeasure(1, 5, *args, **kwargs)
+    dyadic = TreeMeasure(1, 5, weights=weights)
+    general = TreeMeasure(1, 5, realizer)
+    q = CubeAddress(3, (5,))
+    assert dyadic.offspring(q) == general.offspring(q) == realizer(q)
+    assert dyadic.weights(q) == general.weights(q) == weights(q)
+    assert dyadic.dyadic_splits and not general.dyadic_splits
+    with pytest.raises(TypeError, match="dyadic"):
+        apply_homothety(general, Homothety(0.25, (0.0,)), 4)
+    with pytest.raises(UnrealizedNodeError):
+        dyadic.weights(CubeAddress(5, (0,)))
 
 
 class TestSamplePath:
