@@ -114,7 +114,7 @@ def _trajectory_from_steps(steps) -> PathTrajectory:
         if wi <= 0.0:
             raise ValueError("path steps through a zero-weight child")
         h, lyap = _entropy_and_lyapunov(node.level, part.children, w)
-        I.append(-math.log(wi))
+        I.append(0.0 - math.log(wi))  # +0.0, not -0.0, at wi = 1
         L.append((part.children[idx].level - node.level) * LOG2)
         H.append(h)
         lam.append(lyap)
@@ -174,7 +174,7 @@ def _product_trajectory(
     pick = np.searchsorted(cum, us, side="right")
     del us  # spent: free the draws before the gather allocates I
     np.minimum(pick, len(positive) - 1, out=pick)
-    info = np.array([-math.log(w[j]) for j in positive])
+    info = np.array([0.0 - math.log(w[j]) for j in positive])  # +0.0 at w = 1
     # every node splits uniformly, one level down, with the same weights
     root = mu.root
     h, lyap = _entropy_and_lyapunov(root.level, subdivide_uniform(root).children, w)

@@ -190,9 +190,9 @@ def classify_porous(
     return _classify_full(LineageClassifier(mu), q, k, eps)[0]
 
 
-def por2_depth(mu: TreeMeasure, x_path: list[CubeAddress], n: int, eps: float,
+def por2_depth(mu: TreeMeasure, q: CubeAddress, eps: float,
                cap: int = DEFAULT_POR2_CAP) -> float:
-    """Least k <= cap such that D_k(x_path[n]) contains an eps-hole.
+    """Least k <= cap such that D_k(q) contains an eps-hole.
 
     Returns math.inf when no hole exists up to the cap (the capped sentinel,
     never a number).  Once a hole exists at depth j it persists at all deeper
@@ -201,16 +201,20 @@ def por2_depth(mu: TreeMeasure, x_path: list[CubeAddress], n: int, eps: float,
     """
     _check_eps(mu.d, 1, eps)
     _check_porosity(mu.d, cap, 0.0)  # cap >= 1 and cap*d <= MAX_KD
-    return LineageClassifier(mu).por2(x_path[_index(n, "n")], eps, cap)
+    return LineageClassifier(mu).por2(q, eps, cap)
 
 
-def por2_profile(mu: TreeMeasure, x_path: list[CubeAddress], n_max: int, eps: float,
+def por2_profile(mu: TreeMeasure, x: CubeAddress, eps: float,
                  cap: int = DEFAULT_POR2_CAP) -> tuple[float, ...]:
-    """por2 at every level 0..n_max-1 along the lineage; checked as por2_depth."""
+    """por2 of the cubes of x's lineage at levels 0..x.level; checked as
+    por2_depth, and x must be a node of ``mu`` (x.level < mu.depth)."""
     _check_eps(mu.d, 1, eps)
     _check_porosity(mu.d, cap, 0.0)
+    if x.level >= mu.depth:
+        raise ValueError(f"cube at level {x.level} is not above the measure's "
+                         f"maximum level {mu.depth}")
     clf = LineageClassifier(mu)
-    return tuple(clf.por2(x_path[n], eps, cap) for n in range(_index(n_max, "n_max")))
+    return tuple(clf.por2(x.ancestor(n), eps, cap) for n in range(x.level + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +235,16 @@ def porous_retree(base: TreeMeasure, k: int, eps: float) -> TreeMeasure:
 
 
 def porous_walk(
-    view: TreeMeasure, x_path: list[CubeAddress], k: int
+    view: TreeMeasure, x: CubeAddress, k: int
 ) -> list[tuple[CubeAddress, CubePartition, Weights, int]]:
-    """Project a dyadic lineage onto a porous re-tree.
+    """Project x's lineage onto a porous re-tree.
 
-    Returns per-step (node, partition, weights, chosen child index); the walk
-    stops as soon as the lineage might be too shallow to identify the next
-    child (a porous step can descend k levels at once).
+    Returns per-step (node, partition, weights, chosen child index) for the
+    nodes at levels <= x.level - k: a porous step can descend k levels at
+    once, so a deeper node's next child might lie below x.  A cube at a level
+    below k gives an empty walk.
     """
-    return list(view.steps_to(x_path[-1], last=len(x_path) - 1 - k))
+    return list(view.steps_to(x, last=x.level - k))
 
 
 def _porous_levels(clf: LineageClassifier, steps, k: int, eps: float):
@@ -279,37 +284,28 @@ def sample_porous_path(
     return walk, flags
 
 
-def porous_fraction_trajectory(mu: TreeMeasure, x_path: list[CubeAddress], k: int,
-                               eps: float, n_max: int) -> tuple[bool, ...]:
-    """The porous-scale flags of a lineage of ``mu``, one per dyadic level.
+def porous_fraction_trajectory(mu: TreeMeasure, x: CubeAddress, k: int,
+                               eps: float) -> tuple[bool, ...]:
+    """The porous-scale flags of x's lineage in ``mu``, one per dyadic level.
 
-    ``flags[n]`` is por2(mu, x, n, eps) <= k: is the level-n cube porous at
-    (k, eps), for n in 0..n_max-1; the fraction of porous scales among the
-    first n levels is sum(flags[:n]) / n.  The flags come from the lineage's
-    walk on the porous re-tree, which needs the cubes x_path[0..n_max + k],
-    a lineage; each node is realized once.
+    ``flags[n]`` is por2_depth(mu, x.ancestor(n), eps) <= k: is the level-n
+    cube porous at (k, eps), for n in 0..x.level - k - 1; the fraction of
+    porous scales among the first n levels is sum(flags[:n]) / n.  The flags
+    come from porous_walk toward x on the porous re-tree; each node is
+    realized once.  Raises ValueError unless x.level - k >= 1 and
+    x.level <= mu.depth, before any node is realized.
     """
     _check_porosity(mu.d, k, eps)
-    if _index(n_max, "n_max") < 1:
-        raise ValueError("lineage too shallow for any porous-scale statistics")
-    if n_max + k > mu.depth:
-        raise ValueError(
-            f"probing depth {k} below level {n_max} exceeds the measure's "
-            f"maximum level {mu.depth}"
-        )
-    if len(x_path) < n_max + k + 1:
-        raise ValueError(
-            f"x_path holds {len(x_path)} cubes; n_max={n_max} at k={k} needs "
-            f"{n_max + k + 1}"
-        )
-    lineage = x_path[: n_max + k + 1]
-    last = lineage[-1]
-    if last.level != n_max + k or any(q != last.ancestor(n) for n, q in enumerate(lineage)):
-        raise ValueError("x_path is not a lineage")
+    if x.level - k < 1:
+        raise ValueError(f"cube at level {x.level} too shallow for any "
+                         f"porous-scale statistics at k={k}")
+    if x.level > mu.depth:
+        raise ValueError(f"cube at level {x.level} lies below the measure's "
+                         f"maximum level {mu.depth}")
     clf = LineageClassifier(mu)
-    walk = porous_walk(clf.retree(k, eps), lineage, k)
+    walk = porous_walk(clf.retree(k, eps), x, k)
     levels = chain.from_iterable(flags for _, flags in _porous_levels(clf, walk, k, eps))
-    return tuple(islice(levels, n_max))
+    return tuple(islice(levels, x.level - k))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +355,7 @@ def run_translation_trials(
         t = tuple(float(u) * 2.0 ** -depth for u in t_units)
         nu = apply_homothety(mu, Homothety(r / 2.0, t), depth + k)
         path = nu.sample_path(derived_rng(seed, _PATH_STREAM, i), steps=depth + k)
-        flags = porous_fraction_trajectory(nu, path, k, eps, n_max=depth)
+        flags = porous_fraction_trajectory(nu, path[-1], k, eps)
         out.append(TranslationTrial(i, t, sum(flags) / len(flags)))
     return out
 

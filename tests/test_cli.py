@@ -168,6 +168,18 @@ class TestSimulate:
         }
         assert all(row["Mbar"] == row["L"] for row in lines)
 
+    @pytest.mark.parametrize("gen", [("bernoulli", "--weights", "1,0"),
+                                     ("cantor_middle_half",)], ids=["point mass", "cantor"])
+    def test_weight_one_steps_print_zero(self, tmp_path, gen):
+        # a weight-1 step has I = -log 1, which must print as 0, not -0
+        traj = tmp_path / "traj.csv"
+        code, out = run(tmp_path, "simulate", "--gen", *gen, "--k", "1", "--eps", "0",
+                        "--depth", "4", "--paths", "1", "--trajectories", str(traj))
+        assert code == 0
+        fields = [field for text in (out, traj.read_text())
+                  for line in body(text).splitlines() for field in line.split(",")]
+        assert "0" in fields and "-0" not in fields
+
     def test_trajectory_rows_match_sampled_trajectory(self, tmp_path):
         # the rows come from the simulated walks; an independent single-pass
         # trajectory of the same re-tree and path seeds must reproduce them

@@ -100,6 +100,11 @@ class TestTrajectory:
         assert np.all(traj.D == 0.0)
         assert math.fsum(traj.H) == 0.0
 
+    def test_zero_weight_step_raises(self):
+        q = root(1)
+        with pytest.raises(ValueError, match="zero-weight child"):
+            _trajectory_from_steps([(q, subdivide_uniform(q), (1.0, 0.0), 1)])
+
     def test_dyadic_frame_identities(self, bern_quarter):
         traj = sampled_trajectory(bern_quarter, 30, 9)
         assert np.allclose(traj.lam, LOG2)
@@ -246,6 +251,12 @@ class TestProductTrajectory:
         traj = sampled_trajectory(mu, 2, Draws(draws))
         assert_same_bytes(traj, scalar_trajectory(mu, 2, Draws(draws)))
         assert traj.I.tolist() == [-math.log(w[child]), -math.log(w[1])]
+
+    def test_weight_one_information_is_positive_zero(self, point_mass):
+        # -log 1 is -0.0, which a CSV prints as -0
+        traj = sampled_trajectory(point_mass, 5, 0)
+        assert_same_bytes(traj, scalar_trajectory(point_mass, 5, 0))
+        assert traj.I.tobytes() == traj.res_H.tobytes() == np.zeros(5).tobytes()
 
     def test_walk_deep_config(self):
         # the benchmark's walk_deep round 0: Bernoulli(1/4, 3/4), 3 x 20k steps

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,6 +309,17 @@ class TestJsonConfig:
             spec_from_json('{"d": 1, "generator": {"type": "nope"}}')
 
 
+def test_mixture_top_draw_takes_the_last_component(monkeypatch):
+    # 0.7 + 0.2 + 0.1 accumulates to 1 - 2^-53, numpy's top draw, which no
+    # component's cumulative probability exceeds
+    import porodim.measure
+
+    top = SimpleNamespace(random=lambda: math.nextafter(1.0, 0.0))
+    monkeypatch.setattr(porodim.measure, "_node_generator", lambda seed, q: top)
+    mixture = CascadeFiniteMixture(((0.5, 0.5), (0.25, 0.75), (0.1, 0.9)), (0.7, 0.2, 0.1))
+    assert node_weights(GeneratorSpec(1, mixture), root(1)) == (0.1, 0.9)
+
+
 class TestHomothety:
     def test_uniform_quarter_scaling(self, uniform2):
         nu = apply_homothety(uniform2, Homothety(0.25, (0.0, 0.0)), 8)
@@ -347,6 +359,13 @@ class TestHomothety:
     def test_support_leaving_cube_rejected(self, uniform1):
         with pytest.raises(ValueError, match="unit cube"):
             apply_homothety(uniform1, Homothety(0.25, (0.875,)), 8)
+
+    def test_mass_conservation_checked(self):
+        # weights summing to 3/4: a node's children then hold 3/4 of its mass
+        mu = TreeMeasure(1, 12, weights=lambda q: (0.5, 0.25))
+        nu = apply_homothety(mu, Homothety(0.25, (0.0,)), 8)
+        with pytest.raises(ArithmeticError, match="0.75 vs 1.0"):
+            nu.weights(CubeAddress(3, (0,)))
 
     def test_ratio_validation(self):
         with pytest.raises(ValueError, match="power of two"):

@@ -89,24 +89,24 @@ class TestPor2:
     def test_point_mass_always_one(self, point_mass):
         path = point_mass.sample_path(1, steps=10)
         for n in range(5):
-            assert por2_depth(point_mass, path, n, 0.0) == 1
+            assert por2_depth(point_mass, path[n], 0.0) == 1
 
     def test_uniform_capped_sentinel(self, uniform1):
         path = uniform1.sample_path(2, steps=10)
         eps = 2.0**-9  # below 2^-(d*cap) = 2^-8
-        assert por2_depth(uniform1, path, 0, eps) == math.inf
+        assert por2_depth(uniform1, path[0], eps) == math.inf
 
     def test_bernoulli_depth_two(self):
         mu = make_measure(1, Bernoulli((0.1, 0.9)))
         path = mu.sample_path(3, steps=10)
-        assert por2_depth(mu, path, 0, 0.05) == 2  # 0.1 > 0.05 but 0.01 <= 0.05
+        assert por2_depth(mu, path[0], 0.05) == 2  # 0.1 > 0.05 but 0.01 <= 0.05
 
     def test_monotone_in_eps(self):
         mu = make_measure(2, CascadeDirichlet((0.6,) * 4), seed=5)
         path = mu.sample_path(4, steps=12)
         grid = [0.0, 1e-4, 1e-3, 0.01, 0.05, 0.2]
         for n in range(6):
-            vals = [por2_depth(mu, path, n, e) for e in grid]
+            vals = [por2_depth(mu, path[n], e) for e in grid]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -114,35 +114,37 @@ class TestFractionTrajectory:
     def test_uniform_fraction_zero(self, uniform1):
         path = uniform1.sample_path(5, steps=20)
         # d=1: every depth-1 ratio is exactly 1/2
-        flags = porous_fraction_trajectory(uniform1, path, 1, 0.5, n_max=15)
+        flags = porous_fraction_trajectory(uniform1, path[16], 1, 0.5)
         assert flags == (True,) * 15
-        flags = porous_fraction_trajectory(uniform1, path, 1, 0.3, n_max=15)
+        flags = porous_fraction_trajectory(uniform1, path[16], 1, 0.3)
         assert flags == (False,) * 15
 
     def test_bernoulli_every_scale_porous(self, bern_quarter):
         path = bern_quarter.sample_path(6, steps=25)
-        flags = porous_fraction_trajectory(bern_quarter, path, 1, 0.3, n_max=20)
+        flags = porous_fraction_trajectory(bern_quarter, path[21], 1, 0.3)
         assert flags == (True,) * 20
 
     def test_point_mass_fraction_one(self, point_mass):
         path = point_mass.sample_path(7, steps=20)
-        flags = porous_fraction_trajectory(point_mass, path, 1, 0.0, n_max=15)
+        flags = porous_fraction_trajectory(point_mass, path[16], 1, 0.0)
         assert len(flags) == 15
         assert sum(flags) / len(flags) == 1.0
 
     def test_por2_profile_matches_flags(self):
         mu = make_measure(2, CascadeDirichlet((0.4,) * 4), seed=9, depth=20)
         path = mu.sample_path(10, steps=16)
-        flags = porous_fraction_trajectory(mu, path, 2, 0.01, n_max=10)
-        profile = por2_profile(mu, path, 10, 0.01)
+        flags = porous_fraction_trajectory(mu, path[12], 2, 0.01)
+        profile = por2_profile(mu, path[9], 0.01)
+        assert len(profile) == 10
         assert flags == tuple(p <= 2 for p in profile)
 
     def test_short_lineage_rejected(self, bern_quarter):
+        # a cube at level n flags the levels above n - k
         path = bern_quarter.sample_path(6, steps=12)
-        # n_max=10 at k=2 walks the re-tree toward the cube at level 12
-        porous_fraction_trajectory(bern_quarter, path, 2, 0.05, n_max=10)
-        with pytest.raises(ValueError, match="needs 13"):
-            porous_fraction_trajectory(bern_quarter, path[:12], 2, 0.05, n_max=10)
+        assert len(porous_fraction_trajectory(bern_quarter, path[12], 2, 0.05)) == 10
+        assert len(porous_fraction_trajectory(bern_quarter, path[3], 2, 0.05)) == 1
+        with pytest.raises(ValueError, match="too shallow"):
+            porous_fraction_trajectory(bern_quarter, path[2], 2, 0.05)
 
 
 def _brute_porous(mu, q, k, eps):
@@ -180,19 +182,19 @@ class TestLineageClassifier:
         )
         assert len(walk) == steps
         last = walk[-1][1].children[walk[-1][3]]
-        lineage = [last.ancestor(n) for n in range(last.level + 1)]
         assert len(flags) == last.level
         assert 0 < sum(flags) < len(flags)
         for n, flag in enumerate(flags):
-            assert flag == (por2_depth(mu, lineage, n, eps, cap=k) <= k)
-            assert flag == (classify_porous(mu, lineage[n], k, eps) is not None)
-            assert flag == _brute_porous(mu, lineage[n], k, eps)
+            q = last.ancestor(n)
+            assert flag == (por2_depth(mu, q, eps, cap=k) <= k)
+            assert flag == (classify_porous(mu, q, k, eps) is not None)
+            assert flag == _brute_porous(mu, q, k, eps)
         for node, part, _, idx in walk:
             assert (part.hole is not None) == flags[node.level]
             jump = part.children[idx].level - node.level
             assert jump == 1 or part.hole is not None
         # translate's pass gives the same flags on the same lineage
-        got = porous_fraction_trajectory(mu, lineage, k, eps, n_max=last.level - k)
+        got = porous_fraction_trajectory(mu, last, k, eps)
         assert got == tuple(flags[: last.level - k])
 
     def test_fraction_trajectory_realizes_each_node_once(self, monkeypatch):
@@ -208,13 +210,13 @@ class TestLineageClassifier:
         mu = make_measure(2, _DIRICHLET, seed=9, depth=40)
         path = mu.sample_path(10, steps=40)
         monkeypatch.setattr(porodim.measure, "node_weights", counting)
-        got = porous_fraction_trajectory(mu, path, 2, 0.0125, n_max=30)
+        got = porous_fraction_trajectory(mu, path[32], 2, 0.0125)
         assert calls and set(calls.values()) == {1}
         monkeypatch.undo()
-        flags = tuple(por2_depth(mu, path, n, 0.0125, cap=2) <= 2 for n in range(30))
+        flags = tuple(por2_depth(mu, path[n], 0.0125, cap=2) <= 2 for n in range(30))
         assert got == flags
         # the walk has porous jumps, so levels inside them were probed
-        walk = porous_walk(porous_retree(mu, 2, 0.0125), path[:33], 2)
+        walk = porous_walk(porous_retree(mu, 2, 0.0125), path[32], 2)
         assert any(part.children[idx].level - node.level == 2
                    for node, part, _, idx in walk)
 

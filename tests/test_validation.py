@@ -44,6 +44,7 @@ from porodim.porosity import (
     por2_profile,
     porous_fraction_trajectory,
     porous_retree,
+    porous_walk,
     run_translation_trials,
     sample_porous_path,
     translation_report,
@@ -70,18 +71,18 @@ BAD_K_EPS = [
 ]
 
 #: Library entries taking (k, eps) on the uniform measure ``mu`` at d = 1
-#: and a lineage ``path`` of it; por2 reads k as its cap
+#: and a cube ``x`` at its maximum level 12; por2 reads k as its cap
 K_EPS_ENTRIES = {
-    "porous_retree": lambda mu, path, k, eps: porous_retree(mu, k, eps),
-    "sample_porous_path": lambda mu, path, k, eps: sample_porous_path(mu, k, eps, 0, 5),
+    "porous_retree": lambda mu, x, k, eps: porous_retree(mu, k, eps),
+    "sample_porous_path": lambda mu, x, k, eps: sample_porous_path(mu, k, eps, 0, 5),
     "porous_fraction_trajectory":
-        lambda mu, path, k, eps: porous_fraction_trajectory(mu, path, k, eps, n_max=5),
-    "classify_porous": lambda mu, path, k, eps: classify_porous(mu, mu.root, k, eps),
-    "por2_depth": lambda mu, path, k, eps: por2_depth(mu, path, 0, eps, cap=k),
-    "por2_profile": lambda mu, path, k, eps: por2_profile(mu, path, 5, eps, cap=k),
-    "maximize_bruteforce": lambda mu, path, k, eps: maximize_bruteforce(1, k, eps, grid=5),
-    "fixed_point_candidate": lambda mu, path, k, eps: fixed_point_candidate(1, k, eps),
-    "t_dk": lambda mu, path, k, eps: t_dk(1, k, eps),
+        lambda mu, x, k, eps: porous_fraction_trajectory(mu, x, k, eps),
+    "classify_porous": lambda mu, x, k, eps: classify_porous(mu, mu.root, k, eps),
+    "por2_depth": lambda mu, x, k, eps: por2_depth(mu, mu.root, eps, cap=k),
+    "por2_profile": lambda mu, x, k, eps: por2_profile(mu, x.ancestor(5), eps, cap=k),
+    "maximize_bruteforce": lambda mu, x, k, eps: maximize_bruteforce(1, k, eps, grid=5),
+    "fixed_point_candidate": lambda mu, x, k, eps: fixed_point_candidate(1, k, eps),
+    "t_dk": lambda mu, x, k, eps: t_dk(1, k, eps),
 }
 
 #: Calls with one bad eta, weight, probability, concentration, config integer,
@@ -120,14 +121,18 @@ OTHER_BAD_CALLS = [
     *((f"translate depth={depth}", lambda depth=depth: run_translation_trials(
         CANTOR, 0.25, 0.25, 0.0, depth, 0, range(1)), "depth must lie")
       for depth in (0, 51)),
+    # a lineage is its deepest cube x.  The trajectory flags levels
+    # 0..x.level - k - 1, so x.level - k must be >= 1 (a level-k cube leaves
+    # none) and x.level <= mu.depth; a por2 profile probes x itself, so
+    # x.level < mu.depth
     ("porous_fraction_trajectory n_max=0", lambda: porous_fraction_trajectory(
-        CANTOR, [CANTOR.root], 1, 0.0, n_max=0), "too shallow"),
+        CANTOR, CubeAddress(1, (0,)), 1, 0.0), "too shallow"),
+    ("porous_fraction_trajectory shallow for k", lambda: porous_fraction_trajectory(
+        BERN, BERN_PATH[2], 2, 0.1), "level 2 too shallow"),
     ("porous_fraction_trajectory below depth", lambda: porous_fraction_trajectory(
-        CANTOR, [CANTOR.root], 1, 0.0, n_max=12), "maximum level 12"),
-    *((f"porous_fraction_trajectory {name}", lambda x_path=x_path:
-       porous_fraction_trajectory(BERN, x_path, 1, 0.1, n_max=15), "not a lineage")
-      for name, x_path in (("last cube only", [BERN.root] * 16 + [BERN_PATH[16]]),
-                           ("root only", [BERN.root] * 17))),
+        CANTOR, CubeAddress(13, (0,)), 1, 0.0), "maximum level 12"),
+    *((f"por2_profile level {level}", lambda level=level: por2_profile(
+        CANTOR, CubeAddress(level, (0,)), 0.0), "maximum level 12") for level in (12, 13)),
     ("solve_s d=2.0", lambda: solve_s(2.0, 1, 0.1), "d must be an integer"),
     *((f"GeneratorSpec d={d!r}", lambda d=d: GeneratorSpec(d, Uniform()),
        "ambient dimension must be an integer") for d in (1.5, 2.0)),
@@ -160,12 +165,6 @@ OTHER_BAD_CALLS = [
     *((f"translate trial {i}", lambda i=i: run_translation_trials(
         CANTOR, 0.25, 0.25, 0.0, 8, 0, [i]), message)
       for i, message in ((1.5, "index must be an integer"), (-1, "index must be >= 0"))),
-    ("porous_fraction_trajectory n_max=1.5", lambda: porous_fraction_trajectory(
-        CANTOR, [CANTOR.root], 1, 0.0, n_max=1.5), "n_max must be an integer"),
-    ("por2_depth n=1.5", lambda: por2_depth(BERN, BERN_PATH, 1.5, 0.1),
-     "n must be an integer"),
-    ("por2_profile n_max=1.5", lambda: por2_profile(BERN, BERN_PATH, 1.5, 0.1),
-     "n_max must be an integer"),
     ("solve_table points=2.5", lambda: solve_table(1, 1, 2.5),
      "points must be an integer"),
     ("maximize_bruteforce grid=2.5", lambda: maximize_bruteforce(1, 2, 0.1, 2.5),
@@ -240,10 +239,10 @@ def count_realizations(monkeypatch):
 @pytest.mark.parametrize("k, eps, message", BAD_K_EPS)
 def test_bad_k_eps_raises_before_any_node(count_realizations, name, k, eps, message):
     mu = make_measure(1, Uniform(), depth=12)
-    path = mu.sample_path(1, steps=12)
+    x = mu.sample_path(1, steps=12)[-1]
     count_realizations.clear()
     with pytest.raises(ValueError, match=message):
-        K_EPS_ENTRIES[name](mu, path, k, eps)
+        K_EPS_ENTRIES[name](mu, x, k, eps)
     assert count_realizations == []
 
 
@@ -298,8 +297,8 @@ def test_por2_cap_bounds_the_frontier():
     # d = 3 at the default cap 8 would build a frontier of 2^24 nodes
     mu = make_measure(3, CascadeDirichlet((1.0,) * 8), depth=12)
     with pytest.raises(ValueError, match="k\\*d = 24 exceeds 16"):
-        por2_depth(mu, [mu.root], 0, 0.0)
-    assert por2_depth(mu, [mu.root], 0, 0.0, cap=2) == math.inf  # no zero mass
+        por2_depth(mu, mu.root, 0.0)
+    assert por2_depth(mu, mu.root, 0.0, cap=2) == math.inf  # no zero mass
 
 
 @pytest.mark.parametrize("model, eps, depth, realized", [
@@ -310,10 +309,18 @@ def test_por2_builds_only_the_frontiers_it_reads(count_realizations, model, eps,
                                                  realized):
     # por2 stops at the first hole: frontiers 1..j realize the 2^j - 1 nodes above level j
     mu = make_measure(1, model)
-    path = mu.sample_path(3, steps=10)
     count_realizations.clear()
-    assert por2_depth(mu, path, 0, eps) == depth
+    assert por2_depth(mu, mu.root, eps) == depth
     assert len(count_realizations) == realized
+
+
+def test_porous_walk_toward_a_shallow_cube_is_empty(count_realizations):
+    # nodes at levels <= x.level - k take a step: none when x.level < k
+    view = porous_retree(BERN, 2, 0.1)
+    count_realizations.clear()
+    assert porous_walk(view, BERN_PATH[1], 2) == []
+    assert count_realizations == []
+    assert [node for node, *_ in porous_walk(view, BERN_PATH[2], 2)] == [BERN.root]
 
 
 def test_integer_k_of_any_type_is_accepted():
