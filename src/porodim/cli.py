@@ -4,8 +4,8 @@ Subcommands: solve (dimension-drop curve tables), simulate (path experiments
 with a bound check), oracle (brute force vs solver comparison), translate
 (random-translation porosity transfer), hmin (converse-bound tables).  All
 output is metadata-headed CSV; identical configs produce byte-identical
-files.  Exit codes: 0 success, 1 parameter error or a run too large for
-memory, 2 failed pass-criterion under --strict.
+files.  Exit codes: 0 success, 1 a ValueError (a bad parameter or a query past
+the depth) or a run too large for memory, 2 failed pass-criterion under --strict.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from .measure import (
 )
 from .porosity import (MAX_KD, _check_porosity, run_translation_trials,
                        sample_porous_path, translation_report)
-
-
-class ParameterError(ValueError):
-    pass
 
 
 #: Largest simulate run in path steps, depth x paths.  It admits one path
@@ -70,11 +66,11 @@ def _load_spec(args, default_depth: int) -> tuple[GeneratorSpec, int]:
     object a --config file holds; --depth, then the config's, then the default."""
     if args.config is not None:
         if args.d is not None or args.weights is not None:
-            raise ParameterError("--config defines the measure; drop --d and --weights")
+            raise ValueError("--config defines the measure; drop --d and --weights")
         with open(args.config) as fh:
             config = fh.read()
     elif (args.weights is None) == (args.gen == "bernoulli"):
-        raise ParameterError(
+        raise ValueError(
             "--weights w0,w1,... goes with --gen bernoulli, and only with it")
     else:
         gen: dict = {"type": args.gen}
@@ -92,7 +88,7 @@ def _load_spec(args, default_depth: int) -> tuple[GeneratorSpec, int]:
 def _cases(args, default: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The one (d, k) pair given by --d and --k, or the default table."""
     if (args.d is None) != (args.k is None):
-        raise ParameterError("--d and --k go together: give both or neither")
+        raise ValueError("--d and --k go together: give both or neither")
     return default if args.d is None else [(args.d, args.k)]
 
 
@@ -148,14 +144,17 @@ def _cmd_simulate(args) -> int:
     spec, depth = _load_spec(args, 1000)
     paths, k, eps, seed = args.paths, args.k, args.eps, spec.seed
     if depth < 1:
-        raise ParameterError(f"--depth must be >= 1, got {depth}")
+        raise ValueError(f"--depth must be >= 1, got {depth}")
     if paths < 1:
-        raise ParameterError(f"--paths must be >= 1, got {paths}")
+        raise ValueError(f"--paths must be >= 1, got {paths}")
     if depth * paths > MAX_PATH_STEPS:
-        raise ParameterError(
+        raise ValueError(
             f"--depth x --paths must be <= {MAX_PATH_STEPS}, got {depth} x {paths}")
     if not math.isfinite(args.slack):
-        raise ParameterError(f"--slack must be finite, got {args.slack}")
+        raise ValueError(f"--slack must be finite, got {args.slack}")
+    if (args.trajectories is not None and args.out is not None
+            and os.path.realpath(args.trajectories) == os.path.realpath(args.out)):
+        raise ValueError("--trajectories and --out name the same file")
     d = spec.d
     _check_porosity(d, k, eps)  # before any worker starts or node is realized
 
@@ -242,11 +241,11 @@ def _cmd_translate(args) -> int:
     spec, depth = _load_spec(args, 12)
     trials, alpha, eps, seed, r = args.trials, args.alpha, args.eps, spec.seed, args.ratio
     if not 1 <= trials <= MAX_TRIALS:
-        raise ParameterError(f"--trials must lie in [1, {MAX_TRIALS}], got {trials}")
+        raise ValueError(f"--trials must lie in [1, {MAX_TRIALS}], got {trials}")
     if args.eta is not None:
         bounds._check_eta(args.eta)  # before the trials run
     elif args.strict:
-        raise ParameterError("--strict checks the fraction against --eta; give --eta")
+        raise ValueError("--strict checks the fraction against --eta; give --eta")
 
     k = bounds.k_of_alpha(spec.d, alpha, r)
     jobs = _jobs(args.jobs, trials)
@@ -291,7 +290,7 @@ def _cmd_hmin(args) -> int:
     if args.eps is None:
         eps_list = bounds.eps_grid(d, 1, 33 if points is None else points)
     elif points is not None:
-        raise ParameterError("--points sets the eps grid, which --eps replaces")
+        raise ValueError("--points sets the eps grid, which --eps replaces")
     else:
         eps_list = [args.eps]
     rows = []
@@ -323,10 +322,10 @@ def _worker_count(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parse errors raise ParameterError: one stderr line and exit 1."""
+    """Parse errors raise ValueError: one stderr line and exit 1."""
 
     def error(self, message):
-        raise ParameterError(message)
+        raise ValueError(message)
 
 
 def _measure_flags(p, depth: int) -> None:
@@ -423,7 +422,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:  # --help and --version print and exit while parsing
         return 0
-    except (ParameterError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -22,7 +22,6 @@ from .dyadic import _index, subdivide_uniform
 from .measure import (
     _PATH_STREAM,
     TreeMeasure,
-    UnrealizedNodeError,
     Weights,
     _choice_table,
     _path_rng,
@@ -152,10 +151,7 @@ def sampled_trajectory(
     depth = _index(depth, "walk depth")
     if depth < 1:
         raise ValueError("empty walk")
-    if depth > mu.depth:
-        raise UnrealizedNodeError(
-            f"a {depth}-step walk passes the measure's maximum level {mu.depth}"
-        )
+    mu.check_reach(depth, f"the {depth}-step walk")
     if mu.product_weights is not None:
         return _product_trajectory(mu, depth, seed)
     return _trajectory_from_steps(list(mu.walk(seed, steps=depth)))

@@ -47,8 +47,8 @@ MAX_DIM = 8
 #: larger ``max_level``.
 DEFAULT_MAX_LEVEL = 60
 
-class UnrealizedNodeError(LookupError):
-    """A positive-mass node was queried beyond the realized/realizable tree."""
+class UnrealizedNodeError(ValueError):
+    """A query reads past the measure's depth, off its lattice or below zero mass."""
 
 
 def _u64(seed: int) -> int:
@@ -286,11 +286,11 @@ class TreeMeasure:
     and readers that need no partition get the offspring vector alone.
     ``realizer(q) -> (CubePartition, Weights)`` gives any partition tree,
     which porosity probes and pushforwards reject as not dyadic.  ``depth``
-    bounds the dyadic level of any node, and so the number of tree steps
-    along any path.  ``log_mass`` is the one mass query, since a mass
-    underflows near level 540.  The measure keeps no node data: every query
-    runs its source, and a source that is costly to repeat memoizes itself,
-    as ``apply_homothety``'s does.
+    bounds the levels any query reads (``check_reach``), and so the number of
+    tree steps along any path.  ``log_mass`` is the one mass query, since a
+    mass underflows near level 540.  The measure keeps no node data: every
+    query runs its source, and a source that is costly to repeat memoizes
+    itself, as ``apply_homothety``'s does.
     """
 
     def __init__(
@@ -317,23 +317,27 @@ class TreeMeasure:
 
     def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
         """Partition and conditional offspring vector at ``q``."""
-        self._check_level(q)
+        self.check_reach(q.level + 1, q)
         if self._realizer is None:
             return subdivide_uniform(q), self._weights(q)
         return self._realizer(q)
 
     def weights(self, q: CubeAddress) -> Weights:
         """The offspring vector at ``q``: ``offspring(q)[1]``."""
-        self._check_level(q)
+        self.check_reach(q.level + 1, q)
         if self._weights is None:
             return self._realizer(q)[1]
         return self._weights(q)
 
-    def _check_level(self, q: CubeAddress) -> None:
-        if q.level >= self.depth:
-            raise UnrealizedNodeError(
-                f"node {q.serialize()} is at the measure's maximum level {self.depth}"
-            )
+    def check_reach(self, level: int, query: str | CubeAddress) -> None:
+        """Raise UnrealizedNodeError unless ``level`` <= ``depth``: the deepest
+        level a query reads, one below a node for its offspring.  ``query`` names
+        the query, or is the node it starts at, formatted only on failure."""
+        if level > self.depth:
+            if isinstance(query, CubeAddress):
+                query = f"a query at node {query.serialize()}"
+            raise UnrealizedNodeError(f"{query} reads level {level}, past the "
+                                      f"measure's maximum level {self.depth}")
 
     def steps_to(self, target: CubeAddress, last: int | None = None,
                  start: CubeAddress | None = None):
@@ -341,11 +345,12 @@ class TreeMeasure:
         ``walk`` steps (node, partition, weights, idx).
 
         Only nodes at levels <= ``last`` (default target.level - 1) take a
-        step; the bound is checked before a node is realized.  Raises
+        step, so the lineage reads level last + 1.  Raises
         UnrealizedNodeError when no child of a node contains ``target``.
         """
         if last is None:
             last = target.level - 1
+        self.check_reach(last + 1, target)
         cur = self.root if start is None else start
         while cur.level <= last:
             part, w = self.offspring(cur)
@@ -376,6 +381,7 @@ class TreeMeasure:
         in numpy for product measures.
         """
         steps = _index(steps, "steps", 0)
+        self.check_reach(steps, f"the {steps}-step walk")
         us = _path_rng(seed).random(steps)
         cur = self.root
         for n in range(steps):
@@ -490,6 +496,8 @@ def spec_from_json(data: str | dict) -> tuple[GeneratorSpec, int | None]:
         raise ValueError(
             f"malformed generator config{named} (expected {_SCHEMA_HINT})"
         ) from exc
+    if depth is not None and depth < 1:
+        raise ValueError(f"the config's depth must be >= 1, got {depth}")
     return GeneratorSpec(d, model, seed), depth
 
 
@@ -628,13 +636,7 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     for t in h.translation:
         if t + h.ratio > 1.0:
             raise ValueError("image support would leave the unit cube")
-    # Deepest source level any realization can touch.
-    need = max(depth, t_grid) - m
-    if need > mu.depth:
-        raise ValueError(
-            f"pushforward to depth {depth} needs the source realized to level "
-            f"{need}, above its maximum {mu.depth}"
-        )
+    mu.check_reach(max(depth, t_grid) - m, f"the pushforward to depth {depth}")
 
     def source_box(q: CubeAddress) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """q's preimage at source level ``scale``, clipped to [0, 2^scale)^d."""

@@ -183,36 +183,34 @@ def classify_porous(
     hole is the depth-k descendant of minimal conditional mass, ties broken
     by lexicographic address order, so runs are reproducible.  The caller is
     responsible for q having positive mass; conditional ratios below q are
-    well defined regardless.  Raises ValueError unless k >= 1, k*d <= MAX_KD
-    and eps lies in [0, 2^-kd].
+    well defined regardless.  Raises ValueError unless k >= 1, k*d <= MAX_KD,
+    eps lies in [0, 2^-kd] and q.level + k <= mu.depth.
     """
     _check_porosity(mu.d, k, eps)
+    mu.check_reach(q.level + k, f"the depth-{k} porosity test at {q.serialize()}")
     return _classify_full(LineageClassifier(mu), q, k, eps)[0]
 
 
 def por2_depth(mu: TreeMeasure, q: CubeAddress, eps: float,
                cap: int = DEFAULT_POR2_CAP) -> float:
-    """Least k <= cap such that D_k(q) contains an eps-hole.
+    """Least k <= cap such that D_k(q) contains an eps-hole, else math.inf.
 
-    Returns math.inf when no hole exists up to the cap (the capped sentinel,
-    never a number).  Once a hole exists at depth j it persists at all deeper
-    depths, so the first hit is the minimum.  Raises ValueError unless eps
-    lies in [0, 2^-d] and cap*d <= MAX_KD, before any node is realized.
+    Once a hole exists at depth j it persists at all deeper depths, so the
+    first hit is the minimum.  Raises ValueError unless eps lies in [0, 2^-d],
+    cap*d <= MAX_KD and q.level + cap <= mu.depth, before any node is realized.
     """
     _check_eps(mu.d, 1, eps)
     _check_porosity(mu.d, cap, 0.0)  # cap >= 1 and cap*d <= MAX_KD
+    mu.check_reach(q.level + cap, f"por2 with cap {cap} at {q.serialize()}")
     return LineageClassifier(mu).por2(q, eps, cap)
 
 
 def por2_profile(mu: TreeMeasure, x: CubeAddress, eps: float,
                  cap: int = DEFAULT_POR2_CAP) -> tuple[float, ...]:
-    """por2 of the cubes of x's lineage at levels 0..x.level; checked as
-    por2_depth, and x must be a node of ``mu`` (x.level < mu.depth)."""
+    """por2 of x's lineage at levels 0..x.level; checked as por2_depth at x."""
     _check_eps(mu.d, 1, eps)
     _check_porosity(mu.d, cap, 0.0)
-    if x.level >= mu.depth:
-        raise ValueError(f"cube at level {x.level} is not above the measure's "
-                         f"maximum level {mu.depth}")
+    mu.check_reach(x.level + cap, f"por2 with cap {cap} along {x.serialize()}")
     clf = LineageClassifier(mu)
     return tuple(clf.por2(x.ancestor(n), eps, cap) for n in range(x.level + 1))
 
@@ -274,11 +272,17 @@ def sample_porous_path(
 
     Returns the walk steps (node, partition, weights, chosen child index) and
     ``flags[n]``: is the lineage's level-n cube porous at (k, eps), for every
-    level n below the terminal one.  Each node is realized once.
+    level n below the terminal one.  Each node is realized once.  Raises
+    UnrealizedNodeError, a ValueError, before any node is realized unless
+    steps - 1 + k <= base.depth, the least any walk reads; a walk whose porous
+    jumps go deeper raises it at the first node past the depth.
     """
     clf = LineageClassifier(base)
+    view = clf.retree(k, eps)
+    steps = _index(steps, "steps", 0)
+    base.check_reach(steps - 1 + k, f"the {steps}-step walk of the depth-{k} re-tree")
     walk, flags = [], []
-    for step, levels in _porous_levels(clf, clf.retree(k, eps).walk(seed, steps), k, eps):
+    for step, levels in _porous_levels(clf, view.walk(seed, steps), k, eps):
         walk.append(step)
         flags.extend(levels)
     return walk, flags
@@ -299,9 +303,7 @@ def porous_fraction_trajectory(mu: TreeMeasure, x: CubeAddress, k: int,
     if x.level - k < 1:
         raise ValueError(f"cube at level {x.level} too shallow for any "
                          f"porous-scale statistics at k={k}")
-    if x.level > mu.depth:
-        raise ValueError(f"cube at level {x.level} lies below the measure's "
-                         f"maximum level {mu.depth}")
+    mu.check_reach(x.level, f"the porous-scale pass along {x.serialize()}")
     clf = LineageClassifier(mu)
     walk = porous_walk(clf.retree(k, eps), x, k)
     levels = chain.from_iterable(flags for _, flags in _porous_levels(clf, walk, k, eps))

@@ -430,6 +430,16 @@ class TestErrors:
         assert err.startswith("error:")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_trajectories_and_out_one_file_exit_1(self, tmp_path, monkeypatch, capsys):
+        # two spellings of one path: the trajectories would overwrite the summary
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--gen", "uniform", "--k", "1", "--eps", "0", "--depth", "3",
+                "--paths", "1", "--out", "f.csv", "--trajectories", str(tmp_path / "f.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --trajectories and --out name the same file\n")
+        assert not (tmp_path / "f.csv").exists()
+
     def test_bad_config_exit_1(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"generator": {"type": "uniform"}}')

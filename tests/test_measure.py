@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from porodim.dyadic import CubeAddress, root, subdivide_uniform
 from porodim.measure import (
+    MAX_DIM,
     Bernoulli,
     CantorMiddleHalf,
     CascadeDirichlet,
@@ -35,6 +37,9 @@ from porodim.measure import (
 )
 
 from conftest import make_measure
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs"
+                     / "generator-config.schema.json").read_text())
 
 
 class TestBuildAndMass:
@@ -307,6 +312,17 @@ class TestJsonConfig:
             spec_from_json('{"generator": {"type": "uniform"}}')
         with pytest.raises(ValueError, match="unknown generator type"):
             spec_from_json('{"d": 1, "generator": {"type": "nope"}}')
+
+    @pytest.mark.parametrize("example", SCHEMA["examples"],
+                             ids=[e["generator"]["type"] for e in SCHEMA["examples"]])
+    def test_schema_examples_round_trip(self, example):
+        spec, depth = spec_from_json(example)
+        assert depth == example.get("depth")
+        assert spec_from_json(spec_to_json(spec)) == (spec, None)
+
+    def test_schema_dimension_range_is_the_generators(self):
+        d = SCHEMA["properties"]["d"]
+        assert (d["minimum"], d["maximum"]) == (1, MAX_DIM)
 
 
 def test_mixture_top_draw_takes_the_last_component(monkeypatch):

@@ -58,6 +58,33 @@ BERN = make_measure(1, Bernoulli((0.25, 0.75)))
 BERN_PATH = BERN.sample_path(1, steps=16)
 HALVES = tuple(CubeAddress(1, (c,)) for c in (0, 1))  # the children of [0, 1)
 ONE_TRIAL = TranslationTrial(0, (0.0,), 0.0)
+UNIFORM = make_measure(1, Uniform(), depth=12)
+
+
+def _at(level: int) -> CubeAddress:
+    return CubeAddress(level, (0,))
+
+
+#: Each query the depth rule bounds, on UNIFORM (depth 12), ``past`` levels
+#: past its reach: at past = 0 it reads down to level 12 exactly, since no
+#: node is porous at eps = 0 and por2 finds no 0.001-hole within its cap of 8
+DEPTH_RULE = {
+    "offspring": lambda past: UNIFORM.offspring(_at(11 + past)),
+    "weights": lambda past: UNIFORM.weights(_at(11 + past)),
+    "walk": lambda past: list(UNIFORM.walk(0, 12 + past)),
+    "sample_path": lambda past: UNIFORM.sample_path(0, 12 + past),
+    "sampled_trajectory": lambda past: sampled_trajectory(UNIFORM, 12 + past, 0),
+    "steps_to": lambda past: list(UNIFORM.steps_to(_at(12), last=11 + past)),
+    "log_mass": lambda past: UNIFORM.log_mass(_at(12 + past)),
+    "porous_walk": lambda past: porous_walk(
+        porous_retree(UNIFORM, 1, 0.0), _at(12 + past), 1),
+    "classify_porous": lambda past: classify_porous(UNIFORM, _at(10 + past), 2, 0.0),
+    "por2_depth": lambda past: por2_depth(UNIFORM, _at(4 + past), 0.001),
+    "por2_profile": lambda past: por2_profile(UNIFORM, _at(4 + past), 0.001),
+    "porous_fraction_trajectory": lambda past: porous_fraction_trajectory(
+        UNIFORM, _at(12 + past), 1, 0.0),
+    "sample_porous_path": lambda past: sample_porous_path(UNIFORM, 2, 0.0, 0, 11 + past),
+}
 
 #: (k, eps) pairs outside the paper's range at d = 1, where 2^-kd = 1/2 at
 #: k = 1, with the message each must raise
@@ -123,8 +150,8 @@ OTHER_BAD_CALLS = [
       for depth in (0, 51)),
     # a lineage is its deepest cube x.  The trajectory flags levels
     # 0..x.level - k - 1, so x.level - k must be >= 1 (a level-k cube leaves
-    # none) and x.level <= mu.depth; a por2 profile probes x itself, so
-    # x.level < mu.depth
+    # none) and x.level <= mu.depth; a por2 profile probes cap levels below
+    # x, so x.level + cap <= mu.depth
     ("porous_fraction_trajectory n_max=0", lambda: porous_fraction_trajectory(
         CANTOR, CubeAddress(1, (0,)), 1, 0.0), "too shallow"),
     ("porous_fraction_trajectory shallow for k", lambda: porous_fraction_trajectory(
@@ -133,6 +160,16 @@ OTHER_BAD_CALLS = [
         CANTOR, CubeAddress(13, (0,)), 1, 0.0), "maximum level 12"),
     *((f"por2_profile level {level}", lambda level=level: por2_profile(
         CANTOR, CubeAddress(level, (0,)), 0.0), "maximum level 12") for level in (12, 13)),
+    # the depth rule: each query one level past its reach, and the por2
+    # queries at a cube whose probes reach past the depth before a hole
+    *((f"{name} one level past its reach", lambda call=call: call(1), "maximum level 12")
+      for name, call in DEPTH_RULE.items()),
+    *((f"{name} at level 8", lambda por2=por2: por2(UNIFORM, _at(8), 0.001),
+       "maximum level 12") for name, por2 in (("por2_depth", por2_depth),
+                                              ("por2_profile", por2_profile))),
+    *((f"config depth {depth}", lambda depth=depth: spec_from_json(
+        {"d": 1, "depth": depth, "generator": {"type": "uniform"}}),
+       f"config's depth must be >= 1, got {depth}") for depth in (0, -3)),
     ("solve_s d=2.0", lambda: solve_s(2.0, 1, 0.1), "d must be an integer"),
     *((f"GeneratorSpec d={d!r}", lambda d=d: GeneratorSpec(d, Uniform()),
        "ambient dimension must be an integer") for d in (1.5, 2.0)),
@@ -206,7 +243,7 @@ OTHER_BAD_CALLS = [
     ("apply_homothety d mismatch", lambda: apply_homothety(
         CANTOR, Homothety(0.25, (0.0, 0.0)), 8), "translation dimension"),
     ("apply_homothety shallow source", lambda: apply_homothety(
-        CANTOR, Homothety(0.25, (0.0,)), 20), "needs the source realized to level 18"),
+        CANTOR, Homothety(0.25, (0.0,)), 20), "reads level 18, past the measure's maximum"),
     # the oracle's mass vectors and objectives
     ("RawVector length", lambda: RawVector(1, 1, (1.0,)), "need 2 masses"),
     ("ReducedPoint length", lambda: ReducedPoint(1, 2, (1.0,), 0.0), "need 2 level masses"),
@@ -262,6 +299,13 @@ def test_overlong_walk_raises_before_any_node(count_realizations, model):
     with pytest.raises(UnrealizedNodeError, match="60-step walk"):
         sampled_trajectory(mu, 60, 0)
     assert count_realizations == []
+
+
+@pytest.mark.parametrize("name", DEPTH_RULE)
+def test_depth_rule_admits_each_query_at_its_reach(name):
+    DEPTH_RULE[name](0)
+    with pytest.raises(UnrealizedNodeError, match="maximum level 12"):
+        DEPTH_RULE[name](1)
 
 
 @pytest.mark.parametrize("build", [
