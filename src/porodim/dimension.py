@@ -37,11 +37,13 @@ def entropy(weights: Weights) -> float:
 def _exact_sum(col: np.ndarray) -> float:
     """``math.fsum(col)`` bit for bit.  fsum rounds the exact sum once, so a
     column of n copies of x sums to the IEEE product x * n (n <= 2^53), and to
-    +0.0 when x is a zero of either sign."""
+    +0.0 when x is a zero of either sign.  A zero-stride column is constant by
+    construction and skips the scan; an overflowing or non-finite product
+    still goes to fsum."""
     if len(col):
         x = float(col[0])
         s = x * len(col) + 0.0
-        if math.isfinite(s) and (col == x).all():
+        if math.isfinite(s) and (col.strides[0] == 0 or (col == x).all()):
             return s
     return math.fsum(col.tolist())
 
@@ -157,19 +159,42 @@ def sampled_trajectory(
     return _trajectory_from_steps(list(mu.walk(seed, steps=depth)))
 
 
+def _pick(cum: list[float], targets: np.ndarray) -> np.ndarray:
+    """``min(bisect_right(cum, t), len(cum) - 1)`` for every target t, the
+    position among the positive children that ``walk`` takes: the count of
+    entries of cum[:-1] that are <= t.
+
+    The count is found without branches, which random targets would make
+    unpredictable.  cum[:-1] is padded with +inf to a power-of-two width W,
+    and each round halves the candidate range by one ``<=`` per target, the
+    first against the scalar at W/2 - 1.  Only ``<=`` on the same floats
+    decides, so ties, equal cumulative entries and the top draw go where
+    ``bisect_right`` sends them."""
+    width = 1 << (len(cum) - 1).bit_length()
+    padded = np.full(width, np.inf)
+    padded[:len(cum) - 1] = cum[:-1]
+    step = width >> 1  # 0 at one child, where padded[-1] is the lone +inf
+    pick = (padded[step - 1] <= targets) * step
+    while step > 1:
+        step >>= 1
+        # padded[step - 1:][pick] is padded[pick + step - 1], without the index array
+        pick += (padded[step - 1:][pick] <= targets) * step
+    return pick
+
+
 def _product_trajectory(
     mu: TreeMeasure, depth: int, seed: int | np.random.Generator
 ) -> PathTrajectory:
     """``walk``'s draws and ``_choice_table`` search on the one offspring
-    vector of a product measure, done for all steps at once; no node is realized.
-    The columns every step shares are read-only zero-stride views."""
+    vector of a product measure, done for all steps at once (``_pick``); no
+    node is realized.  The columns every step shares are read-only
+    zero-stride views."""
     us = _path_rng(seed).random(depth)
     w = mu.product_weights
     positive, cum, total = _choice_table(mu.root, w)
     us *= total  # walk's targets u * total, in place
-    pick = np.searchsorted(cum, us, side="right")
+    pick = _pick(cum, us)
     del us  # spent: free the draws before the gather allocates I
-    np.minimum(pick, len(positive) - 1, out=pick)
     info = np.array([0.0 - math.log(w[j]) for j in positive])  # +0.0 at w = 1
     # every node splits uniformly, one level down, with the same weights
     root = mu.root

@@ -240,8 +240,11 @@ def porous_walk(
     Returns per-step (node, partition, weights, chosen child index) for the
     nodes at levels <= x.level - k: a porous step can descend k levels at
     once, so a deeper node's next child might lie below x.  A cube at a level
-    below k gives an empty walk.
+    below k gives an empty walk.  Classifying the last node's split reads the
+    base down to x.level, and the view shares the base's depth, so x.level is
+    checked against it before any node is realized.
     """
+    view.check_reach(x.level, x)
     return list(view.steps_to(x, last=x.level - k))
 
 

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from porodim.dimension import (
     PathTrajectory,
     _entropy_and_lyapunov,
     _exact_sum,
+    _pick,
     _trajectory_from_steps,
     estimate_packing_dim,
     hmin_and_converse,
@@ -28,6 +30,7 @@ from porodim.measure import (
     Homothety,
     Uniform,
     UnrealizedNodeError,
+    _choice_table,
     apply_homothety,
     build_tree_measure,
     derived_rng,
@@ -191,8 +194,9 @@ class Draws(np.random.Generator):
 
 @st.composite
 def product_models(draw):
-    """(d, model) for d = 1, 2: Uniform, or Bernoulli with zero entries."""
-    d = draw(st.sampled_from([1, 2]))
+    """(d, model) for d = 1, 2, 3: Uniform, or Bernoulli with zero entries,
+    so 1..8 positive children and ``_pick`` widths 1, 2, 4 and 8."""
+    d = draw(st.sampled_from([1, 2, 3]))
     n = 1 << d
     raw = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=n, max_size=n)
                .filter(any))
@@ -251,6 +255,25 @@ class TestProductTrajectory:
         traj = sampled_trajectory(mu, 2, Draws(draws))
         assert_same_bytes(traj, scalar_trajectory(mu, 2, Draws(draws)))
         assert traj.I.tolist() == [-math.log(w[child]), -math.log(w[1])]
+
+    @pytest.mark.parametrize("w", [
+        (1.0,), (0.25, 0.75), (0.7, 0.2, 0.1), (0.7, 0.2, 0.1, 1e-13), (0.2,) * 5,
+        (0.125,) * 8, (0.1,) * 9, tuple((j % 7 + 1) / 7 for j in range(256)),
+        # 0.5 + 1e-300 == 0.5: equal cumulative entries, inside and at the top
+        pytest.param((0.5, 1e-300, 0.5), id="equal-inside"),
+        pytest.param((1.0, 1e-300, 1e-300), id="equal-at-top"),
+    ], ids=lambda w: f"{len(w)}-children")
+    def test_pick_is_clamped_bisect_right(self, w):
+        # ties, their neighbours, 0, the top draw and random draws
+        _, cum, total = _choice_table(root(1), w)
+        ts = [0.0, (1.0 - 2.0**-53) * total, total]
+        for c in cum:
+            ts += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
+        ts += (np.random.default_rng(0).random(200) * total).tolist()
+        pick = _pick(cum, np.array(ts))
+        assert pick.dtype.kind == "i"
+        assert pick.tolist() == [min(bisect.bisect_right(cum, t), len(cum) - 1)
+                                 for t in ts]
 
     def test_weight_one_information_is_positive_zero(self, point_mass):
         # -log 1 is -0.0, which a CSV prints as -0
@@ -328,8 +351,9 @@ class TestExactSum:
     @pytest.mark.parametrize("xs", [[1e308] * 10, [math.inf] * 3, [-math.inf] * 2,
                                     [math.nan] * 2])
     def test_overflow_and_non_finite(self, xs):
-        col = np.array(xs)
-        assert fsum_outcome(_exact_sum, col) == fsum_outcome(math.fsum, xs)
+        # the zero-stride view skips the equality scan, not these checks
+        for col in (np.array(xs), np.broadcast_to(np.array(xs[0]), len(xs))):
+            assert fsum_outcome(_exact_sum, col) == fsum_outcome(math.fsum, xs)
 
 
 class TestEstimator:

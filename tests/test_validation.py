@@ -78,6 +78,9 @@ DEPTH_RULE = {
     "log_mass": lambda past: UNIFORM.log_mass(_at(12 + past)),
     "porous_walk": lambda past: porous_walk(
         porous_retree(UNIFORM, 1, 0.0), _at(12 + past), 1),
+    # the last step classifies down to x.level, below the view's own reach
+    "porous_walk k=2": lambda past: porous_walk(
+        porous_retree(UNIFORM, 2, 0.0), _at(12 + past), 2),
     "classify_porous": lambda past: classify_porous(UNIFORM, _at(10 + past), 2, 0.0),
     "por2_depth": lambda past: por2_depth(UNIFORM, _at(4 + past), 0.001),
     "por2_profile": lambda past: por2_profile(UNIFORM, _at(4 + past), 0.001),
