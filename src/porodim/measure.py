@@ -339,10 +339,9 @@ class TreeMeasure:
             raise UnrealizedNodeError(f"{query} reads level {level}, past the "
                                       f"measure's maximum level {self.depth}")
 
-    def steps_to(self, target: CubeAddress, last: int | None = None,
-                 start: CubeAddress | None = None):
-        """The lineage from ``start`` (default the root) toward ``target`` as
-        ``walk`` steps (node, partition, weights, idx).
+    def steps_to(self, target: CubeAddress, last: int | None = None):
+        """The lineage from the root toward ``target`` as ``walk`` steps
+        (node, partition, weights, idx).
 
         Only nodes at levels <= ``last`` (default target.level - 1) take a
         step, so the lineage reads level last + 1.  Raises
@@ -351,7 +350,7 @@ class TreeMeasure:
         if last is None:
             last = target.level - 1
         self.check_reach(last + 1, target)
-        cur = self.root if start is None else start
+        cur = self.root
         while cur.level <= last:
             part, w = self.offspring(cur)
             idx = next((j for j, ch in enumerate(part.children) if ch.contains(target)),
@@ -622,7 +621,9 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     source.  Those descents overlap from node to node, so each source node is
     realized once per pushforward too: a memo of the source's offspring lives
     as long as the returned measure and holds the distinct source nodes its
-    realizations touched: one trial's, in the translation experiment.
+    realizations touched: one trial's, in the translation experiment.  The
+    check that a box's anchor cube carries mass reads the same memo down the
+    anchor's lineage, from the nearest ancestor already known to carry mass.
     Known limit: a translation with hundreds of binary digits can leave a
     box's anchor hundreds of levels above it, and then its relative mass can
     underflow; the translation experiment draws translations of at most 50
@@ -648,19 +649,20 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
         return tuple(max(l, 0) for l in lo), hi, scale
 
     offspring = functools.cache(mu.offspring)
-    source = TreeMeasure(mu.d, mu.depth, offspring)
     positive = {mu.root}  # source cubes known to carry mass
 
     def has_mass(anchor: CubeAddress) -> bool:
         """mu(anchor) > 0, testing only the weights below the nearest
         ancestor known to carry mass; relative masses cannot see a zero there."""
-        known = anchor
-        while known not in positive:
-            known = known.ancestor(known.level - 1)
-        for _, part, w, idx in source.steps_to(anchor, start=known):
-            if w[idx] == 0.0:
+        top = anchor.level
+        while anchor.ancestor(top) not in positive:
+            top -= 1
+        for level in range(top, anchor.level):
+            part, w = offspring(anchor.ancestor(level))
+            child = anchor.ancestor(level + 1)
+            if w[part.children.index(child)] == 0.0:
                 return False
-            positive.add(part.children[idx])
+            positive.add(child)
         return True
 
     def weights(q: CubeAddress) -> Weights:

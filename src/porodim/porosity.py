@@ -242,30 +242,12 @@ def porous_walk(
     once, so a deeper node's next child might lie below x.  A cube at a level
     below k gives an empty walk.  Classifying the last node's split reads the
     base down to x.level, and the view shares the base's depth, so x.level is
-    checked against it before any node is realized.
+    checked against it before any node is realized.  No library code calls
+    it: porous_fraction_trajectory takes its flags from por2.  It stays
+    while the benchmark's tracer (perfbench/tracer.py) wraps it by name.
     """
     view.check_reach(x.level, x)
     return list(view.steps_to(x, last=x.level - k))
-
-
-def _porous_levels(clf: LineageClassifier, steps, k: int, eps: float):
-    """Each re-tree step with an iterator over the porous flags, at (k, eps),
-    of the dyadic levels it spans, from its own level down.
-
-    The step's own level takes the flag of its split; a level inside a porous
-    jump is tested by por2 <= k, which stops at the first hole.  The flags
-    are evaluated lazily and must be read before the next step is drawn:
-    a consumer that stops early probes no deeper level.
-    """
-    for step in steps:
-        node, part, _, idx = step
-        child = part.children[idx]
-        inner = range(node.level + 1, child.level)
-        yield step, chain(
-            (part.hole is not None,),
-            (clf.por2(child.ancestor(level), eps, k) <= k for level in inner),
-        )
-        clf.drop_above(child.level)
 
 
 def sample_porous_path(
@@ -285,9 +267,14 @@ def sample_porous_path(
     steps = _index(steps, "steps", 0)
     base.check_reach(steps - 1 + k, f"the {steps}-step walk of the depth-{k} re-tree")
     walk, flags = [], []
-    for step, levels in _porous_levels(clf, view.walk(seed, steps), k, eps):
+    for step in view.walk(seed, steps):
+        node, part, _, idx = step
+        child = part.children[idx]
         walk.append(step)
-        flags.extend(levels)
+        flags.append(part.hole is not None)
+        flags += [clf.por2(child.ancestor(level), eps, k) <= k
+                  for level in range(node.level + 1, child.level)]
+        clf.drop_above(child.level)
     return walk, flags
 
 
@@ -297,8 +284,8 @@ def porous_fraction_trajectory(mu: TreeMeasure, x: CubeAddress, k: int,
 
     ``flags[n]`` is por2_depth(mu, x.ancestor(n), eps) <= k: is the level-n
     cube porous at (k, eps), for n in 0..x.level - k - 1; the fraction of
-    porous scales among the first n levels is sum(flags[:n]) / n.  The flags
-    come from porous_walk toward x on the porous re-tree; each node is
+    porous scales among the first n levels is sum(flags[:n]) / n.  One
+    classifier answers every level down the lineage, so each node is
     realized once.  Raises ValueError unless x.level - k >= 1 and
     x.level <= mu.depth, before any node is realized.
     """
@@ -307,10 +294,7 @@ def porous_fraction_trajectory(mu: TreeMeasure, x: CubeAddress, k: int,
         raise ValueError(f"cube at level {x.level} too shallow for any "
                          f"porous-scale statistics at k={k}")
     mu.check_reach(x.level, f"the porous-scale pass along {x.serialize()}")
-    clf = LineageClassifier(mu)
-    walk = porous_walk(clf.retree(k, eps), x, k)
-    levels = chain.from_iterable(flags for _, flags in _porous_levels(clf, walk, k, eps))
-    return tuple(islice(levels, x.level - k))
+    return tuple(p <= k for p in por2_profile(mu, x.ancestor(x.level - k - 1), eps, k))
 
 
 # ---------------------------------------------------------------------------

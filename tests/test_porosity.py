@@ -215,7 +215,9 @@ class TestLineageClassifier:
         monkeypatch.undo()
         flags = tuple(por2_depth(mu, path[n], 0.0125, cap=2) <= 2 for n in range(30))
         assert got == flags
-        # the walk has porous jumps, so levels inside them were probed
+        assert 0 < sum(got) < len(got)
+        # the re-tree walk toward the same cube takes porous jumps: a lineage
+        # whose levels are not all one step apart
         walk = porous_walk(porous_retree(mu, 2, 0.0125), path[32], 2)
         assert any(part.children[idx].level - node.level == 2
                    for node, part, _, idx in walk)
@@ -319,6 +321,7 @@ class TestTranslation:
     def test_trial_realizes_each_source_node_once(self, monkeypatch, d, model, depth,
                                                   alpha, eps):
         import porodim.measure
+        import porodim.porosity
 
         k = k_of_alpha(d, alpha, 0.25)
         mu = make_measure(d, model, depth=depth + k)
@@ -330,8 +333,23 @@ class TestTranslation:
             return real(spec, q)
 
         monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        retree_work = []
+
+        def recording(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                retree_work.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recording(porodim.porosity, "porous_split")
+        recording(porodim.porosity.LineageClassifier, "retree")
         run_translation_trials(mu, 0.25, alpha, eps, depth, 5, range(1))
         assert calls and len(set(calls)) == len(calls)
+        # a trial's flags come from por2: it builds no porous re-tree
+        assert retree_work == []
 
     def test_depth_guard(self, cantor):
         with pytest.raises(ValueError, match="too small"):

@@ -1,7 +1,8 @@
 """Properties that the porosity classifier and the CLI's worker pools rely
 on: the classifier agrees with a node-by-node reference, classification is
-monotone in eps, and the per-task functions behind ``--jobs`` give the same
-rows whatever split of the tasks a pool runs."""
+monotone in eps, translate's porous-scale flags equal a re-tree walk's on the
+pushforwards a trial builds, and the per-task functions behind ``--jobs``
+give the same rows whatever split of the tasks a pool runs."""
 
 import math
 
@@ -12,12 +13,22 @@ from hypothesis import strategies as st
 from porodim.cli import _simulate_one_path, _translate_chunk
 from porodim.dyadic import CubeAddress, porous_split, subdivide_uniform
 from porodim.measure import (
+    _PATH_STREAM,
     Bernoulli,
     CantorMiddleHalf,
     GeneratorSpec,
+    Homothety,
     Uniform,
+    apply_homothety,
+    derived_rng,
 )
-from porodim.porosity import LineageClassifier, _classify_full, porous_retree
+from porodim.porosity import (
+    LineageClassifier,
+    _classify_full,
+    porous_fraction_trajectory,
+    porous_retree,
+    sample_porous_path,
+)
 
 from conftest import SPECS, make_measure
 
@@ -107,6 +118,29 @@ def test_classification_monotone_in_eps(spec, seed, steps, cap, eps):
             porous = [_classify_full(clf, q, k, e)[0] is not None for e in eps]
             assert porous == sorted(porous)  # False ... False, True ... True
             assert porous == [clf.por2(q, e, k) <= k for e in eps]
+
+
+# about 10 examples per measure, each one pushforward as a translation trial
+# builds it: ratio r/2 with r = 1/4, t on the 2^-depth grid in [0, 1/2)^d
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(SPECS), k=st.integers(1, 3), extra=st.integers(0, 2),
+       share=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_fraction_trajectory_matches_walk_on_pushforwards(spec, k, extra, share, seed,
+                                                          data):
+    d, model, spec_seed = spec
+    depth = k * k + extra  # so a walk of depth // k + 1 steps ends below level k
+    mu = make_measure(d, model, depth=depth + k, seed=spec_seed)
+    t = tuple(data.draw(st.integers(0, (1 << (depth - 1)) - 1)) * 2.0 ** -depth
+              for _ in range(d))
+    nu = apply_homothety(mu, Homothety(0.125, t), depth + k)
+    eps = share * 2.0 ** -(k * d)
+    # each step descends at most k levels, so the walk reads at most depth + k
+    walk, flags = sample_porous_path(nu, k, eps, derived_rng(seed, _PATH_STREAM, 0),
+                                     depth // k + 1)
+    _, part, _, idx = walk[-1]
+    x = part.children[idx]
+    assert porous_fraction_trajectory(nu, x, k, eps) == tuple(flags[:x.level - k])
 
 
 @settings(max_examples=10, deadline=None)

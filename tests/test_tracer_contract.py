@@ -3,8 +3,9 @@ renamed or deleted name, or a hook handed an iterator where it takes a list,
 breaks traced runs.  This runs the tracer over one tiny run of each
 subcommand, the oracle at k = 3 and a Dirichlet cascade simulated at d = 2,
 k = 2, and checks that tracing changes no output and sees the counter the
-run moves: the porous steps, the k = 2 classifications, the oracle's grid
-points, the solver calls behind a solve table, or the bytes of an hmin CSV.
+run moves: the porous steps, the k = 2 classifications, the pushforward's
+source realizations, the oracle's grid points, the solver calls behind a
+solve table, or the bytes of an hmin CSV.
 The oracle run guards the wrap of maximize_bruteforce, which reads d, k, eps
 and grid positionally; the cascade run guards the wraps of node_weights and
 of _classify_full, which reads k positionally.
@@ -38,7 +39,7 @@ RUNS = {
 #: the tracer counter each run must see move
 COUNTER = {"simulate": "porosity.porous_steps",
            "simulate-cascade": "porosity.classify.calls.k2",
-           "translate": "porosity.porous_steps",
+           "translate": "measure.pushforward.source_realizations",
            "oracle": "oracle.grid_points", "solve": "bounds.solve_s.calls",
            "hmin": "cli.csv_bytes"}
 
