@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from porodim import oracle
 from porodim.bounds import LOG2, psi, solve_s
 from porodim.oracle import (
     RawVector,
     ReducedPoint,
+    _axis,
     _grid_max,
     _grid_values,
+    _tangent_bounds,
     _tile_bounds,
-    _tiles,
     _xlogx,
     alpha_vector,
     fixed_point_candidate,
@@ -241,23 +243,87 @@ class TestPrunedGridIsExact:
         assert_same_grid_max(d, k, frac * 2.0 ** (-k * d), grid)
 
     def test_tile_bounds_hold(self):
-        # every computed value in a tile lies at or below the tile's bound
+        # every computed value in a tile lies at or below both of the tile's
+        # bounds, on the aligned tiles of every side the refinement visits
         rng = np.random.default_rng(31)
+        undefined = defined = 0
         for case in range(60):
             d, k = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             eps = 2.0 ** (-k * d) * (0.0, 1.0, rng.random())[case % 3]
             grid = int(rng.integers(2, 400 if k == 3 else 3000))
-            L = (1 << d) - 1
-            side, first, last = _tiles(grid, k)
-            offsets = np.indices((side,) * (k - 1)).reshape(k - 1, side ** (k - 1))
+            L, m = (1 << d) - 1, k - 1
+            idx = np.indices((grid,) * m).reshape(m, grid**m)
+            idx = idx[:, idx.sum(axis=0) < grid]
+            sides = [1 << e for e in range((grid - 1).bit_length() if m else 0, -1, -1)]
             for p in np.linspace(0.0, eps, 4).tolist():
                 a = np.linspace(0.0, (1.0 - p) / L, grid)
-                bound = _tile_bounds(a[first], a[last], p, k, L)
-                for t in range(first.shape[1]):
-                    cols = first[:, t, None] + offsets
-                    cols = cols[:, cols.sum(axis=0) < grid]
-                    assert (cols <= last[:, t, None]).all()
-                    assert _grid_values(a[cols], p, psi(p), k, L).max() <= bound[t]
+                vals = _grid_values(a[idx], p, psi(p), k, L)
+                for side in sides:
+                    # group the points by tile, then take each tile's largest
+                    key = (idx // side * grid ** np.arange(m)[:, None]).sum(axis=0)
+                    order = np.argsort(key, kind="stable")
+                    at = np.flatnonzero(np.diff(key[order], prepend=-1))
+                    top = np.maximum.reduceat(vals[order], at)
+                    first = idx[:, order[at]] // side * side
+                    lo, hi = a[first], a[np.minimum(first + side, grid) - 1]
+                    tangent = _tangent_bounds(lo, hi, p, k, L)
+                    assert (top <= _tile_bounds(lo, hi, p, k, L)).all()
+                    assert (top <= tangent).all()
+                    undefined += int(np.isinf(tangent).sum())
+                    defined += int(np.isfinite(tangent).sum())
+        # the fallback to the interval bound is exercised, and so is the
+        # tangent bound
+        assert undefined > 0 and defined > 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 2),
+        k=st.integers(1, 3),
+        frac=st.floats(0.0, 1.0),
+        grid=st.integers(2, 300),
+        data=st.data(),
+    )
+    def test_tile_bounds_hold_on_random_tiles(self, d, k, frac, grid, data):
+        # the bound _grid_max prunes with, on one aligned tile of any side
+        L, m = (1 << d) - 1, k - 1
+        eps = frac * 2.0 ** (-k * d)
+        p = float(data.draw(st.sampled_from(np.linspace(0.0, eps, min(grid, 65)).tolist())))
+        side = 1 << data.draw(st.integers(0, (grid - 1).bit_length() if m else 0))
+        first = []
+        for _ in range(m):
+            first.append(side * data.draw(st.integers(0, (grid - 1 - sum(first)) // side)))
+        first = np.array(first, dtype=np.int64).reshape(m, 1)
+        cols = first + np.indices((side,) * m).reshape(m, side**m)
+        cols = cols[:, cols.sum(axis=0) < grid]
+        a = np.linspace(0.0, (1.0 - p) / L, grid)
+        lo, hi = a[first], a[np.minimum(first + side, grid) - 1]
+        bound = min(_tile_bounds(lo, hi, p, k, L)[0], _tangent_bounds(lo, hi, p, k, L)[0])
+        assert _grid_values(a[cols], p, psi(p), k, L).max() <= bound
+
+    @pytest.mark.parametrize("args", [(2, 3, 2.0**-10, 500), (1, 3, 0.05, 1000)])
+    def test_evaluates_few_points(self, args, monkeypatch):
+        # fixed side-16 tiles under the interval bound alone left 14.5 % of
+        # the (2, 3, 2^-10, 500) grid to evaluate
+        seen = []
+
+        def counting(q, *rest):
+            seen.append(q.shape[-1])
+            return _grid_values(q, *rest)
+
+        monkeypatch.setattr(oracle, "_grid_values", counting)
+        d, k, eps, grid = args
+        _grid_max(*args)
+        assert sum(seen) < 0.005 * min(grid, 65) * math.comb(grid + k - 2, k - 1)
+
+    def test_axis_matches_linspace(self):
+        # _grid_max reads each axis value in closed form; np.linspace is the
+        # grid's definition
+        rng = np.random.default_rng(5)
+        for case in range(200):
+            grid = 2 + case if case < 50 else int(10 ** rng.uniform(0.5, 6.0))
+            budget = (1.0 - rng.random()) / int(rng.integers(1, 4))
+            got = _axis(np.arange(grid), budget, grid)
+            assert got.tobytes() == np.linspace(0.0, budget, grid).tobytes()
 
     @pytest.mark.parametrize(
         "args, limit_mb", [((2, 3, 2.0**-10, 500), 12), ((1, 2, 0.1, 10**6), 100)]

@@ -19,6 +19,7 @@ from porodim.measure import (
     GeneratorSpec,
     Homothety,
     Uniform,
+    UnrealizedNodeError,
     apply_homothety,
     derived_rng,
 )
@@ -130,17 +131,37 @@ def test_fraction_trajectory_matches_walk_on_pushforwards(spec, k, extra, share,
                                                           data):
     d, model, spec_seed = spec
     depth = k * k + extra  # so a walk of depth // k + 1 steps ends below level k
-    mu = make_measure(d, model, depth=depth + k, seed=spec_seed)
-    t = tuple(data.draw(st.integers(0, (1 << (depth - 1)) - 1)) * 2.0 ** -depth
-              for _ in range(d))
-    nu = apply_homothety(mu, Homothety(0.125, t), depth + k)
+    draws = [data.draw(st.integers(0, (1 << (depth - 1)) - 1)) for _ in range(d)]
+    _check_walk_flags(d, model, spec_seed, k, depth, share, seed, draws)
+
+
+def _check_walk_flags(d, model, spec_seed, k, depth, share, seed, draws, reach=None):
+    """Build the pushforward of one translation trial, both trees to level
+    ``reach``, walk its porous re-tree depth // k + 1 steps and compare the
+    walk's flags with porous_fraction_trajectory at the cube the walk ends
+    in.  The last step starts at level depth or above it and may jump k
+    levels; the por2 probe at a level inside that jump reads k levels
+    further, so the walk reads at most depth + 2k - 1, the default reach."""
+    reach = depth + 2 * k - 1 if reach is None else reach
+    mu = make_measure(d, model, depth=reach, seed=spec_seed)
+    t = tuple(i * 2.0 ** -depth for i in draws)
+    nu = apply_homothety(mu, Homothety(0.125, t), reach)
     eps = share * 2.0 ** -(k * d)
-    # each step descends at most k levels, so the walk reads at most depth + k
     walk, flags = sample_porous_path(nu, k, eps, derived_rng(seed, _PATH_STREAM, 0),
                                      depth // k + 1)
     _, part, _, idx = walk[-1]
     x = part.children[idx]
     assert porous_fraction_trajectory(nu, x, k, eps) == tuple(flags[:x.level - k])
+
+
+def test_walk_flags_read_past_depth_plus_k():
+    # k = 2, depth 4: a walk through levels 0, 2 and 4 whose last jump goes
+    # to level 6, so the por2 probe at level 5 reads level 7, past depth + k
+    d, model, spec_seed = SPECS[3]
+    args = (d, model, spec_seed, 2, 4, 0.5, 3190860, (0, 1))
+    _check_walk_flags(*args)
+    with pytest.raises(UnrealizedNodeError):
+        _check_walk_flags(*args, reach=6)
 
 
 @settings(max_examples=10, deadline=None)
