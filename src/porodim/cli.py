@@ -135,7 +135,7 @@ def _simulate_one_path(spec: GeneratorSpec, k: int, eps: float, depth: int,
     steps, flags = sample_porous_path(base, k, eps, rng, depth)
     traj = _trajectory_from_steps(steps)
     row = (index, depth, traj.terminal_D, float(traj.res_H[-1]), float(traj.res_L[-1]),
-           sum(flags) / len(flags), int(traj.porous.sum()), int(traj.levels[-1]),
+           sum(flags) / len(flags), int(traj.porous.sum()), len(flags),
            "", "", "")
     return row, traj
 
@@ -239,7 +239,8 @@ def _translate_chunk(spec: GeneratorSpec, r: float, alpha: float, eps: float,
 
 def _cmd_translate(args) -> int:
     spec, depth = _load_spec(args, 12)
-    trials, alpha, eps, seed, r = args.trials, args.alpha, args.eps, spec.seed, args.ratio
+    trials, alpha, eps, seed = args.trials, args.alpha, args.eps, spec.seed
+    r = 0.25  # the homothety ratio of the paper's argument; see bounds.k_of_alpha
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"--trials must lie in [1, {MAX_TRIALS}], got {trials}")
     if args.eta is not None:
@@ -286,15 +287,9 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_hmin(args) -> int:
-    d, eta, points = args.d, args.eta, args.points
-    if args.eps is None:
-        eps_list = bounds.eps_grid(d, 1, 33 if points is None else points)
-    elif points is not None:
-        raise ValueError("--points sets the eps grid, which --eps replaces")
-    else:
-        eps_list = [args.eps]
+    d, eta = args.d, args.eta
     rows = []
-    for eps in eps_list:
+    for eps in bounds.eps_grid(d, 1, args.points):
         cb = hmin_and_converse(d, eps, eta)
         rows.append((eps, cb.hmin, cb.lower_bound))
     write_csv(
@@ -398,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100,
                    help=f"number of trials, 1..{MAX_TRIALS}")
     p.add_argument("--alpha", type=float, default=0.25,
-                   help=f"Euclidean hole size, with k(alpha, r)*d <= {MAX_KD}")
-    p.add_argument("--ratio", type=float, default=0.25,
-                   help="homothety ratio r (power of two)")
+                   help=f"Euclidean hole size, with k(alpha, 1/4)*d <= {MAX_KD}")
     p.add_argument("--eta", type=float, help="porous-scale fraction to check, in [0, 1]")
     p.set_defaults(func=_cmd_translate)
 
@@ -408,9 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     _table_flags(p)
     p.add_argument("--d", type=int, default=1, help="ambient dimension")
     p.add_argument("--eta", type=float, default=0.5, help="porous-scale fraction")
-    p.add_argument("--eps", type=float, help="one hole mass threshold (default a grid)")
-    p.add_argument("--points", type=int,
-                   help=f"eps grid points, 2..{bounds.MAX_TABLE_POINTS} (default 33)")
+    p.add_argument("--points", type=int, default=33,
+                   help=f"eps grid points, 2..{bounds.MAX_TABLE_POINTS}")
     p.set_defaults(func=_cmd_hmin)
 
     return parser

@@ -37,13 +37,13 @@ def entropy(weights: Weights) -> float:
 def _exact_sum(col: np.ndarray) -> float:
     """``math.fsum(col)`` bit for bit.  fsum rounds the exact sum once, so a
     column of n copies of x sums to the IEEE product x * n (n <= 2^53), and to
-    +0.0 when x is a zero of either sign.  A zero-stride column is constant by
-    construction and skips the scan; an overflowing or non-finite product
-    still goes to fsum."""
-    if len(col):
-        x = float(col[0])
-        s = x * len(col) + 0.0
-        if math.isfinite(s) and (col.strides[0] == 0 or (col == x).all()):
+    +0.0 when x is a zero of either sign.  That closed form serves the
+    zero-stride columns, constant by construction, that the product path
+    shares across steps; any other column, or an overflowing or non-finite
+    product, goes to fsum."""
+    if len(col) and col.strides[0] == 0:
+        s = float(col[0]) * len(col) + 0.0
+        if math.isfinite(s):
             return s
     return math.fsum(col.tolist())
 
@@ -60,13 +60,13 @@ class PathTrajectory:
 
     Arrays are indexed by step; ``I[n]`` is the information -log of the
     conditional weight taken at step n and ``L[n]`` the log length drop
-    log(side(R_n)/side(R_{n+1})).  The running entropy-average quotient
+    log(side(R_n)/side(R_{n+1})), so step n descends L[n] / log 2 levels and
+    no level column is kept.  The running entropy-average quotient
     ``D[n]`` after n+1 steps and the martingale residuals ``res_H``/``res_L``,
     (1/n)(sum I - sum H) and (1/n)(sum L - sum lambda), are derived from these
     columns on first read.
     """
 
-    levels: np.ndarray
     I: np.ndarray
     L: np.ndarray
     H: np.ndarray
@@ -109,7 +109,7 @@ class PathTrajectory:
 def _trajectory_from_steps(steps) -> PathTrajectory:
     # typed arrays: appends cost less than numpy item writes, and memory
     # stays at 8 bytes per value on walks of 10^4-10^5 steps
-    I, L, H, lam, levels, porous = (array(code) for code in "ddddqb")
+    I, L, H, lam, porous = (array(code) for code in "ddddb")
     for node, part, w, idx in steps:
         wi = w[idx]
         if wi <= 0.0:
@@ -120,10 +120,7 @@ def _trajectory_from_steps(steps) -> PathTrajectory:
         H.append(h)
         lam.append(lyap)
         porous.append(part.hole is not None)
-        levels.append(node.level)
-    levels.append(steps[-1][1].children[steps[-1][3]].level if I else 0)
     return PathTrajectory(
-        np.frombuffer(levels, dtype=np.int64),
         *(np.frombuffer(a) for a in (I, L, H, lam)),
         np.frombuffer(porous, dtype=bool),
     )
@@ -135,11 +132,10 @@ class DimensionEstimate:
 
     ``value`` is the sample maximum of the terminal quotients: the estimator
     targets an essential supremum, which finite sampling can only
-    under-estimate, so the mean and every path's quotient are reported alongside.
+    under-estimate, so every path's quotient is reported alongside.
     """
 
     value: float
-    mean: float
     per_path: tuple[float, ...]
 
 
@@ -201,8 +197,7 @@ def _product_trajectory(
     h, lyap = _entropy_and_lyapunov(root.level, subdivide_uniform(root).children, w)
     L, H, lam, porous = (np.broadcast_to(np.array(x), depth)
                          for x in (LOG2, h, lyap, False))
-    return PathTrajectory(np.arange(depth + 1, dtype=np.int64), info[pick],
-                          L, H, lam, porous)
+    return PathTrajectory(info[pick], L, H, lam, porous)
 
 
 def estimate_packing_dim(
@@ -216,9 +211,7 @@ def estimate_packing_dim(
     for i in range(paths):
         traj = sampled_trajectory(mu, depth, derived_rng(seed, _PATH_STREAM, i))
         terms.append(traj.terminal_D)
-    arr = np.asarray(terms)
-    return DimensionEstimate(
-        value=float(arr.max()), mean=float(arr.mean()), per_path=tuple(terms))
+    return DimensionEstimate(value=float(np.max(terms)), per_path=tuple(terms))
 
 
 @dataclass(frozen=True)

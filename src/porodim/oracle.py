@@ -314,10 +314,8 @@ def maximize_bruteforce(
     """
     _check_eps(d, k, eps)
     if d > 2 or k > 3:
-        raise ValueError(
-            f"grid^(k-1) enumeration for d={d}, k={k} is expensive; "
-            f"the brute force covers d <= 2 and k <= 3"
-        )
+        raise ValueError(f"the brute force is measured only at d <= 2 and k <= 3, "
+                         f"got d={d}, k={k}")
     if _index(grid, "grid") < 2 or max(grid, grid ** (k - 1)) > MAX_GRID_POINTS:
         raise ValueError(f"need grid >= 2 and max(grid, grid^(k-1)) <= "
                          f"{MAX_GRID_POINTS}, got grid={grid}, k={k}")

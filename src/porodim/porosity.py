@@ -76,17 +76,14 @@ class LineageClassifier:
     at d >= 2 digit order is not coords order (a digit's bit 0 is the axis-0
     offset), so a tie is resolved in ``dyadic._lex_order``.
 
-    A por2 query at level n, or ``drop_above(n)``, forgets the nodes above
-    level n, so memory along a path does not grow with depth; classification
-    forgets nothing, so the levels inside a finished re-tree walk can still be
-    probed without realizing again.  Queries should go down the lineage; one
+    A query at level n forgets the nodes above level n, so memory along a
+    path does not grow with depth.  Queries should go down the lineage; one
     that goes back up realizes again.
     """
 
     def __init__(self, mu: TreeMeasure):
         _require_dyadic(mu)
         self.mu = mu
-        self._level = 0
         self._weights: dict[CubeAddress, Weights] = {}
 
     def weights(self, q: CubeAddress) -> Weights:
@@ -95,15 +92,11 @@ class LineageClassifier:
             hit = self._weights[q] = self.mu.weights(q)
         return hit
 
-    def drop_above(self, level: int) -> None:
-        """Forget the nodes above ``level``."""
-        if level > self._level:
-            self._level = level
-            for key in [key for key in self._weights if key.level < level]:
-                del self._weights[key]
-
     def frontiers(self, q: CubeAddress) -> Iterator[list[float]]:
-        """q's frontiers at levels 1, 2, ..., each built when it is read."""
+        """q's frontiers at levels 1, 2, ..., each built when it is read; the
+        nodes above q are forgotten when the first is read."""
+        for key in [key for key in self._weights if key.level < q.level]:
+            del self._weights[key]
         n = 1 << len(q[1])
         zeros, nones = [0.0] * n, [None] * n
         nodes, masses = [q], [1.0]
@@ -121,7 +114,6 @@ class LineageClassifier:
 
     def por2(self, q: CubeAddress, eps: float, cap: int) -> float:
         """Least j <= cap whose frontier holds an eps-hole, else math.inf."""
-        self.drop_above(q.level)
         for j, frontier in enumerate(islice(self.frontiers(q), cap), start=1):
             if min(frontier) <= eps:
                 return j
@@ -225,9 +217,8 @@ def porous_retree(base: TreeMeasure, k: int, eps: float) -> TreeMeasure:
     Porous nodes split into the depth-k hole plus the per-level cubes
     avoiding it; non-porous nodes split uniformly.  Offspring weights are the
     conditional masses of the children under ``base``.  The view is
-    2^-k-regular.  Its classifier keeps the offspring vector of every dyadic
-    node it realizes, so its memory grows with the length of a walk on it.  Raises
-    ValueError unless k >= 1, k*d <= MAX_KD and eps lies in [0, 2^-kd].
+    2^-k-regular.  Raises ValueError unless k >= 1, k*d <= MAX_KD and eps lies
+    in [0, 2^-kd].
     """
     return LineageClassifier(base).retree(k, eps)
 
@@ -274,7 +265,6 @@ def sample_porous_path(
         flags.append(part.hole is not None)
         flags += [clf.por2(child.ancestor(level), eps, k) <= k
                   for level in range(node.level + 1, child.level)]
-        clf.drop_above(child.level)
     return walk, flags
 
 

@@ -142,8 +142,8 @@ class TestTrajectory:
         mu = make_measure(1, Bernoulli((0.1, 0.9)), depth=62)
         traj = _trajectory_from_steps(sample_porous_path(mu, 2, 0.05, 8, 30)[0])
         assert traj.porous.all()  # every node of this measure is (2, .05)-porous
-        jumps = np.diff(traj.levels)
-        assert set(jumps.tolist()) <= {1, 2}
+        jumps = traj.L / LOG2  # levels descended per step, exact
+        assert set(jumps.tolist()) <= {1.0, 2.0}
 
     def test_csv_rows_shape(self, bern_quarter):
         traj = sampled_trajectory(bern_quarter, 5, 1)
@@ -156,7 +156,7 @@ class TestTrajectory:
     def test_running_columns_are_derived_on_read(self, model):
         traj = sampled_trajectory(make_measure(1, model, depth=40), 40, 7)
         assert [f.name for f in dataclasses.fields(traj)] == [
-            "levels", "I", "L", "H", "lam", "porous"]
+            "I", "L", "H", "lam", "porous"]
         assert traj.terminal_D > 0.0
         # the estimator reads only terminal_D, so it builds no running column
         assert not {"D", "res_H", "res_L"} & traj.__dict__.keys()
@@ -351,7 +351,7 @@ class TestExactSum:
     @pytest.mark.parametrize("xs", [[1e308] * 10, [math.inf] * 3, [-math.inf] * 2,
                                     [math.nan] * 2])
     def test_overflow_and_non_finite(self, xs):
-        # the zero-stride view skips the equality scan, not these checks
+        # the zero-stride view takes the closed form only where it is finite
         for col in (np.array(xs), np.broadcast_to(np.array(xs[0]), len(xs))):
             assert fsum_outcome(_exact_sum, col) == fsum_outcome(math.fsum, xs)
 
@@ -366,7 +366,7 @@ class TestEstimator:
             )
             est = estimate_packing_dim(mu, 64, 5, seed=2)
             assert est.value == float(d)
-            assert est.mean == float(d)
+            assert est.per_path == (float(d),) * 5
 
     def test_point_mass_zero(self, point_mass):
         est = estimate_packing_dim(point_mass, 30, 5, seed=2)
@@ -376,7 +376,7 @@ class TestEstimator:
         mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=10_000)
         est = estimate_packing_dim(mu, 10_000, 20, seed=12)
         assert est.value == pytest.approx(BERNOULLI_DIM, abs=0.02)
-        assert est.mean <= est.value
+        assert max(est.per_path) == est.value
 
     def test_product_path_memory(self):
         # a product path allocates two 800 kB per-step columns and holds at

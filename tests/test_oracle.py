@@ -125,7 +125,7 @@ class TestBruteForce:
                 assert qi == pytest.approx(2.0 ** (-d * i), abs=5e-3)
 
     def test_feasibility_guard(self):
-        with pytest.raises(ValueError, match="expensive"):
+        with pytest.raises(ValueError, match="measured only at d <= 2 and k <= 3"):
             maximize_bruteforce(3, 2, 0.0)
 
 
@@ -314,6 +314,29 @@ class TestPrunedGridIsExact:
         d, k, eps, grid = args
         _grid_max(*args)
         assert sum(seen) < 0.005 * min(grid, 65) * math.comb(grid + k - 2, k - 1)
+
+    def test_tie_goes_to_the_first_hole_mass(self, monkeypatch):
+        # two points share the top value: (p index 0, q index 3) and (p index
+        # 1, q index 0).  A full enumeration meets the first p's point first,
+        # although the other has the lower q index; with every tile kept, the
+        # tie order alone decides.
+        grid = 8
+        p_grid = np.linspace(0.0, 0.1, grid)
+
+        def two_tops(q, p, psi_p, k, L):
+            i = np.rint(q[0] / ((1.0 - p) / L) * (grid - 1))
+            top = ((p == p_grid[0]) & (i == 3)) | ((p == p_grid[1]) & (i == 0))
+            return np.where(top, 1.0, 0.0)
+
+        def no_bound(lo, hi, p, k, L):
+            return np.full(lo.shape[1:], np.inf)
+
+        monkeypatch.setattr(oracle, "_grid_values", two_tops)
+        monkeypatch.setattr(oracle, "_tile_bounds", no_bound)
+        monkeypatch.setattr(oracle, "_tangent_bounds", no_bound)
+        value, free = _grid_max(1, 2, 0.1, grid)
+        assert value == 1.0
+        assert free == (float(_axis(3, 1.0, grid)), 0.0)
 
     def test_axis_matches_linspace(self):
         # _grid_max reads each axis value in closed form; np.linspace is the

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from porodim.bounds import k_of_alpha
+from porodim.dimension import sampled_trajectory
 from porodim.dyadic import CubeAddress, root
 from porodim.measure import (
     _PATH_STREAM,
@@ -17,6 +18,7 @@ from porodim.measure import (
     derived_rng,
 )
 from porodim.porosity import (
+    LineageClassifier,
     classify_porous,
     por2_depth,
     por2_profile,
@@ -221,6 +223,27 @@ class TestLineageClassifier:
         walk = porous_walk(porous_retree(mu, 2, 0.0125), path[32], 2)
         assert any(part.children[idx].level - node.level == 2
                    for node, part, _, idx in walk)
+
+    def test_retree_walk_memory_is_bounded(self, monkeypatch):
+        # each classification forgets the nodes above its cube, so a walk of
+        # the re-tree view holds at most one depth-k frontier's worth of nodes
+        # however deep it goes
+        k, eps, steps = 2, 0.0125, 2000
+        mu = make_measure(1, _MIXTURE, depth=k * steps + k, seed=101)
+        clf = LineageClassifier(mu)
+        sizes = []
+        real = LineageClassifier.weights
+
+        def recording(self, q):
+            w = real(self, q)
+            sizes.append(len(self._weights))
+            return w
+
+        monkeypatch.setattr(LineageClassifier, "weights", recording)
+        traj = sampled_trajectory(clf.retree(k, eps), steps, 7)
+        assert traj.steps == steps
+        assert 0 < traj.porous.sum() < steps
+        assert max(sizes) <= 1 << k  # a depth-k frontier's 2^(kd) entries, d = 1
 
 
 class TestRetree:

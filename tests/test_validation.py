@@ -418,7 +418,7 @@ VALID = {
     "--paths": ["1", "2"], "--trials": ["1", "2"], "--points": ["2", "5"],
     "--grid": ["2", "5"], "--seed": ["0", "7", "-3", str(2**70)],
     "--eps": ["0", "0.01", "0.25"], "--slack": ["0.05", "0", "-1", "1e300"],
-    "--alpha": ["0.25", "0.5"], "--ratio": ["0.25", "0.125"],
+    "--alpha": ["0.25", "0.5"],
     "--eta": ["0", "0.5", "1"], "--jobs": ["1"],
     "--gen": ["uniform", "bernoulli", "cantor_middle_half"],
     "--weights": ["0.25,0.75", "0.5,0.5", "0.1,0.2,0.3,0.4"],
