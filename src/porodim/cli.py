@@ -143,10 +143,6 @@ def _simulate_one_path(spec: GeneratorSpec, k: int, eps: float, depth: int,
 def _cmd_simulate(args) -> int:
     spec, depth = _load_spec(args, 1000)
     paths, k, eps, seed = args.paths, args.k, args.eps, spec.seed
-    if depth < 1:
-        raise ValueError(f"--depth must be >= 1, got {depth}")
-    if paths < 1:
-        raise ValueError(f"--paths must be >= 1, got {paths}")
     if depth * paths > MAX_PATH_STEPS:
         raise ValueError(
             f"--depth x --paths must be <= {MAX_PATH_STEPS}, got {depth} x {paths}")
@@ -241,8 +237,6 @@ def _cmd_translate(args) -> int:
     spec, depth = _load_spec(args, 12)
     trials, alpha, eps, seed = args.trials, args.alpha, args.eps, spec.seed
     r = 0.25  # the homothety ratio of the paper's argument; see bounds.k_of_alpha
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must lie in [1, {MAX_TRIALS}], got {trials}")
     if args.eta is not None:
         bounds._check_eta(args.eta)  # before the trials run
     elif args.strict:
@@ -305,15 +299,16 @@ def _cmd_hmin(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _worker_count(text: str) -> int:
-    """The --jobs type: a worker count of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _count(most: float = math.inf):
+    """The argparse type of a count flag: an int in [1, most]."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if not 1 <= n <= most:
+            span = "be >= 1" if most == math.inf else f"lie in [1, {most}]"
+            raise argparse.ArgumentTypeError(f"must {span}, got {n}")
+        return n
+    parse.__name__ = "int"  # int's ValueError reads "invalid int value: 'x'"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,11 +327,11 @@ def _measure_flags(p, depth: int) -> None:
     p.add_argument("--d", type=int, help=f"ambient dimension for --gen, 1..{MAX_DIM} (default 1)")
     p.add_argument("--weights", help="comma-separated weights for --gen bernoulli")
     p.add_argument("--seed", type=int, help="master seed (default: the config's, else 0)")
-    p.add_argument("--depth", type=int,
+    p.add_argument("--depth", type=_count(),
                    help=f"path depth (default: the config's, else {depth})")
     p.add_argument("--eps", type=float, default=0.0, help="hole mass threshold")
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--jobs", type=_worker_count, default=1,
+    p.add_argument("--jobs", type=_count(), default=1,
                    help="worker processes (at most)")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when the pass-criterion fails")
@@ -345,7 +340,7 @@ def _measure_flags(p, depth: int) -> None:
 def _table_flags(p) -> None:
     """--out, and the --jobs that the serial tables accept and ignore."""
     p.add_argument("--out", help="output CSV path (default stdout)")
-    p.add_argument("--jobs", type=_worker_count, default=1,
+    p.add_argument("--jobs", type=_count(), default=1,
                    help="ignored: the table runs serially; accepted because "
                         "perfbench/workloads.py passes --jobs 1")
 
@@ -368,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="path simulation with bound check")
     _measure_flags(p, 1000)
-    p.add_argument("--paths", type=int, default=20,
+    p.add_argument("--paths", type=_count(), default=20,
                    help=f"number of sampled paths, with depth x paths <= {MAX_PATH_STEPS}")
     p.add_argument("--k", type=int, default=1, help=f"hole depth, with k*d <= {MAX_KD}")
     p.add_argument("--slack", type=float, default=0.05,
@@ -390,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="random-translation porosity transfer")
     _measure_flags(p, 12)
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_count(MAX_TRIALS), default=100,
                    help=f"number of trials, 1..{MAX_TRIALS}")
     p.add_argument("--alpha", type=float, default=0.25,
                    help=f"Euclidean hole size, with k(alpha, 1/4)*d <= {MAX_KD}")

@@ -273,18 +273,14 @@ def porous_fraction_trajectory(mu: TreeMeasure, x: CubeAddress, k: int,
     """The porous-scale flags of x's lineage in ``mu``, one per dyadic level.
 
     ``flags[n]`` is por2_depth(mu, x.ancestor(n), eps) <= k: is the level-n
-    cube porous at (k, eps), for n in 0..x.level - k - 1; the fraction of
-    porous scales among the first n levels is sum(flags[:n]) / n.  One
-    classifier answers every level down the lineage, so each node is
-    realized once.  Raises ValueError unless x.level - k >= 1 and
-    x.level <= mu.depth, before any node is realized.
+    cube porous at (k, eps), for n in 0..x.level; the fraction of porous
+    scales among the first n levels is sum(flags[:n]) / n.  One classifier
+    answers every level down the lineage, so each node is realized once.
+    Raises ValueError unless x.level + k <= mu.depth, as x's own test reads
+    k levels below it, before any node is realized.
     """
     _check_porosity(mu.d, k, eps)
-    if x.level - k < 1:
-        raise ValueError(f"cube at level {x.level} too shallow for any "
-                         f"porous-scale statistics at k={k}")
-    mu.check_reach(x.level, f"the porous-scale pass along {x.serialize()}")
-    return tuple(p <= k for p in por2_profile(mu, x.ancestor(x.level - k - 1), eps, k))
+    return tuple(p <= k for p in por2_profile(mu, x, eps, k))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +313,9 @@ def run_translation_trials(
 ) -> list[TranslationTrial]:
     """The trials with the given absolute indices; seeds are per-index, so any
     partition of the index set over workers reproduces the serial run.  Trial
-    i maps mu by x -> (r/2) x + t, t on the 2^-depth grid in [0, 1/2)^d, and
-    keeps the fraction of the image's scales porous at (k(alpha, r), eps)."""
+    i maps mu by x -> (r/2) x + t, t on the 2^-depth grid in [0, 1/2)^d, walks
+    the image depth - 1 steps and keeps the fraction of levels 0..depth - 1
+    porous at (k(alpha, r), eps)."""
     _require_dyadic(mu)
     if not 1 <= _index(depth, "depth") <= 50:
         raise ValueError("depth must lie in [1, 50] so grid translations stay exact")
@@ -333,7 +330,7 @@ def run_translation_trials(
         t_units = rng.integers(0, 1 << (depth - 1), size=d)
         t = tuple(float(u) * 2.0 ** -depth for u in t_units)
         nu = apply_homothety(mu, Homothety(r / 2.0, t), depth + k)
-        path = nu.sample_path(derived_rng(seed, _PATH_STREAM, i), steps=depth + k)
+        path = nu.sample_path(derived_rng(seed, _PATH_STREAM, i), steps=depth - 1)
         flags = porous_fraction_trajectory(nu, path[-1], k, eps)
         out.append(TranslationTrial(i, t, sum(flags) / len(flags)))
     return out

@@ -23,8 +23,9 @@ from porodim.measure import (
     derived_rng,
     spec_from_json,
 )
-from porodim.oracle import fixed_point_candidate, maximize_bruteforce
-from porodim.porosity import run_translation_trials, translation_report
+from porodim.dimension import _trajectory_from_steps
+from porodim.oracle import RawVector, fixed_point_candidate, maximize_bruteforce, raw_objective
+from porodim.porosity import run_translation_trials, sample_porous_path, translation_report
 
 BERNOULLI_DIM = (psi(0.25) + psi(0.75)) / LOG2
 
@@ -244,6 +245,42 @@ def test_criterion_09_analytic_targets():
         mean = float(np.mean(est.per_path))
         print(f"seed {cfg['seed']}: mean {mean:.5f}, target {target:.5f}, tol {tol:.4f}")
         assert abs(mean - target) <= tol
+
+
+def test_criterion_09_per_split_and_prefix_bounds():
+    # The bound with no slack: every porous split of a re-tree walk has
+    # H/lambda <= s(d, k, eps), every uniform one H <= d lambda, and so every
+    # prefix of a walk has sum H <= d sum lambda - t sum_porous lambda.
+    # Equality occurs at exact components, so the tolerances are rounding
+    # only.  eps scales with 2^-(k-1)d to stay below the admissible 2^-kd.
+    steps, splits, porous, worst = 150, 0, 0, -math.inf
+    for cfg, eps1 in CASCADE_BATTERY:
+        spec, _ = spec_from_json(cfg)
+        d = spec.d
+        for k in (1, 2, 3):
+            eps = eps1 * 2.0 ** (-(k - 1) * d)
+            s, t = solve_s(d, k, eps), t_dk(d, k, eps)
+            mu = build_tree_measure(spec, "uniform", steps * k + k, max_level=steps * k + k)
+            for i in range(2):
+                walk, _ = sample_porous_path(
+                    mu, k, eps, derived_rng(spec.seed, _PATH_STREAM, i), steps)
+                traj = _trajectory_from_steps(walk)
+                for (_, part, w, _), h, lam in zip(walk, traj.H, traj.lam):
+                    splits += 1
+                    if part.hole is None:
+                        assert h <= d * lam * (1 + 1e-9)
+                        worst = max(worst, h / (d * lam) - 1)
+                        continue
+                    porous += 1
+                    ratio = raw_objective(RawVector(d, k, w))
+                    assert ratio == pytest.approx(h / lam, rel=1e-12)
+                    assert ratio <= s * (1 + 1e-9), (cfg["seed"], k, i, ratio, s)
+                    worst = max(worst, ratio / s - 1)
+                rhs = d * np.cumsum(traj.lam) - t * np.cumsum(traj.lam * traj.porous)
+                lhs = np.cumsum(traj.H)
+                assert np.all(lhs <= rhs + 1e-9 * np.abs(rhs)), (cfg["seed"], k, i)
+    print(f"{splits} splits, {porous} porous, worst relative excess {worst:.2e}")
+    assert splits == 9000 and 0 < porous < splits
 
 
 def test_criterion_10_translation_monte_carlo():

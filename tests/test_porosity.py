@@ -12,6 +12,7 @@ from porodim.measure import (
     CantorMiddleHalf,
     CascadeFiniteMixture,
     Homothety,
+    TreeMeasure,
     Uniform,
     UnrealizedNodeError,
     apply_homothety,
@@ -116,37 +117,35 @@ class TestFractionTrajectory:
     def test_uniform_fraction_zero(self, uniform1):
         path = uniform1.sample_path(5, steps=20)
         # d=1: every depth-1 ratio is exactly 1/2
-        flags = porous_fraction_trajectory(uniform1, path[16], 1, 0.5)
+        flags = porous_fraction_trajectory(uniform1, path[14], 1, 0.5)
         assert flags == (True,) * 15
-        flags = porous_fraction_trajectory(uniform1, path[16], 1, 0.3)
+        flags = porous_fraction_trajectory(uniform1, path[14], 1, 0.3)
         assert flags == (False,) * 15
 
     def test_bernoulli_every_scale_porous(self, bern_quarter):
         path = bern_quarter.sample_path(6, steps=25)
-        flags = porous_fraction_trajectory(bern_quarter, path[21], 1, 0.3)
+        flags = porous_fraction_trajectory(bern_quarter, path[19], 1, 0.3)
         assert flags == (True,) * 20
 
     def test_point_mass_fraction_one(self, point_mass):
         path = point_mass.sample_path(7, steps=20)
-        flags = porous_fraction_trajectory(point_mass, path[16], 1, 0.0)
+        flags = porous_fraction_trajectory(point_mass, path[14], 1, 0.0)
         assert len(flags) == 15
         assert sum(flags) / len(flags) == 1.0
 
     def test_por2_profile_matches_flags(self):
         mu = make_measure(2, CascadeDirichlet((0.4,) * 4), seed=9, depth=20)
         path = mu.sample_path(10, steps=16)
-        flags = porous_fraction_trajectory(mu, path[12], 2, 0.01)
+        flags = porous_fraction_trajectory(mu, path[9], 2, 0.01)
         profile = por2_profile(mu, path[9], 0.01)
         assert len(profile) == 10
         assert flags == tuple(p <= 2 for p in profile)
 
-    def test_short_lineage_rejected(self, bern_quarter):
-        # a cube at level n flags the levels above n - k
+    def test_one_flag_per_level_down_to_the_cube(self, bern_quarter):
+        # a cube at level n flags levels 0..n, the root its own level only
         path = bern_quarter.sample_path(6, steps=12)
-        assert len(porous_fraction_trajectory(bern_quarter, path[12], 2, 0.05)) == 10
-        assert len(porous_fraction_trajectory(bern_quarter, path[3], 2, 0.05)) == 1
-        with pytest.raises(ValueError, match="too shallow"):
-            porous_fraction_trajectory(bern_quarter, path[2], 2, 0.05)
+        assert len(porous_fraction_trajectory(bern_quarter, path[9], 2, 0.05)) == 10
+        assert len(porous_fraction_trajectory(bern_quarter, path[0], 2, 0.05)) == 1
 
 
 def _brute_porous(mu, q, k, eps):
@@ -196,8 +195,8 @@ class TestLineageClassifier:
             jump = part.children[idx].level - node.level
             assert jump == 1 or part.hole is not None
         # translate's pass gives the same flags on the same lineage
-        got = porous_fraction_trajectory(mu, last, k, eps)
-        assert got == tuple(flags[: last.level - k])
+        got = porous_fraction_trajectory(mu, last.ancestor(last.level - 1), k, eps)
+        assert got == tuple(flags)
 
     def test_fraction_trajectory_realizes_each_node_once(self, monkeypatch):
         import porodim.measure
@@ -212,7 +211,7 @@ class TestLineageClassifier:
         mu = make_measure(2, _DIRICHLET, seed=9, depth=40)
         path = mu.sample_path(10, steps=40)
         monkeypatch.setattr(porodim.measure, "node_weights", counting)
-        got = porous_fraction_trajectory(mu, path[32], 2, 0.0125)
+        got = porous_fraction_trajectory(mu, path[29], 2, 0.0125)
         assert calls and set(calls.values()) == {1}
         monkeypatch.undo()
         flags = tuple(por2_depth(mu, path[n], 0.0125, cap=2) <= 2 for n in range(30))
@@ -373,6 +372,25 @@ class TestTranslation:
         assert calls and len(set(calls)) == len(calls)
         # a trial's flags come from por2: it builds no porous re-tree
         assert retree_work == []
+
+    def test_trial_walks_to_the_last_level_it_flags(self, monkeypatch):
+        # a trial flags levels 0..depth - 1, so it walks depth - 1 steps; the
+        # walk draws its steps' uniforms in one call, so a shorter walk takes
+        # the same lineage prefix and the fractions do not move.  Bernoulli
+        # (1/4, 3/4) at alpha 1/2 (k = 3) and eps 0.02: fractions vary
+        depth, k = 12, k_of_alpha(1, 0.5, 0.25)
+        mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=depth + k)
+        steps = []
+        real = TreeMeasure.walk
+
+        def counting(self, seed, n):
+            steps.append(n)
+            return real(self, seed, n)
+
+        monkeypatch.setattr(TreeMeasure, "walk", counting)
+        trials = run_translation_trials(mu, 0.25, 0.5, 0.02, depth, 0, range(3))
+        assert steps == [depth - 1] * 3
+        assert [tr.fraction for tr in trials] == [7 / 12, 10 / 12, 9 / 12]
 
     def test_depth_guard(self, cantor):
         with pytest.raises(ValueError, match="too small"):

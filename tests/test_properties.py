@@ -138,10 +138,11 @@ def test_fraction_trajectory_matches_walk_on_pushforwards(spec, k, extra, share,
 def _check_walk_flags(d, model, spec_seed, k, depth, share, seed, draws, reach=None):
     """Build the pushforward of one translation trial, both trees to level
     ``reach``, walk its porous re-tree depth // k + 1 steps and compare the
-    walk's flags with porous_fraction_trajectory at the cube the walk ends
-    in.  The last step starts at level depth or above it and may jump k
-    levels; the por2 probe at a level inside that jump reads k levels
-    further, so the walk reads at most depth + 2k - 1, the default reach."""
+    walk's flags with porous_fraction_trajectory one level above the cube
+    the walk ends in.  The last step starts at level depth or above it and
+    may jump k levels; the por2 probe at a level inside that jump reads k
+    levels further, so the walk reads at most depth + 2k - 1, the default
+    reach."""
     reach = depth + 2 * k - 1 if reach is None else reach
     mu = make_measure(d, model, depth=reach, seed=spec_seed)
     t = tuple(i * 2.0 ** -depth for i in draws)
@@ -151,7 +152,7 @@ def _check_walk_flags(d, model, spec_seed, k, depth, share, seed, draws, reach=N
                                      depth // k + 1)
     _, part, _, idx = walk[-1]
     x = part.children[idx]
-    assert porous_fraction_trajectory(nu, x, k, eps) == tuple(flags[:x.level - k])
+    assert porous_fraction_trajectory(nu, x.ancestor(x.level - 1), k, eps) == tuple(flags)
 
 
 def test_walk_flags_read_past_depth_plus_k():

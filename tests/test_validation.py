@@ -85,7 +85,7 @@ DEPTH_RULE = {
     "por2_depth": lambda past: por2_depth(UNIFORM, _at(4 + past), 0.001),
     "por2_profile": lambda past: por2_profile(UNIFORM, _at(4 + past), 0.001),
     "porous_fraction_trajectory": lambda past: porous_fraction_trajectory(
-        UNIFORM, _at(12 + past), 1, 0.0),
+        UNIFORM, _at(11 + past), 1, 0.0),
     "sample_porous_path": lambda past: sample_porous_path(UNIFORM, 2, 0.0, 0, 11 + past),
 }
 
@@ -152,13 +152,8 @@ OTHER_BAD_CALLS = [
         CANTOR, 0.25, 0.25, 0.0, depth, 0, range(1)), "depth must lie")
       for depth in (0, 51)),
     # a lineage is its deepest cube x.  The trajectory flags levels
-    # 0..x.level - k - 1, so x.level - k must be >= 1 (a level-k cube leaves
-    # none) and x.level <= mu.depth; a por2 profile probes cap levels below
-    # x, so x.level + cap <= mu.depth
-    ("porous_fraction_trajectory n_max=0", lambda: porous_fraction_trajectory(
-        CANTOR, CubeAddress(1, (0,)), 1, 0.0), "too shallow"),
-    ("porous_fraction_trajectory shallow for k", lambda: porous_fraction_trajectory(
-        BERN, BERN_PATH[2], 2, 0.1), "level 2 too shallow"),
+    # 0..x.level and a por2 profile probes cap levels below x, so each needs
+    # x.level + k (or + cap) <= mu.depth
     ("porous_fraction_trajectory below depth", lambda: porous_fraction_trajectory(
         CANTOR, CubeAddress(13, (0,)), 1, 0.0), "maximum level 12"),
     *((f"por2_profile level {level}", lambda level=level: por2_profile(
