@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="random-translation porosity transfer")
     _measure_flags(p, 12)
     p.add_argument("--trials", type=_count(MAX_TRIALS), default=100,
-                   help=f"number of trials, 1..{MAX_TRIALS}")
+                   help=f"number of trials, 1..{MAX_TRIALS}; a trial at d >= 2 "
+                        "realizes about 2^((d-1)*depth) source nodes")
     p.add_argument("--alpha", type=float, default=0.25,
                    help=f"Euclidean hole size, with k(alpha, 1/4)*d <= {MAX_KD}")
     p.add_argument("--eta", type=float, help="porous-scale fraction to check, in [0, 1]")

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import CubeAddress, CubePartition, _children, _index, root, subdivide_uniform
+from .dyadic import CubeAddress, CubePartition, _addr, _index, root, subdivide_uniform
 
 Weights = tuple[float, ...]
 
@@ -570,41 +570,52 @@ def _box_mass(
     lo: tuple[int, ...],
     hi: tuple[int, ...],
     scale: int,
-) -> float:
+    mid: tuple[int, ...],
+) -> tuple[float, list[float]]:
     """mu(box) / mu(anchor) for the box prod [lo_i 2^-scale, hi_i 2^-scale)
-    inside the cube ``anchor``, exactly on addresses, where ``offspring`` is
-    mu's node data.
+    inside the cube ``anchor``, and the same for the box's 2^d halves cut at
+    ``mid``, in ``_children`` digit order (bit i set: the half above mid_i),
+    exactly on addresses, where ``offspring`` is mu's node data.
 
-    Descends from the anchor on an explicit stack, so depth costs no stack
-    frames; a child's mass is its parent's times its weight.  A node is
-    either massless or disjoint from the box, contained in it, or splits
-    further (box corners are integers at ``scale``, so level-``scale`` nodes
-    never straddle).
+    One descent from the anchor on an explicit stack, so depth costs no stack
+    frames; a child's mass is its parent's times its weight.  A massless node
+    or one disjoint from the box is dropped, one straddling it splits.  One
+    inside it is counted once in the box (a flag keeps its descendants out)
+    and, if it lies on one side of mid on every axis, in that half; else it
+    splits.  Box corners and mid are integers at ``scale``, so level-``scale``
+    nodes never split.
     """
-    if any(h <= l for l, h in zip(lo, hi)):
-        return 0.0
-    masses: list[float] = []
-    stack = [(anchor, 1.0)]
+    box, halves = [], [[] for _ in range(1 << len(mid))]
+    stack = [(anchor, 1.0, False)]
     while stack:
-        node, node_mass = stack.pop()
+        node, node_mass, counted = stack.pop()
         if node_mass == 0.0:
             continue
         shift = scale - node.level
-        inside = True
-        for c, l, h in zip(node.coords, lo, hi):
+        inside, split, half, bit = True, False, 0, 1
+        for c, l, h, m in zip(node.coords, lo, hi, mid):
             nlo = c << shift
             nhi = nlo + (1 << shift)
             if nhi <= l or h <= nlo:
                 break  # disjoint from the box
             if not (l <= nlo and nhi <= h):
                 inside = False
+            elif m <= nlo:
+                half |= bit
+            elif m < nhi:
+                split = True  # straddles mid
+            bit <<= 1
         else:
-            if inside:
-                masses.append(node_mass)
+            if inside and not counted:
+                box.append(node_mass)
+                counted = True
+            if inside and not split:
+                halves[half].append(node_mass)
             else:
                 part, w = offspring(node)
-                stack.extend((ch, node_mass * wj) for ch, wj in zip(part.children, w))
-    return math.fsum(masses)
+                stack.extend((ch, node_mass * wj, counted)
+                             for ch, wj in zip(part.children, w))
+    return math.fsum(box), [math.fsum(p) for p in halves]
 
 
 def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
@@ -615,19 +626,19 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     of side 2^-(m + log2(1/ratio)) whenever the translation lies on the
     matching grid, and masses come out exact because box/cube intersections
     are resolved in integer coordinates.  A node's weights are the masses of
-    its children's source boxes relative to the source cube anchoring its own
-    box, so they do not underflow with depth.  Each node's offspring vector
-    is computed once and kept, since it costs box-mass descents of the
-    source.  Those descents overlap from node to node, so each source node is
-    realized once per pushforward too: a memo of the source's offspring lives
-    as long as the returned measure and holds the distinct source nodes its
-    realizations touched: one trial's, in the translation experiment.  The
-    check that a box's anchor cube carries mass reads the same memo down the
-    anchor's lineage, from the nearest ancestor already known to carry mass.
-    Known limit: a translation with hundreds of binary digits can leave a
-    box's anchor hundreds of levels above it, and then its relative mass can
-    underflow; the translation experiment draws translations of at most 50
-    digits (depth <= 50).
+    its children's source boxes, the halves of its own box, relative to the
+    source cube anchoring that box, so they do not underflow with depth; one
+    ``_box_mass`` descent of the source weighs the box and all its halves,
+    and each node's vector is computed once and kept.  Descents overlap from
+    node to node, so each source node is realized once per pushforward too: a
+    memo of the source's offspring lives as long as the returned measure and
+    holds the distinct source nodes its realizations touched: one trial's, in
+    the translation experiment.  The check that a box's anchor cube carries
+    mass reads the same memo down the anchor's lineage, from the nearest
+    ancestor already known to carry mass.  Known limit: a translation with
+    hundreds of binary digits can leave a box's anchor hundreds of levels
+    above it, and then its relative mass can underflow; the translation
+    experiment draws translations of at most 50 digits (depth <= 50).
     """
     _require_dyadic(mu)
     if len(h.translation) != mu.d:
@@ -639,21 +650,14 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
             raise ValueError("image support would leave the unit cube")
     mu.check_reach(max(depth, t_grid) - m, f"the pushforward to depth {depth}")
 
-    def source_box(q: CubeAddress) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """q's preimage at source level ``scale``, clipped to [0, 2^scale)^d."""
-        scale = max(q.level - m, t_grid - m, 0)
-        shift = scale + m - q.level
-        lo = [(c << shift) - (tn << (scale + m - t_grid))
-              for c, tn in zip(q.coords, t_num)]
-        hi = tuple(min(l + (1 << shift), 1 << scale) for l in lo)
-        return tuple(max(l, 0) for l in lo), hi, scale
-
     offspring = functools.cache(mu.offspring)
     positive = {mu.root}  # source cubes known to carry mass
 
     def has_mass(anchor: CubeAddress) -> bool:
         """mu(anchor) > 0, testing only the weights below the nearest
         ancestor known to carry mass; relative masses cannot see a zero there."""
+        if anchor in positive:
+            return True
         top = anchor.level
         while anchor.ancestor(top) not in positive:
             top -= 1
@@ -666,17 +670,22 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
         return True
 
     def weights(q: CubeAddress) -> Weights:
-        lo, hi, scale = source_box(q)
+        # q's preimage at its children's scale, halved before it is clipped
+        scale = max(q.level + 1 - m, t_grid - m, 0)
+        shift = scale + m - q.level
+        ulo = [(c << shift) - (tn << (scale + m - t_grid))
+               for c, tn in zip(q.coords, t_num)]
+        lo = tuple(max(l, 0) for l in ulo)
+        hi = tuple(min(l + (1 << shift), 1 << scale) for l in ulo)
         parent_mass = 0.0
         if all(l < h for l, h in zip(lo, hi)):
             # the anchor: the deepest source cube containing the box
             level = scale - max((l ^ (h - 1)).bit_length() for l, h in zip(lo, hi))
-            anchor = CubeAddress(level, tuple(l >> (scale - level) for l in lo))
-            parent_mass = _box_mass(offspring, anchor, lo, hi, scale)
+            anchor = _addr(level, tuple(l >> (scale - level) for l in lo))
+            mid = tuple(l + (1 << (shift - 1)) for l in ulo)
+            parent_mass, child_masses = _box_mass(offspring, anchor, lo, hi, scale, mid)
         if parent_mass == 0.0 or not has_mass(anchor):
             raise UnrealizedNodeError(f"zero-mass node {q.serialize()} is not expanded")
-        child_masses = [_box_mass(offspring, anchor, *source_box(c))
-                        for c in _children(q)]
         total = math.fsum(child_masses)
         if abs(total - parent_mass) > 1e-10 * parent_mass:
             raise ArithmeticError(

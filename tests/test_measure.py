@@ -453,3 +453,25 @@ class TestHomothety:
                     if (c + (tn << (L + m - t_grid))) >> (L + m - n) == coord
                 )
                 assert math.exp(nu.log_mass(q)) == pytest.approx(total, abs=1e-12)
+
+    def test_agrees_with_exhaustive_enumeration_d2(self):
+        # the same oracle at d = 2: the image ends at 1 on axis 0 (t + ratio
+        # = 1, t on the 2^-3 grid) and axis 1's t lies on the 2^-4 grid
+        mu = make_measure(2, CascadeDirichlet((0.7,) * 4), depth=16, seed=13)
+        h = Homothety(0.125, (0.875, 0.3125))
+        nu = apply_homothety(mu, h, 10)
+        t_num, t_grid = h.translation_grid()
+        m = h.log2_ratio
+        for n in (1, 2, 3, 5, 6):
+            L = max(n, t_grid, m) - m
+            pieces = {}
+            for j in range(1 << (2 * L)):
+                c = (j & ((1 << L) - 1), j >> L)
+                image = tuple((ci + (tn << (L + m - t_grid))) >> (L + m - n)
+                              for ci, tn in zip(c, t_num))
+                pieces.setdefault(image, []).append(
+                    math.exp(mu.log_mass(CubeAddress(L, c))))
+            for j in range(1 << (2 * n)):
+                q = CubeAddress(n, (j & ((1 << n) - 1), j >> n))
+                total = math.fsum(pieces.get(q.coords, ()))
+                assert math.exp(nu.log_mass(q)) == pytest.approx(total, abs=1e-12)

@@ -392,6 +392,44 @@ class TestTranslation:
         assert steps == [depth - 1] * 3
         assert [tr.fraction for tr in trials] == [7 / 12, 10 / 12, 9 / 12]
 
+    @pytest.mark.parametrize("d, model, seed, alpha, depth, trials, realized", [
+        (1, CantorMiddleHalf(), 2024, 0.25, 12, 20, 339),
+        (2, CascadeDirichlet((0.5,) * 4), 3, 0.5, 8, 2, 540),
+    ])
+    def test_one_descent_per_pushforward_node(self, monkeypatch, d, model, seed,
+                                              alpha, depth, trials, realized):
+        # a pushforward node's box and its 2^d halves come from one box-mass
+        # descent, which realizes as many source nodes (``realized``) as one
+        # descent per box did
+        import porodim.measure as measure
+        import porodim.porosity as porosity
+
+        calls = {"node_weights": 0, "_box_mass": 0}
+        pushforwards = []
+        push = porosity.apply_homothety
+
+        def counting(name):
+            real = getattr(measure, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        def capturing(*args):
+            pushforwards.append(push(*args))
+            return pushforwards[-1]
+
+        for name in calls:
+            monkeypatch.setattr(measure, name, counting(name))
+        monkeypatch.setattr(porosity, "apply_homothety", capturing)
+        mu = make_measure(d, model, depth=depth + k_of_alpha(d, alpha, 0.25), seed=seed)
+        run_translation_trials(mu, 0.25, alpha, 0.0, depth, seed, range(trials))
+        # each node's weights are computed once, in apply_homothety's memo
+        nodes = sum(nu._weights.cache_info().misses for nu in pushforwards)
+        assert calls["_box_mass"] == nodes
+        assert calls["node_weights"] == realized
+
     def test_depth_guard(self, cantor):
         with pytest.raises(ValueError, match="too small"):
             run_translation_trials(cantor, 0.25, 0.25, 0.0, 3, 1, range(2))
