@@ -24,7 +24,6 @@ from .dyadic import (
     porous_split,
     root,
     subdivide_uniform,
-    validate_partition,
 )
 from .measure import (
     Bernoulli,
@@ -40,14 +39,7 @@ from .measure import (
     spec_from_json,
     spec_to_json,
 )
-from .oracle import (
-    RawVector,
-    ReducedPoint,
-    fixed_point_candidate,
-    maximize_bruteforce,
-    raw_objective,
-    reduce_within_levels,
-)
+from .oracle import ReducedPoint, fixed_point_candidate, maximize_bruteforce
 from .porosity import (
     TranslationReport,
     classify_porous,

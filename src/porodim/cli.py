@@ -40,8 +40,9 @@ MAX_TRIALS = 10_000
 
 
 def _fmt(x) -> str:
-    """One CSV field: a float to 12 significant digits, anything else as str."""
-    return f"{x:.12g}" if isinstance(x, float) else str(x)
+    """One CSV field: a float to 12 significant digits, a signed zero as 0,
+    anything else as str."""
+    return f"{x + 0.0:.12g}" if isinstance(x, float) else str(x)
 
 
 def write_csv(path, command: str, params: dict, header: list[str], rows) -> None:
@@ -326,7 +327,8 @@ def _measure_flags(p, depth: int) -> None:
                         help="inline generator")
     p.add_argument("--d", type=int, help=f"ambient dimension for --gen, 1..{MAX_DIM} (default 1)")
     p.add_argument("--weights", help="comma-separated weights for --gen bernoulli")
-    p.add_argument("--seed", type=int, help="master seed (default: the config's, else 0)")
+    p.add_argument("--seed", type=int,
+                   help="master seed, taken mod 2^64 (default: the config's, else 0)")
     p.add_argument("--depth", type=_count(),
                    help=f"path depth (default: the config's, else {depth})")
     p.add_argument("--eps", type=float, default=0.0, help="hole mass threshold")

@@ -188,29 +188,3 @@ def porous_split(parent: CubeAddress, hole: CubeAddress, k: int) -> CubePartitio
     children.append(hole)
     return CubePartition(parent, tuple(children), hole=hole)
 
-
-def validate_partition(part: CubePartition) -> None:
-    """Check disjointness, exact cover and child counts; raise on violation.
-
-    All checks are exact integer arithmetic: two dyadic cubes intersect iff
-    one contains the other, and volumes are counted in units of the finest
-    child level.
-    """
-    parent = part.parent
-    if not part.children:
-        raise ValueError("partition has no children")
-    for c in part.children:
-        if c.d != parent.d:
-            raise ValueError("child dimension mismatch")
-        if c.level <= parent.level or not parent.contains(c):
-            raise ValueError(f"child {c.serialize()} is not a proper descendant")
-    for a, b in itertools.combinations(part.children, 2):
-        if a.contains(b) or b.contains(a):
-            raise ValueError(
-                f"children {a.serialize()} and {b.serialize()} are not disjoint"
-            )
-    lmax = max(c.level for c in part.children)
-    d = parent.d
-    cells = sum(1 << ((lmax - c.level) * d) for c in part.children)
-    if cells != 1 << ((lmax - parent.level) * d):
-        raise ValueError("children do not cover the parent exactly")

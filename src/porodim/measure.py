@@ -11,8 +11,9 @@ deterministic realizer keyed by (seed, node address) through a counter-based
 generator (numpy Philox), so parallel and serial builds agree bit for bit and
 rebuilding with the same seed is identical.  Cascade nodes draw from one
 Philox per process, re-keyed for each node by assigning its state (the key
-``node_rng``'s SeedSequence derives, counter 0): the same stream as
-``node_rng(seed, q)``, without building a generator per node.
+the SeedSequence of (seed, node stream, level, *coords) derives, counter 0):
+the same stream as a Philox seeded by that SeedSequence, without building a
+generator per node.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ def _keyed_rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_seed_sequence(*key)))
 
 
-def node_rng(seed: int, q: CubeAddress) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, node stream, node address)."""
-    return _keyed_rng(_u64(seed), _NODE_STREAM, q.level, *q.coords)
-
-
 def _philox_key(pool: Sequence[int]) -> tuple[int, int]:
     """``generate_state(2, np.uint64)`` of the SeedSequence whose pool is
     ``pool``: the key a Philox seeded by it takes.  This is the hash numpy's
@@ -82,7 +78,7 @@ def _philox_key(pool: Sequence[int]) -> tuple[int, int]:
     SeedSequence's stable stream.  It is written out because numpy's call
     costs three times the hash, about a tenth of cascade_bound's time; the
     node-generator tests check it against the call and every re-keyed
-    stream against ``node_rng``'s."""
+    stream against numpy's own keying of the node."""
     mult = 0x8B51F9DD  # SeedSequence's INIT_B
     words = []
     for word in pool:
@@ -101,10 +97,10 @@ def _process_generator() -> np.random.Generator:
 
 
 def _node_generator(seed: int, q: CubeAddress) -> np.random.Generator:
-    """The process's node generator, re-keyed to ``node_rng(seed, q)``'s
-    stream: the key a Philox takes from the node's SeedSequence, counter 0
-    and an empty buffer, as a fresh Philox starts.  The next call re-keys it,
-    so draw from it before realizing another node."""
+    """The process's node generator, re-keyed to node ``q``'s stream: the
+    key a Philox takes from the SeedSequence of (seed, node stream, level,
+    *coords), counter 0 and an empty buffer, as a fresh Philox starts.  The
+    next call re-keys it, so draw from it before realizing another node."""
     seq = _seed_sequence(_u64(seed), _NODE_STREAM, q.level, *q.coords)
     rng = _process_generator()
     rng.bit_generator.state = {
@@ -287,8 +283,7 @@ class TreeMeasure:
     ``realizer(q) -> (CubePartition, Weights)`` gives any partition tree,
     which porosity probes and pushforwards reject as not dyadic.  ``depth``
     bounds the levels any query reads (``check_reach``), and so the number of
-    tree steps along any path.  ``log_mass`` is the one mass query, since a
-    mass underflows near level 540.  The measure keeps no node data: every
+    tree steps along any path.  The measure keeps no node data: every
     query runs its source, and a source that is costly to repeat memoizes
     itself, as ``apply_homothety``'s does.
     """
@@ -361,15 +356,6 @@ class TreeMeasure:
                 )
             yield cur, part, w, idx
             cur = part.children[idx]
-
-    def log_mass(self, q: CubeAddress) -> float:
-        """log mu(q), summed along the lineage; -inf for exact-zero nodes."""
-        total = 0.0
-        for _, _, w, idx in self.steps_to(q):
-            if w[idx] == 0.0:
-                return -math.inf
-            total += math.log(w[idx])
-        return total
 
     def walk(self, seed: int | np.random.Generator, steps: int):
         """Single-pass mu-random walk; yields (node, partition, weights, idx).

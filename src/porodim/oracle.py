@@ -41,64 +41,6 @@ _DAMPING, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER = 0.5, 1e-12, 10_000
 MAX_GRID_POINTS = 10**6
 
 
-def alpha_vector(d: int, k: int) -> tuple[float, ...]:
-    """Relative side lengths of porous-split offspring: 2^d - 1 copies of
-    2^-j for j = 1..k-1, then 2^d copies of 2^-k (non-hole cubes plus the
-    hole, which sits last)."""
-    _check_eps(d, k, 0.0)
-    L = (1 << d) - 1
-    out: list[float] = []
-    for j in range(1, k):
-        out.extend([2.0**-j] * L)
-    out.extend([2.0**-k] * (L + 1))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class RawVector:
-    """A mass vector over the (2^d - 1)k + 1 porous-split offspring; the hole
-    is the last coordinate."""
-
-    d: int
-    k: int
-    p: tuple[float, ...]
-
-    def __post_init__(self):
-        n = ((1 << self.d) - 1) * self.k + 1
-        if len(self.p) != n:
-            raise ValueError(f"need {n} masses for d={self.d}, k={self.k}")
-        # written so that NaN fails each test
-        if any(not x >= 0.0 for x in self.p):
-            raise ValueError("masses must be nonnegative")
-        if not abs(math.fsum(self.p) - 1.0) <= 1e-9:
-            raise ValueError(f"masses sum to {math.fsum(self.p)!r}, not 1")
-
-
-def raw_objective(v: RawVector) -> float:
-    """sum psi(p_i) / sum p_i log(1/alpha_i); the value lies in [0, d]."""
-    num = math.fsum(psi(x) for x in v.p)
-    den = math.fsum(x * -math.log(a) for x, a in zip(v.p, alpha_vector(v.d, v.k)))
-    if den == 0.0:
-        raise ValueError("degenerate mass vector: zero Lyapunov denominator")
-    return num / den
-
-
-def reduce_within_levels(v: RawVector) -> RawVector:
-    """Average the masses within each side-length level (hole untouched).
-
-    This never decreases the objective: the entropy numerator rises while the
-    denominator is level-wise constant, and all constraints are preserved.
-    """
-    L = (1 << v.d) - 1
-    out: list[float] = []
-    for j in range(v.k):
-        block = v.p[j * L : (j + 1) * L]
-        avg = math.fsum(block) / L
-        out.extend([avg] * L)
-    out.append(v.p[-1])
-    return RawVector(v.d, v.k, tuple(out))
-
-
 @dataclass(frozen=True)
 class ReducedPoint:
     """Per-level masses q_1..q_k plus the hole mass p, with
@@ -117,14 +59,6 @@ class ReducedPoint:
         L = (1 << self.d) - 1
         if not abs(L * math.fsum(self.q) + self.p - 1.0) <= 1e-9:
             raise ValueError("level masses do not satisfy L sum q = 1 - p")
-
-    def to_raw(self) -> RawVector:
-        L = (1 << self.d) - 1
-        flat: list[float] = []
-        for qi in self.q:
-            flat.extend([qi] * L)
-        flat.append(self.p)
-        return RawVector(self.d, self.k, tuple(flat))
 
 
 def reduced_objective(d: int, k: int, q, p: float) -> float:

@@ -1,5 +1,6 @@
 import pytest
 
+import porodim.measure
 from porodim.measure import (
     Bernoulli,
     CantorMiddleHalf,
@@ -53,3 +54,17 @@ def point_mass():
 @pytest.fixture
 def cantor():
     return make_measure(1, CantorMiddleHalf())
+
+
+@pytest.fixture
+def count_realizations(monkeypatch):
+    """The node_weights calls made after the fixture is set up."""
+    calls = []
+    real = porodim.measure.node_weights
+
+    def counting(spec, q):
+        calls.append(q)
+        return real(spec, q)
+
+    monkeypatch.setattr(porodim.measure, "node_weights", counting)
+    return calls

@@ -1,0 +1,100 @@
+"""Plain references the tests compare the library against: each computes a
+quantity the direct way, or checks what no library path needs checked."""
+
+import itertools
+import math
+
+import numpy as np
+
+from porodim.bounds import psi
+from porodim.dyadic import subdivide_uniform
+from porodim.measure import _NODE_STREAM, _u64
+
+
+def node_rng(seed, q):
+    """Node ``q``'s generator, keyed by numpy's own SeedSequence."""
+    seq = np.random.SeedSequence((_u64(seed), _NODE_STREAM, q.level, *q.coords))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def log_mass(mu, q):
+    """log mu(q), summed along q's lineage; -inf from the first zero weight."""
+    total = 0.0
+    for _, _, w, idx in mu.steps_to(q):
+        if w[idx] == 0.0:
+            return -math.inf
+        total += math.log(w[idx])
+    return total
+
+
+def frontiers(mu, q, k):
+    """q's depth-j descendants, j = 1..k, as dicts address -> conditional
+    mass in subdivide_uniform's child order: each node's mass is its
+    parent's times its weight, and a zero-mass node's children get 0 without
+    the node being realized."""
+    out, frontier = [], {q: 1.0}
+    for _ in range(k):
+        deeper = {}
+        for node, mass in frontier.items():
+            children = subdivide_uniform(node).children
+            weights = mu.offspring(node)[1] if mass != 0.0 else (0.0,) * len(children)
+            for child, w in zip(children, weights):
+                deeper[child] = mass * w
+        out.append(frontier := deeper)
+    return out
+
+
+def validate_partition(part):
+    """Raise ValueError unless the children are proper descendants of the
+    parent, pairwise disjoint, and cover it, counted in finest-level cells."""
+    parent, children = part.parent, part.children
+    if not children:
+        raise ValueError("partition has no children")
+    for c in children:
+        if c.d != parent.d:
+            raise ValueError("child dimension mismatch")
+        if c.level <= parent.level or not parent.contains(c):
+            raise ValueError(f"child {c.serialize()} is not a proper descendant")
+    for a, b in itertools.combinations(children, 2):
+        if a.contains(b) or b.contains(a):
+            raise ValueError(f"children {a.serialize()} and {b.serialize()} are not disjoint")
+    finest, d = max(c.level for c in children), parent.d
+    if sum(1 << (finest - c.level) * d for c in children) != 1 << (finest - parent.level) * d:
+        raise ValueError("children do not cover the parent exactly")
+
+
+def alpha_vector(d, k):
+    """Side lengths of a porous split's children relative to the parent, in
+    porous_split's order: 2^d - 1 cubes of side 2^-j at j = 1..k, the hole."""
+    return tuple(2.0**-j for j in range(1, k + 1) for _ in range((1 << d) - 1)) + (2.0**-k,)
+
+
+def raw_objective(d, k, p):
+    """sum psi(p_i) / sum p_i log(1/alpha_i) over a porous split's masses p."""
+    num = math.fsum(psi(x) for x in p)
+    return num / math.fsum(x * -math.log(a) for x, a in zip(p, alpha_vector(d, k)))
+
+
+def reduce_within_levels(d, k, p):
+    """p with each level's 2^d - 1 masses replaced by their mean, the hole kept."""
+    n = (1 << d) - 1
+    means = [math.fsum(p[j * n:(j + 1) * n]) / n for j in range(k)]
+    return tuple(m for m in means for _ in range(n)) + p[-1:]
+
+
+def to_raw(point):
+    """An oracle ReducedPoint's masses in porous_split's order."""
+    return tuple(q for q in point.q for _ in range((1 << point.d) - 1)) + (point.p,)
+
+
+def eta_exact(components, probs, k, eps):
+    """The chance that a node of the cascade drawing ``components`` by
+    ``probs`` is porous at (k, eps): 1 - G_k(eps), where G_j(x), the chance
+    that every depth-j descendant has conditional mass above x, is [x < 1]
+    at j = 0 and sum_c p_c prod_i G_{j-1}(x / c_i) after, 0 at c_i = 0."""
+    def g(j, x):
+        if j == 0:
+            return float(x < 1.0)
+        return math.fsum(p * math.prod(g(j - 1, x / ci) if ci > 0.0 else 0.0 for ci in c)
+                         for c, p in zip(components, probs))
+    return 1.0 - g(k, eps)

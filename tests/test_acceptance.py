@@ -24,8 +24,10 @@ from porodim.measure import (
     spec_from_json,
 )
 from porodim.dimension import _trajectory_from_steps
-from porodim.oracle import RawVector, fixed_point_candidate, maximize_bruteforce, raw_objective
+from porodim.oracle import fixed_point_candidate, maximize_bruteforce
 from porodim.porosity import run_translation_trials, sample_porous_path, translation_report
+
+from references import eta_exact, raw_objective
 
 BERNOULLI_DIM = (psi(0.25) + psi(0.75)) / LOG2
 
@@ -272,7 +274,7 @@ def test_criterion_09_per_split_and_prefix_bounds():
                         worst = max(worst, h / (d * lam) - 1)
                         continue
                     porous += 1
-                    ratio = raw_objective(RawVector(d, k, w))
+                    ratio = raw_objective(d, k, w)
                     assert ratio == pytest.approx(h / lam, rel=1e-12)
                     assert ratio <= s * (1 + 1e-9), (cfg["seed"], k, i, ratio, s)
                     worst = max(worst, ratio / s - 1)
@@ -281,6 +283,45 @@ def test_criterion_09_per_split_and_prefix_bounds():
                 assert np.all(lhs <= rhs + 1e-9 * np.abs(rhs)), (cfg["seed"], k, i)
     print(f"{splits} splits, {porous} porous, worst relative excess {worst:.2e}")
     assert splits == 9000 and 0 < porous < splits
+
+
+def test_criterion_09_exact_porous_fraction():
+    # Below a mu-random node a cascade's subtree has the unbiased cascade
+    # law, so each level of a walk is porous with probability eta_exact, and
+    # the mean per-path fraction estimates it.  The tolerance is 4 standard
+    # errors of the per-path spread, at least 1/N for N flags: a spread of 0
+    # (every flag alike) bounds 1 - eta only to about 3/N.  Where eta is 0 or
+    # 1 every flag is certain and the check is exact.  Bernoullis are
+    # one-component mixtures; eps scales as in the per-split test.
+    paths, steps = 16, 300
+    for cfg, eps1 in CASCADE_BATTERY:
+        gen = cfg["generator"]
+        if gen["type"] == "mixture":
+            comps = [item["weights"] for item in gen["mixture"]]
+            probs = [item["prob"] for item in gen["mixture"]]
+        elif gen["type"] == "bernoulli":
+            comps, probs = [gen["weights"]], [1.0]
+        else:
+            continue
+        spec, _ = spec_from_json(cfg)
+        for k in (1, 2, 3):
+            eps = eps1 * 2.0 ** (-(k - 1) * spec.d)
+            eta = eta_exact(comps, probs, k, eps)
+            mu = build_tree_measure(spec, "uniform", steps * k + k, max_level=steps * k + k)
+            fractions, flags_total = [], 0
+            for i in range(paths):
+                _, flags = sample_porous_path(
+                    mu, k, eps, derived_rng(spec.seed, _PATH_STREAM, i), steps)
+                fractions.append(sum(flags) / len(flags))
+                flags_total += len(flags)
+            eta_hat = float(np.mean(fractions))
+            se = max(float(np.std(fractions, ddof=1)) / math.sqrt(paths), 1 / flags_total)
+            print(f"seed {spec.seed}, k={k}: eta_hat {eta_hat:.5f}, eta {eta:.7f}, "
+                  f"z {(eta_hat - eta) / se:+.2f}")
+            if eta in (0.0, 1.0):
+                assert eta_hat == eta, (spec.seed, k)
+            else:
+                assert abs(eta_hat - eta) <= 4.0 * se, (spec.seed, k, eta_hat, eta)
 
 
 def test_criterion_10_translation_monte_carlo():

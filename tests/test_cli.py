@@ -207,42 +207,23 @@ class TestSimulate:
             expected.extend(",".join(_fmt(x) for x in (i, *row)) for row in t.csv_rows())
         assert body(traj.read_text()).splitlines()[1:] == expected
 
-    def test_each_node_realized_once(self, monkeypatch):
-        import porodim.measure
-
-        calls = {}
-        real = porodim.measure.node_weights
-
-        def counting(spec, q):
-            calls[q] = calls.get(q, 0) + 1
-            return real(spec, q)
-
-        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+    def test_each_node_realized_once(self, count_realizations):
         spec = GeneratorSpec(2, CascadeDirichlet((2.0,) * 4), 106)
         for k, eps in ((1, 0.05), (2, 0.0125), (3, 0.00078)):
-            calls.clear()
+            count_realizations.clear()
             row, _ = _simulate_one_path(spec, k, eps, 60, 106, 0)
             porous_steps, level = row[6], row[7]
             assert 0 < porous_steps < 60
-            assert len(calls) >= level
-            assert set(calls.values()) == {1}
+            assert len(set(count_realizations)) == len(count_realizations) >= level
 
-    def test_one_partition_per_step(self, monkeypatch):
+    def test_one_partition_per_step(self, monkeypatch, count_realizations):
         # the classifier reads weights only: the re-tree builds one partition
         # per walk step, uniform or porous, and realizes each node once
         import sys
 
         import porodim.dyadic
-        import porodim.measure
 
-        calls, built = {}, {"subdivide_uniform": 0, "porous_split": 0}
-        real_weights = porodim.measure.node_weights
-
-        def counting(spec, q):
-            calls[q] = calls.get(q, 0) + 1
-            return real_weights(spec, q)
-
-        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        built = {"subdivide_uniform": 0, "porous_split": 0}
         for name in built:
             real = getattr(porodim.dyadic, name)
 
@@ -257,7 +238,7 @@ class TestSimulate:
         spec = GeneratorSpec(2, CascadeDirichlet((0.5,) * 4), 106)
         row, _ = _simulate_one_path(spec, 2, 0.001, 40, 106, 0)
         porous_steps = row[6]
-        assert set(calls.values()) == {1}
+        assert count_realizations and len(set(count_realizations)) == len(count_realizations)
         assert 0 < porous_steps < 40
         assert built["subdivide_uniform"] + built["porous_split"] <= 40
         assert built == {"subdivide_uniform": 40 - porous_steps, "porous_split": porous_steps}
@@ -531,19 +512,9 @@ class TestErrors:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv", [*REJECTED_BEFORE_ANY_NODE, *OVER_SIZE_CAP])
-    def test_rejected_size_realizes_no_node(self, tmp_path, monkeypatch, argv):
-        import porodim.measure
-
-        calls = []
-        real = porodim.measure.node_weights
-
-        def counting(spec, q):
-            calls.append(q)
-            return real(spec, q)
-
-        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+    def test_rejected_size_realizes_no_node(self, tmp_path, count_realizations, argv):
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
-        assert calls == []
+        assert count_realizations == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -619,6 +590,23 @@ def test_fmt():
     assert _fmt(1 / 3) == "0.333333333333"
     assert _fmt(7) == "7"
     assert _fmt("") == ""
+    assert _fmt(-0.0) == _fmt(0.0) == "0"
+
+
+SIMULATE = ["simulate", "--gen", "bernoulli", "--weights", "0.25,0.75", "--depth", "8",
+            "--paths", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*SIMULATE, "--eps"],
+    [*SIMULATE, "--slack"],
+    ["translate", "--gen", "cantor_middle_half", "--trials", "2", "--depth", "8", "--eps"],
+    ["oracle", "--d", "1", "--k", "1", "--grid", "50", "--eps"],
+    ["hmin", "--points", "3", "--eta"],
+], ids=["simulate-eps", "simulate-slack", "translate-eps", "oracle-eps", "hmin-eta"])
+def test_signed_zero_writes_the_bytes_of_zero(tmp_path, argv):
+    negative = run(tmp_path, *argv, "-0")
+    assert negative[0] == 0 and negative == run(tmp_path, *argv, "0")
 
 
 def readme_commands() -> list[str]:

@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porodim.dyadic import (
-    CubeAddress,
-    porous_split,
-    root,
-    subdivide_uniform,
-    validate_partition,
-)
+from porodim.dyadic import CubeAddress, porous_split, root, subdivide_uniform
+
+from references import validate_partition
 
 
 def test_uniform_split_d1():

@@ -30,13 +30,13 @@ from porodim.measure import (
     apply_homothety,
     build_tree_measure,
     derived_rng,
-    node_rng,
     node_weights,
     spec_from_json,
     spec_to_json,
 )
 
 from conftest import make_measure
+from references import log_mass, node_rng
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs"
                      / "generator-config.schema.json").read_text())
@@ -46,16 +46,16 @@ class TestBuildAndMass:
     def test_uniform_masses(self, uniform2):
         for j in range(3):
             assert uniform2.offspring(CubeAddress(2, (j, j)))[1] == (0.25,) * 4
-        assert uniform2.log_mass(CubeAddress(3, (5, 2))) == pytest.approx(
+        assert log_mass(uniform2, CubeAddress(3, (5, 2))) == pytest.approx(
             math.log(4.0**-3), abs=1e-12)
 
     def test_bernoulli_direct_read(self, bern_quarter):
-        assert bern_quarter.log_mass(CubeAddress(1, (1,))) == math.log(0.75)
-        assert bern_quarter.log_mass(CubeAddress(2, (3,))) == pytest.approx(
+        assert log_mass(bern_quarter, CubeAddress(1, (1,))) == math.log(0.75)
+        assert log_mass(bern_quarter, CubeAddress(2, (3,))) == pytest.approx(
             math.log(9 / 16), abs=1e-12)
 
     def test_root_mass_is_one(self, bern_quarter):
-        assert bern_quarter.log_mass(root(1)) == 0.0
+        assert log_mass(bern_quarter, root(1)) == 0.0
 
     def test_rebuild_determinism(self):
         model = CascadeFiniteMixture(((0.5, 0.5), (0.25, 0.75)), (0.5, 0.5))
@@ -87,8 +87,8 @@ class TestBuildAndMass:
         mu = make_measure(2, CascadeDirichlet((0.7, 0.7, 0.7, 0.7)), seed=3)
         for q in [root(2), CubeAddress(1, (0, 1)), CubeAddress(2, (3, 2))]:
             part, w = mu.offspring(q)
-            m = math.exp(mu.log_mass(q))
-            children_total = math.fsum(math.exp(mu.log_mass(c)) for c in part.children)
+            m = math.exp(log_mass(mu, q))
+            children_total = math.fsum(math.exp(log_mass(mu, c)) for c in part.children)
             assert abs(children_total - m) < 1e-10
 
     def test_depth_guard(self):
@@ -113,14 +113,14 @@ class TestBuildAndMass:
         mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=200)
         walk = list(mu.walk(5, steps=100))
         _, part, _, idx = walk[-1]
-        assert mu.log_mass(part.children[idx]) == pytest.approx(
+        assert log_mass(mu, part.children[idx]) == pytest.approx(
             math.fsum(math.log(w[i]) for _, _, w, i in walk))
 
     def test_deep_mass_is_the_exact_product(self):
         # the log of 2^-1000, and of 2^-1200, which as a float underflows to 0.0
         mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
-        assert mu.log_mass(CubeAddress(500, (0,))) == pytest.approx(math.log(2.0**-1000))
-        assert mu.log_mass(CubeAddress(600, (0,))) == pytest.approx(-1200 * math.log(2))
+        assert log_mass(mu, CubeAddress(500, (0,))) == pytest.approx(math.log(2.0**-1000))
+        assert log_mass(mu, CubeAddress(600, (0,))) == pytest.approx(-1200 * math.log(2))
 
 
 #: Levels where a coordinate's uint32 word count changes, drawn on purpose
@@ -139,25 +139,20 @@ _WORD_EDGES = st.one_of(
     data=st.data(),
 )
 def test_node_rng_matches_numpy_keying(level, d, seed, data):
-    # node_rng builds SeedSequence's words itself; numpy's own conversion of
-    # the entropy tuple is the reference, draw for draw
+    # node realization builds SeedSequence's words itself and re-keys one
+    # Philox; numpy's own keying of the node is the reference, draw for draw
     top = (1 << level) - 1
     coords = tuple(
         data.draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top)))
         for _ in range(d)
     )
     q = CubeAddress(level, coords)
-    entropy = (_u64(seed), _NODE_STREAM, level, *coords)
-
-    def reference():
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
     conc = tuple(data.draw(st.floats(0.1, 3.0)) for _ in range(1 << d))
-    got, want = node_rng(seed, q), reference()
+    got, want = _node_generator(seed, q), node_rng(seed, q)
     assert got.random(4).tobytes() == want.random(4).tobytes()
     assert got.dirichlet(conc).tobytes() == want.dirichlet(conc).tobytes()
     spec = GeneratorSpec(d, CascadeDirichlet(conc), seed)
-    assert node_weights(spec, q) == tuple(float(x) for x in reference().dirichlet(conc))
+    assert node_weights(spec, q) == tuple(float(x) for x in node_rng(seed, q).dirichlet(conc))
 
 
 @settings(max_examples=150, deadline=None)
@@ -168,8 +163,8 @@ def test_node_rng_matches_numpy_keying(level, d, seed, data):
                     st.integers(0, 2**70)),
 )
 def test_derived_rng_matches_numpy_keying(seed, stream, index):
-    # derived_rng and node_rng share one word builder; numpy's own conversion
-    # of the (seed, stream, index) tuple is the reference
+    # derived_rng and node realization share one word builder; numpy's own
+    # conversion of the (seed, stream, index) tuple is the reference
     want = np.random.Generator(np.random.Philox(
         np.random.SeedSequence((_u64(seed), stream, index))))
     assert derived_rng(seed, stream, index).random(4).tobytes() == want.random(4).tobytes()
@@ -339,28 +334,28 @@ def test_mixture_top_draw_takes_the_last_component(monkeypatch):
 class TestHomothety:
     def test_uniform_quarter_scaling(self, uniform2):
         nu = apply_homothety(uniform2, Homothety(0.25, (0.0, 0.0)), 8)
-        assert nu.log_mass(CubeAddress(2, (0, 0))) == 0.0
+        assert log_mass(nu, CubeAddress(2, (0, 0))) == 0.0
         # deeper structure uniform within the image
         assert nu.offspring(CubeAddress(2, (0, 0)))[1] == (0.25,) * 4
-        assert nu.log_mass(CubeAddress(4, (1, 1))) == pytest.approx(
+        assert log_mass(nu, CubeAddress(4, (1, 1))) == pytest.approx(
             math.log(1 / 16), abs=1e-12)
 
     def test_point_mass_pushforward(self):
         pt = make_measure(2, Bernoulli((1.0, 0.0, 0.0, 0.0)))
         nu = apply_homothety(pt, Homothety(0.25, (0.5, 0.5)), 10)
-        assert nu.log_mass(CubeAddress(1, (1, 1))) == 0.0
-        assert nu.log_mass(CubeAddress(6, (32, 32))) == 0.0
+        assert log_mass(nu, CubeAddress(1, (1, 1))) == 0.0
+        assert log_mass(nu, CubeAddress(6, (32, 32))) == 0.0
 
     def test_bernoulli_shift(self, bern_quarter):
         nu = apply_homothety(bern_quarter, Homothety(0.25, (0.25,)), 10)
-        assert nu.log_mass(CubeAddress(2, (1,))) == 0.0
-        assert nu.log_mass(CubeAddress(3, (2,))) == pytest.approx(math.log(0.25), abs=1e-12)
+        assert log_mass(nu, CubeAddress(2, (1,))) == 0.0
+        assert log_mass(nu, CubeAddress(3, (2,))) == pytest.approx(math.log(0.25), abs=1e-12)
 
     def test_total_mass_preserved(self, cantor):
         nu = apply_homothety(cantor, Homothety(0.125, (0.375,)), 12)
-        assert nu.log_mass(root(1)) == 0.0
+        assert log_mass(nu, root(1)) == 0.0
         level3 = [CubeAddress(3, (c,)) for c in range(8)]
-        total = math.fsum(math.exp(nu.log_mass(q)) for q in level3)
+        total = math.fsum(math.exp(log_mass(nu, q)) for q in level3)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_dyadic_cubes_map_to_dyadic_cubes(self, cantor):
@@ -370,7 +365,7 @@ class TestHomothety:
             for c in range(1 << m):
                 src = CubeAddress(m, (c,))
                 img = CubeAddress(m + 2, ((1 << (m + 1)) + c,))
-                assert nu.log_mass(img) == pytest.approx(cantor.log_mass(src), abs=1e-12)
+                assert log_mass(nu, img) == pytest.approx(log_mass(cantor, src), abs=1e-12)
 
     def test_support_leaving_cube_rejected(self, uniform1):
         with pytest.raises(ValueError, match="unit cube"):
@@ -394,7 +389,7 @@ class TestHomothety:
         # 4:5 lies outside the image, so its source box clips away; 4:1 is the
         # image of the source gap cube 2:1, whose own split is (1/2, 1/2)
         for gap in (CubeAddress(4, (5,)), CubeAddress(4, (1,))):
-            assert nu.log_mass(gap) == -math.inf
+            assert log_mass(nu, gap) == -math.inf
             with pytest.raises(UnrealizedNodeError, match="zero-mass"):
                 nu.offspring(gap)
 
@@ -403,20 +398,13 @@ class TestHomothety:
         nu = apply_homothety(mu, Homothety(0.125, (0.0,)), 600)
         assert len(nu.sample_path(1, steps=600)) == 601
 
-    def test_zero_mass_check_is_linear_in_depth(self, monkeypatch):
-        import porodim.measure as measure
-
-        calls = []
-        realize = measure.node_weights
-        monkeypatch.setattr(
-            measure, "node_weights", lambda spec, q: calls.append(q) or realize(spec, q)
-        )
+    def test_zero_mass_check_is_linear_in_depth(self, count_realizations):
         mu = make_measure(1, Bernoulli((0.25, 0.75)), depth=700)
         nu = apply_homothety(mu, Homothety(0.125, (0.0,)), 600)
         nu.sample_path(1, steps=600)
         # each step's box masses and anchor check realize a few source nodes;
         # re-checking every anchor's lineage from the root would be quadratic
-        assert len(calls) <= 3 * 600
+        assert len(count_realizations) <= 3 * 600
 
     def test_deep_weights_do_not_underflow(self):
         # the source cube 557:0 has mass 2^-1114, which is 0.0 as a float
@@ -448,11 +436,11 @@ class TestHomothety:
                 q = CubeAddress(n, (coord,))
                 L = max(n, t_grid, m) - m
                 total = math.fsum(
-                    math.exp(mu.log_mass(CubeAddress(L, (c,))))
+                    math.exp(log_mass(mu, CubeAddress(L, (c,))))
                     for c in range(1 << L)
                     if (c + (tn << (L + m - t_grid))) >> (L + m - n) == coord
                 )
-                assert math.exp(nu.log_mass(q)) == pytest.approx(total, abs=1e-12)
+                assert math.exp(log_mass(nu, q)) == pytest.approx(total, abs=1e-12)
 
     def test_agrees_with_exhaustive_enumeration_d2(self):
         # the same oracle at d = 2: the image ends at 1 on axis 0 (t + ratio
@@ -470,8 +458,8 @@ class TestHomothety:
                 image = tuple((ci + (tn << (L + m - t_grid))) >> (L + m - n)
                               for ci, tn in zip(c, t_num))
                 pieces.setdefault(image, []).append(
-                    math.exp(mu.log_mass(CubeAddress(L, c))))
+                    math.exp(log_mass(mu, CubeAddress(L, c))))
             for j in range(1 << (2 * n)):
                 q = CubeAddress(n, (j & ((1 << n) - 1), j >> n))
                 total = math.fsum(pieces.get(q.coords, ()))
-                assert math.exp(nu.log_mass(q)) == pytest.approx(total, abs=1e-12)
+                assert math.exp(log_mass(nu, q)) == pytest.approx(total, abs=1e-12)

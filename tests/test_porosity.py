@@ -32,6 +32,7 @@ from porodim.porosity import (
 )
 
 from conftest import make_measure
+from references import frontiers, log_mass, validate_partition
 
 
 class TestClassify:
@@ -148,19 +149,6 @@ class TestFractionTrajectory:
         assert len(porous_fraction_trajectory(bern_quarter, path[0], 2, 0.05)) == 1
 
 
-def _brute_porous(mu, q, k, eps):
-    """Porous test from products of dyadic conditionals, node by node."""
-    ratios = {q: 1.0}
-    for _ in range(k):
-        deeper = {}
-        for node, ratio in ratios.items():
-            part, w = mu.offspring(node)
-            for child, wj in zip(part.children, w):
-                deeper[child] = ratio * wj
-        ratios = deeper
-    return min(ratios.values()) <= eps
-
-
 _MIXTURE = CascadeFiniteMixture(((0.5, 0.5), (0.1, 0.9)), (0.5, 0.5))
 _DIRICHLET = CascadeDirichlet((2.0,) * 4)
 
@@ -189,7 +177,7 @@ class TestLineageClassifier:
             q = last.ancestor(n)
             assert flag == (por2_depth(mu, q, eps, cap=k) <= k)
             assert flag == (classify_porous(mu, q, k, eps) is not None)
-            assert flag == _brute_porous(mu, q, k, eps)
+            assert flag == (min(frontiers(mu, q, k)[-1].values()) <= eps)
         for node, part, _, idx in walk:
             assert (part.hole is not None) == flags[node.level]
             jump = part.children[idx].level - node.level
@@ -198,22 +186,12 @@ class TestLineageClassifier:
         got = porous_fraction_trajectory(mu, last.ancestor(last.level - 1), k, eps)
         assert got == tuple(flags)
 
-    def test_fraction_trajectory_realizes_each_node_once(self, monkeypatch):
-        import porodim.measure
-
-        calls = {}
-        real = porodim.measure.node_weights
-
-        def counting(spec, q):
-            calls[q] = calls.get(q, 0) + 1
-            return real(spec, q)
-
+    def test_fraction_trajectory_realizes_each_node_once(self, count_realizations):
         mu = make_measure(2, _DIRICHLET, seed=9, depth=40)
         path = mu.sample_path(10, steps=40)
-        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        count_realizations.clear()
         got = porous_fraction_trajectory(mu, path[29], 2, 0.0125)
-        assert calls and set(calls.values()) == {1}
-        monkeypatch.undo()
+        assert count_realizations and len(set(count_realizations)) == len(count_realizations)
         flags = tuple(por2_depth(mu, path[n], 0.0125, cap=2) <= 2 for n in range(30))
         assert got == flags
         assert 0 < sum(got) < len(got)
@@ -272,7 +250,7 @@ class TestRetree:
         view = porous_retree(mu, 2, 0.05)
         # the intermediate left child at level 1 is not a node of the re-tree
         with pytest.raises(UnrealizedNodeError):
-            view.log_mass(CubeAddress(1, (0,)))
+            log_mass(view, CubeAddress(1, (0,)))
 
     def test_uniform_view_is_dyadic(self, uniform1):
         view = porous_retree(uniform1, 1, 0.1)
@@ -283,8 +261,6 @@ class TestRetree:
     def test_weights_match_dyadic_products(self):
         # independent oracle: every re-tree weight must equal the product of
         # the dyadic conditionals along the node -> child chain
-        from porodim.dyadic import validate_partition
-
         mu = make_measure(2, CascadeDirichlet((0.4,) * 4), depth=20, seed=17)
         view = porous_retree(mu, 2, 0.02)
         path = view.sample_path(3, steps=6)
@@ -340,21 +316,13 @@ class TestTranslation:
         (1, CantorMiddleHalf(), 12, 0.25, 0.0),
         (2, Bernoulli((0.1, 0.4, 0.4, 0.1)), 6, 0.5, 0.002),
     ])
-    def test_trial_realizes_each_source_node_once(self, monkeypatch, d, model, depth,
-                                                  alpha, eps):
-        import porodim.measure
+    def test_trial_realizes_each_source_node_once(self, monkeypatch, count_realizations, d,
+                                                  model, depth, alpha, eps):
         import porodim.porosity
 
         k = k_of_alpha(d, alpha, 0.25)
         mu = make_measure(d, model, depth=depth + k)
-        calls = []
-        real = porodim.measure.node_weights
-
-        def counting(spec, q):
-            calls.append((spec.seed, q.level, q.coords))
-            return real(spec, q)
-
-        monkeypatch.setattr(porodim.measure, "node_weights", counting)
+        count_realizations.clear()
         retree_work = []
 
         def recording(owner, name):
@@ -369,6 +337,7 @@ class TestTranslation:
         recording(porodim.porosity, "porous_split")
         recording(porodim.porosity.LineageClassifier, "retree")
         run_translation_trials(mu, 0.25, alpha, eps, depth, 5, range(1))
+        calls = count_realizations
         assert calls and len(set(calls)) == len(calls)
         # a trial's flags come from por2: it builds no porous re-tree
         assert retree_work == []

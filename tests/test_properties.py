@@ -32,6 +32,7 @@ from porodim.porosity import (
 )
 
 from conftest import SPECS, make_measure
+from references import frontiers
 
 #: thresholds on both sides of the typical conditional masses, with ties
 eps_lists = st.lists(
@@ -52,23 +53,6 @@ REFERENCE_SPECS = [
 ]
 
 
-def _reference_frontiers(mu, q, k):
-    """q's depth-j descendants, j = 1..k, as dicts address -> conditional
-    mass in subdivide_uniform's child order: each node's mass is its
-    parent's times its weight, and a zero-mass node's children get 0 without
-    the node being realized."""
-    frontiers, frontier = [], {q: 1.0}
-    for _ in range(k):
-        deeper = {}
-        for node, mass in frontier.items():
-            children = subdivide_uniform(node).children
-            weights = mu.offspring(node)[1] if mass != 0.0 else (0.0,) * len(children)
-            for child, w in zip(children, weights):
-                deeper[child] = mass * w
-        frontiers.append(frontier := deeper)
-    return frontiers
-
-
 def _reference_hole(frontier):
     """Least conditional mass, ties broken by lexicographic coords."""
     return min(frontier.items(), key=lambda item: (item[1], item[0].coords))
@@ -84,15 +68,15 @@ def test_classifier_matches_node_by_node_reference(spec, k, level, data):
     mu = make_measure(d, model, depth=level + k, seed=seed)
     coords = tuple(data.draw(st.integers(0, (1 << level) - 1)) for _ in range(d))
     q = CubeAddress(level, coords)
-    reference = _reference_frontiers(mu, q, k)
+    reference = frontiers(mu, q, k)
     hole, least = _reference_hole(reference[-1])
     top = 2.0 ** -(k * d)
     eps = data.draw(st.sampled_from([0.0, min(least, top), top]) | st.floats(0.0, top))
 
-    got_hole, frontiers = _classify_full(LineageClassifier(mu), q, k, eps)
+    got_hole, got = _classify_full(LineageClassifier(mu), q, k, eps)
     # every frontier entry, bit for bit, in digit order
-    assert frontiers == [list(ref.values()) for ref in reference]
-    assert min(frontiers[-1]) == least
+    assert got == [list(ref.values()) for ref in reference]
+    assert min(got[-1]) == least
     assert got_hole == (hole if least <= eps else None)
     por2 = next((j for j, ref in enumerate(reference, 1) if min(ref.values()) <= eps),
                 math.inf)

@@ -7,19 +7,16 @@ than in exit 0, 1 or 2 with one line on exit 1."""
 import argparse
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import porodim.measure
 from porodim.bounds import solve_s, solve_table, t_dk
 from porodim.cli import build_parser, main
 from porodim.dimension import estimate_packing_dim, hmin_and_converse, sampled_trajectory
-from porodim.dyadic import (CubeAddress, CubePartition, porous_split, root,
-                            validate_partition)
+from porodim.dyadic import CubeAddress, CubePartition, porous_split, root
 from porodim.measure import (
     Bernoulli,
     CantorMiddleHalf,
@@ -35,8 +32,8 @@ from porodim.measure import (
     spec_from_json,
     spec_to_json,
 )
-from porodim.oracle import (RawVector, ReducedPoint, fixed_point_candidate,
-                            maximize_bruteforce, raw_objective, reduced_objective)
+from porodim.oracle import (ReducedPoint, fixed_point_candidate, maximize_bruteforce,
+                            reduced_objective)
 from porodim.porosity import (
     TranslationTrial,
     classify_porous,
@@ -51,6 +48,7 @@ from porodim.porosity import (
 )
 
 from conftest import make_measure
+from references import log_mass, validate_partition
 
 NAN, INF = math.nan, math.inf
 CANTOR = make_measure(1, CantorMiddleHalf(), depth=12)
@@ -75,7 +73,7 @@ DEPTH_RULE = {
     "sample_path": lambda past: UNIFORM.sample_path(0, 12 + past),
     "sampled_trajectory": lambda past: sampled_trajectory(UNIFORM, 12 + past, 0),
     "steps_to": lambda past: list(UNIFORM.steps_to(_at(12), last=11 + past)),
-    "log_mass": lambda past: UNIFORM.log_mass(_at(12 + past)),
+    "log_mass": lambda past: log_mass(UNIFORM, _at(12 + past)),
     "porous_walk": lambda past: porous_walk(
         porous_retree(UNIFORM, 1, 0.0), _at(12 + past), 1),
     # the last step classifies down to x.level, below the view's own reach
@@ -218,6 +216,7 @@ OTHER_BAD_CALLS = [
     ("uniform_child 2 at d=1", lambda: BERN.root.uniform_child(2), "outside \\[0, 2\\^1\\)"),
     ("porous_split k=0", lambda: porous_split(BERN.root, BERN.root, 0),
      "hole depth k must be >= 1"),
+    # the test reference that checks each split the dyadic tests build
     *((f"validate_partition {name}", lambda children=children: validate_partition(
         CubePartition(BERN.root, children)), message)
       for name, children, message in (
@@ -243,31 +242,12 @@ OTHER_BAD_CALLS = [
     ("apply_homothety shallow source", lambda: apply_homothety(
         CANTOR, Homothety(0.25, (0.0,)), 20), "reads level 18, past the measure's maximum"),
     # the oracle's mass vectors and objectives
-    ("RawVector length", lambda: RawVector(1, 1, (1.0,)), "need 2 masses"),
     ("ReducedPoint length", lambda: ReducedPoint(1, 2, (1.0,), 0.0), "need 2 level masses"),
     ("ReducedPoint p<0", lambda: ReducedPoint(1, 1, (1.5,), -0.5), "nonnegative"),
-    ("RawVector nan", lambda: RawVector(1, 1, (NAN, NAN)), "nonnegative"),
     ("ReducedPoint nan", lambda: ReducedPoint(1, 1, (NAN,), NAN), "nonnegative"),
-    # raw_objective reads only d, k and p: a vector built without RawVector's check
-    ("raw_objective zero", lambda: raw_objective(SimpleNamespace(d=1, k=1, p=(0.0, 0.0))),
-     "zero Lyapunov denominator"),
     ("reduced_objective zero", lambda: reduced_objective(1, 1, (0.0,), 0.0),
      "zero Lyapunov denominator"),
 ]
-
-
-@pytest.fixture
-def count_realizations(monkeypatch):
-    """The node_weights calls made after the fixture is set up."""
-    calls = []
-    real = porodim.measure.node_weights
-
-    def counting(spec, q):
-        calls.append(q)
-        return real(spec, q)
-
-    monkeypatch.setattr(porodim.measure, "node_weights", counting)
-    return calls
 
 
 @pytest.mark.parametrize("name", K_EPS_ENTRIES)
