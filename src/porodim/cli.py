@@ -11,10 +11,10 @@ the depth) or a run too large for memory, 2 failed pass-criterion under --strict
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, bounds, oracle
 from .dimension import _trajectory_from_steps, hmin_and_converse
@@ -123,6 +123,8 @@ def _map(fn, tasks: list[tuple], jobs: int):
     """fn(*task) for each task, in order, in a pool of ``jobs`` processes."""
     if jobs == 1:
         return map(fn, *zip(*tasks))
+    # imported here: the pool module loads multiprocessing, which serial runs skip
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
@@ -406,9 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``'s tree, built once per process for every ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit:  # --help and --version print and exit while parsing
         return 0

@@ -53,10 +53,6 @@ class CubeAddress(tuple):
     level = property(operator.itemgetter(0), doc="Steps down the dyadic tree.")
     coords = property(operator.itemgetter(1), doc="Integer coordinates at ``level``.")
 
-    @property
-    def d(self) -> int:
-        return len(self.coords)
-
     def ancestor(self, level: int) -> "CubeAddress":
         """The unique level-``level`` cube containing this one."""
         level = _index(level, "ancestor level")
@@ -67,15 +63,16 @@ class CubeAddress(tuple):
 
     def contains(self, other: "CubeAddress") -> bool:
         """True when ``other`` is this cube or a descendant of it."""
-        if other.d != self.d or other.level < self.level:
+        if len(other.coords) != len(self.coords) or other.level < self.level:
             return False
         shift = other.level - self.level
         return all((oc >> shift) == c for oc, c in zip(other.coords, self.coords))
 
     def uniform_child(self, offset_index: int) -> "CubeAddress":
         """Child one level down; bit i of ``offset_index`` is the offset on axis i."""
-        if not 0 <= _index(offset_index, "offset index") < (1 << self.d):
-            raise ValueError(f"offset index {offset_index} outside [0, 2^{self.d})")
+        d = len(self.coords)
+        if not 0 <= _index(offset_index, "offset index") < (1 << d):
+            raise ValueError(f"offset index {offset_index} outside [0, 2^{d})")
         return _children(self)[offset_index]
 
     def serialize(self) -> str:
@@ -141,17 +138,22 @@ def _lex_order(d: int, k: int) -> tuple[int, ...]:
     descendants' coords.  Index i holds k base-2^d digits, the first one
     most significant, each a child digit as in ``_children``.  At d = 1
     digit order is coords order; at d >= 2 it is not, since a digit's bit 0
-    is the axis-0 offset."""
-    return tuple(sorted(range(1 << (d * k)), key=lambda i: _offsets(i, d, k)))
+    is the axis-0 offset.  The sort calls ``_offsets`` unmemoized, so that
+    a tie does not fill its memo with all 2^(dk) indices."""
+    return tuple(sorted(range(1 << (d * k)),
+                        key=lambda i: _offsets.__wrapped__(i, d, k)))
 
 
-def _offsets(index: int, d: int, k: int) -> list[int]:
+@functools.cache
+def _offsets(index: int, d: int, k: int) -> tuple[int, ...]:
     """Per-axis coordinate offsets of the depth-k descendant at digit-order
-    ``index``: its coords are the parent's shifted left by k, plus these."""
+    ``index``: its coords are the parent's shifted left by k, plus these.
+    Memoized for the holes walks select: a pure function of its arguments,
+    with at most 2^(dk) entries per (d, k)."""
     offs = [0] * d
     for shift in range(d * (k - 1), -1, -d):
         offs = [(o << 1) | ((index >> (shift + i)) & 1) for i, o in enumerate(offs)]
-    return offs
+    return tuple(offs)
 
 
 def _descendant(parent: CubeAddress, k: int, index: int) -> CubeAddress:
@@ -173,18 +175,19 @@ def porous_split(parent: CubeAddress, hole: CubeAddress, k: int) -> CubePartitio
     """
     if k < 1:
         raise ValueError(f"hole depth k must be >= 1, got {k}")
-    if hole.level != parent.level + k or not parent.contains(hole):
+    bottom, coords = hole
+    if bottom != parent[0] + k or tuple([c >> k for c in coords]) != parent[1]:
         raise ValueError(
             f"hole {hole.serialize()} is not a depth-{k} descendant "
             f"of {parent.serialize()}"
         )
     children: list[CubeAddress] = []
-    for level in range(parent.level + 1, hole.level + 1):
+    for level in range(bottom - k + 1, bottom + 1):
         # the hole's ancestor at this level and its siblings, in coords order
-        spine = tuple(c >> (hole.level - level) for c in hole.coords)
+        spine = tuple([c >> (bottom - level) for c in coords])
         pairs = [(s & ~1, s | 1) for s in spine]
-        children += [_addr(level, coords) for coords in itertools.product(*pairs)
-                     if coords != spine]
+        children += [_addr(level, sib) for sib in itertools.product(*pairs)
+                     if sib != spine]
     children.append(hole)
     return CubePartition(parent, tuple(children), hole=hole)
 

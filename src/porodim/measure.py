@@ -13,7 +13,10 @@ rebuilding with the same seed is identical.  Cascade nodes draw from one
 Philox per process, re-keyed for each node by assigning its state (the key
 the SeedSequence of (seed, node stream, level, *coords) derives, counter 0):
 the same stream as a Philox seeded by that SeedSequence, without building a
-generator per node.
+generator per node.  A Dirichlet node draws its gammas with the numpy calls
+``Generator.dirichlet`` makes, in its order, and normalizes them as it does,
+without its per-call checks; below a largest concentration of 0.1, where
+numpy draws by betas, it calls ``dirichlet`` itself (see ``node_weights``).
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ def _seed_sequence(*key: int) -> np.random.SeedSequence:
     as max(1, ceil(bits / 32)) uint32 words each, least significant first.
     The words are built here in one pass: numpy converts an int a word at a
     time in a Python loop, slow for deep nodes."""
-    words = b"".join(n.to_bytes(4 * max(1, -(-n.bit_length() // 32)), "little")
-                     for n in key)
+    words = b"".join([n.to_bytes(((n.bit_length() + 31) >> 5 or 1) << 2, "little")
+                      for n in key])
     return np.random.SeedSequence(np.frombuffer(words, "<u4"))
 
 
@@ -78,15 +81,16 @@ def _philox_key(pool: Sequence[int]) -> tuple[int, int]:
     SeedSequence's stable stream.  It is written out because numpy's call
     costs three times the hash, about a tenth of cascade_bound's time; the
     node-generator tests check it against the call and every re-keyed
-    stream against numpy's own keying of the node."""
-    mult = 0x8B51F9DD  # SeedSequence's INIT_B
-    words = []
-    for word in pool:
-        word ^= mult
-        mult = (mult * 0x58F38DED) & 0xFFFFFFFF  # MULT_B
-        word = (word * mult) & 0xFFFFFFFF
-        words.append(word ^ (word >> 16))
-    return words[0] | words[1] << 32, words[2] | words[3] << 32
+    stream against numpy's own keying of the node.  Word j is xored with
+    INIT_B * MULT_B^j and multiplied by INIT_B * MULT_B^(j + 1), mod 2^32,
+    where INIT_B = 0x8B51F9DD and MULT_B = 0x58F38DED; the products are
+    written out."""
+    a, b, c, d = pool
+    a = ((a ^ 0x8B51F9DD) * 0x464A0A99) & 0xFFFFFFFF
+    b = ((b ^ 0x464A0A99) * 0x819D14A5) & 0xFFFFFFFF
+    c = ((c ^ 0x819D14A5) * 0xD369FDC1) & 0xFFFFFFFF
+    d = ((d ^ 0xD369FDC1) * 0x501638AD) & 0xFFFFFFFF
+    return (a ^ a >> 16) | (b ^ b >> 16) << 32, (c ^ c >> 16) | (d ^ d >> 16) << 32
 
 
 @functools.cache
@@ -101,7 +105,8 @@ def _node_generator(seed: int, q: CubeAddress) -> np.random.Generator:
     key a Philox takes from the SeedSequence of (seed, node stream, level,
     *coords), counter 0 and an empty buffer, as a fresh Philox starts.  The
     next call re-keys it, so draw from it before realizing another node."""
-    seq = _seed_sequence(_u64(seed), _NODE_STREAM, q.level, *q.coords)
+    level, coords = q
+    seq = _seed_sequence(_u64(seed), _NODE_STREAM, level, *coords)
     rng = _process_generator()
     rng.bit_generator.state = {
         "bit_generator": "Philox",
@@ -198,11 +203,6 @@ class CascadeDirichlet:
             raise ValueError(f"concentration must be positive and finite, got {conc}")
         object.__setattr__(self, "concentration", conc)
 
-    @functools.cached_property
-    def _alpha(self) -> np.ndarray:
-        """The concentration as the float array ``Generator.dirichlet`` reads."""
-        return np.array(self.concentration)
-
 
 @dataclass(frozen=True)
 class CantorMiddleHalf:
@@ -247,7 +247,17 @@ class GeneratorSpec:
 
 
 def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
-    """Offspring vector at node ``q``; a pure function of (spec, q)."""
+    """Offspring vector at node ``q``; a pure function of (spec, q).
+
+    A cascade node draws from its own stream (``_node_generator``).  A
+    Dirichlet node's vector is ``Generator.dirichlet``'s on that stream, bit
+    for bit: the same gamma draws in the same order, one
+    ``standard_gamma(a, 2^d)`` call when every concentration is a, else one
+    call per component, summed left to right into acc and each multiplied
+    by 1 / acc.  Where the largest concentration is below 0.1, numpy draws
+    by stick-breaking with betas instead, and ``dirichlet`` itself is called.
+    The node-stream tests compare every path with ``dirichlet``.
+    """
     m = spec.model
     if isinstance(m, Uniform):
         return (2.0 ** -spec.d,) * (1 << spec.d)
@@ -267,7 +277,18 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
                 return comp
         return m.components[-1]
     # CascadeDirichlet: GeneratorSpec admits no other model
-    return tuple(rng.dirichlet(m._alpha).tolist())
+    conc = m.concentration
+    if max(conc) < 0.1:
+        return tuple(rng.dirichlet(conc).tolist())
+    if conc.count(conc[0]) == len(conc):
+        gammas = rng.standard_gamma(conc[0], len(conc)).tolist()
+    else:
+        gammas = [rng.standard_gamma(a) for a in conc]
+    acc = 0.0
+    for g in gammas:  # not sum(), which compensates from Python 3.12
+        acc += g
+    inv = 1.0 / acc
+    return tuple([g * inv for g in gammas])
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def _classify_full(
     if last.count(least) == 1:
         index = last.index(least)
     else:
-        index = next(i for i in _lex_order(q.d, k) if last[i] == least)
+        index = next(i for i in _lex_order(len(q[1]), k) if last[i] == least)
     return _descendant(q, k, index), frontiers
 
 

@@ -51,14 +51,14 @@ def validate_partition(part):
     if not children:
         raise ValueError("partition has no children")
     for c in children:
-        if c.d != parent.d:
+        if len(c.coords) != len(parent.coords):
             raise ValueError("child dimension mismatch")
         if c.level <= parent.level or not parent.contains(c):
             raise ValueError(f"child {c.serialize()} is not a proper descendant")
     for a, b in itertools.combinations(children, 2):
         if a.contains(b) or b.contains(a):
             raise ValueError(f"children {a.serialize()} and {b.serialize()} are not disjoint")
-    finest, d = max(c.level for c in children), parent.d
+    finest, d = max(c.level for c in children), len(parent.coords)
     if sum(1 << (finest - c.level) * d for c in children) != 1 << (finest - parent.level) * d:
         raise ValueError("children do not cover the parent exactly")
 

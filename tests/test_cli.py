@@ -261,7 +261,7 @@ class TestSimulate:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("porodim.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("porodim.cli.os.cpu_count", lambda: 4)
         sim = ["simulate", "--gen", "bernoulli", "--d", "1", "--weights",
                "0.3,0.7", "--k", "1", "--eps", "0.3", "--depth", "20", "--seed", "3"]

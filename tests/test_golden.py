@@ -3,14 +3,15 @@ byte.  A refactor that changes a digest changes the program's output; if the
 change is deliberate (say, a new RNG keying), update the digest and say why.
 
 Cascade coverage is two mixtures, at d = 1 and d = 2, whose node draws use
-only Philox ``random()``; Dirichlet draws depend on numpy's sampler, so they
-are left out.  The d = 2 Bernoulli translate run (k = 4) pins the pushforward
-and its porosity tests in two dimensions, and the d = 1 mixture translate run
-pins a pushforward of a cascade source, whose nodes each draw their own
-weights.  The three oracle tables (the default battery, d = 2, k = 3 at
-grid 500, and d = 1, k = 3 at grid 1000, where the brute force skips the
-most grid tiles) pin every grid maximum and golden-section polish of the
-brute force to the last digit.
+only Philox ``random()``, and two d = 2 Dirichlet runs, whose draws follow
+numpy's gamma sampler: equal concentrations draw a node's four gammas in one
+call, unequal ones one gamma per component.  The d = 2 Bernoulli translate
+run (k = 4) pins the pushforward and its porosity tests in two dimensions,
+and the d = 1 mixture translate run pins a pushforward of a cascade source,
+whose nodes each draw their own weights.  The three oracle tables (the
+default battery, d = 2, k = 3 at grid 500, and d = 1, k = 3 at grid 1000,
+where the brute force skips the most grid tiles) pin every grid maximum and
+golden-section polish of the brute force to the last digit.
 """
 
 import hashlib
@@ -28,6 +29,12 @@ MIXTURE = {"d": 1, "seed": 101, "generator": {"type": "mixture", "mixture": [
 MIXTURE_D2 = {"d": 2, "seed": 11, "generator": {"type": "mixture", "mixture": [
     {"weights": [0.1, 0.4, 0.4, 0.1], "prob": 0.5},
     {"weights": [0.25, 0.25, 0.25, 0.25], "prob": 0.5}]}}
+
+DIRICHLET_EQUAL = {"d": 2, "seed": 106, "generator": {
+    "type": "dirichlet", "concentration": [0.5, 0.5, 0.5, 0.5]}}
+
+DIRICHLET_UNEQUAL = {"d": 2, "seed": 107, "generator": {
+    "type": "dirichlet", "concentration": [0.3, 1.7, 2.5, 0.9]}}
 
 RUNS = {
     "simulate_bernoulli": (
@@ -49,6 +56,16 @@ RUNS = {
         ["simulate", "--config", "{dir}/mixture_d2.json", "--k", "2", "--eps", "0.02",
          "--depth", "120", "--paths", "2"],
         "8a18f35a37fdafda1afd7f660010ec83344c7e2a090113f316f743c7580799d6",
+    ),
+    "simulate_dirichlet_equal": (
+        ["simulate", "--config", "{dir}/dirichlet_equal.json", "--k", "2", "--eps", "0.01",
+         "--depth", "200", "--paths", "2"],
+        "75ff854a00fdfe7c856ce6c7bce22f6f3337a92c613c5eae578226393b0a65e3",
+    ),
+    "simulate_dirichlet_unequal": (
+        ["simulate", "--config", "{dir}/dirichlet_unequal.json", "--k", "2", "--eps", "0.01",
+         "--depth", "200", "--paths", "2"],
+        "e5eb20192eab0d07ed5f449c776f344ccf6b3c3c6933bfe5afd6f3b1386aaf9c",
     ),
     "translate_cantor": (
         ["translate", "--gen", "cantor_middle_half", "--eta", "1", "--seed", "2024",
@@ -94,6 +111,8 @@ def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     (out / "mixture.json").write_text(json.dumps(MIXTURE))
     (out / "mixture_d2.json").write_text(json.dumps(MIXTURE_D2))
+    (out / "dirichlet_equal.json").write_text(json.dumps(DIRICHLET_EQUAL))
+    (out / "dirichlet_unequal.json").write_text(json.dumps(DIRICHLET_UNEQUAL))
     for name, (argv, _) in RUNS.items():
         if argv is not None:
             argv = [a.format(dir=out) for a in argv] + ["--out", str(out / f"{name}.csv")]

@@ -25,6 +25,7 @@ from porodim.measure import (
     _TRIAL_STREAM,
     _node_generator,
     _philox_key,
+    _process_generator,
     _seed_sequence,
     _u64,
     apply_homothety,
@@ -198,6 +199,52 @@ def test_rekeyed_node_generator_replays_node_rng(level, d, seed):
         got = _node_generator(seed, q).integers(2**32, size=3, dtype=np.uint32)
         want = node_rng(seed, q).integers(2**32, size=3, dtype=np.uint32)
         assert got.tobytes() == want.tobytes()
+
+
+#: Concentration vectors of n components for the node-stream tests, by the
+#: draw path they take: one gamma call (equal), one per component
+#: (unequal), and numpy's beta route below a largest concentration of 0.1
+_EDGE_LOW, _EDGE_HIGH = math.nextafter(0.1, 0.0), math.nextafter(0.1, 1.0)
+_CONCENTRATIONS = {
+    "equal": lambda n: (0.5,) * n,
+    "equal_one": lambda n: (1.0,) * n,
+    "unequal": lambda n: tuple(0.3 + 2.2 * i / n for i in range(n)),
+    "equal_at_edge": lambda n: (0.1,) * n,
+    "largest_at_edge": lambda n: (0.1,) + (0.05,) * (n - 1),
+    "equal_above_edge": lambda n: (_EDGE_HIGH,) * n,
+    "largest_above_edge": lambda n: (0.05,) * (n - 1) + (_EDGE_HIGH,),
+    "equal_below_edge": lambda n: (_EDGE_LOW,) * n,
+    "beta": lambda n: (0.05,) * n,
+    "beta_unequal": lambda n: tuple(0.01 + 0.08 * i / n for i in range(n)),
+}
+
+
+@pytest.mark.parametrize("kind", _CONCENTRATIONS)
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_node_stream_is_dirichlets(d, kind):
+    # a Dirichlet node draws numpy's gammas itself; its vector is
+    # Generator.dirichlet's on numpy's own keying of the node, bit for bit
+    conc = _CONCENTRATIONS[kind](1 << d)
+    spec = GeneratorSpec(d, CascadeDirichlet(conc), 2**64 - 7)
+    for level in (0, 31, 32, 33, 64, 65):  # word-count edges
+        top = (1 << level) - 1
+        for coords in ((0,) * d, (top,) * d, tuple(top // (i + 2) for i in range(d))):
+            q = CubeAddress(level, coords)
+            want = node_rng(spec.seed, q).dirichlet(conc)
+            assert np.array(node_weights(spec, q)).tobytes() == want.tobytes(), (level, coords)
+
+
+@pytest.mark.parametrize("kind", ["equal", "unequal", "beta"])
+def test_node_stream_ignores_a_part_used_buffer(kind):
+    # node realization re-keys the process generator, whatever draws it left
+    conc = _CONCENTRATIONS[kind](4)
+    spec = GeneratorSpec(2, CascadeDirichlet(conc), 106)
+    q = CubeAddress(40, (12345, 2**40 - 3))
+    want = node_rng(106, q).dirichlet(conc).tobytes()
+    for leave in (lambda g: g.random(3), lambda g: g.integers(2**32, dtype=np.uint32),
+                  lambda g: g.standard_gamma(0.3, 5)):
+        leave(_process_generator())
+        assert np.array(node_weights(spec, q)).tobytes() == want
 
 
 def test_node_realization_leaves_path_draws_alone():

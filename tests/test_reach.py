@@ -28,6 +28,7 @@ ALLOWED = {
     "porosity.classify_porous": TRACER,
     "porosity.porous_retree": TRACER,
     "dyadic.CubeAddress.uniform_child": TRACER,
+    "dyadic.CubeAddress.contains": TRACER,
     "bounds.c_const": EUCLIDEAN,
     "bounds.t_dalpha": EUCLIDEAN,
     "dyadic.CubeAddress.__getnewargs__": PINNED,
@@ -43,6 +44,7 @@ simulate --gen bernoulli --weights 0.25,0.75 --eps 0.3 --depth 20 --paths 2 --st
 simulate --gen uniform --depth 5 --paths 1
 simulate --config {tmp}/mixture.json --k 2 --eps 0.01 --depth 6 --paths 2
 simulate --config {tmp}/dirichlet.json --eps 0.1 --depth 6 --paths 1
+simulate --config {tmp}/dirichlet_beta.json --depth 6 --paths 1
 oracle --d 1 --k 2 --grid 20
 oracle --d 2 --k 1 --eps 0.1 --grid 20
 translate --gen cantor_middle_half --trials 2 --depth 8 --eta 1 --strict
@@ -77,6 +79,8 @@ def _run_everything(tmp: Path) -> None:
                                        {"weights": [0.05, 0.35, 0.3, 0.3], "prob": 0.5}]}}))
     (tmp / "dirichlet.json").write_text(json.dumps(
         {"d": 2, "seed": 106, "generator": {"type": "dirichlet", "concentration": [0.5] * 4}}))
+    (tmp / "dirichlet_beta.json").write_text(json.dumps(  # numpy's beta route
+        {"d": 1, "seed": 103, "generator": {"type": "dirichlet", "concentration": [0.05] * 2}}))
     for line in RUNS.strip().splitlines():
         argv = shlex.split(line.format(tmp=tmp))
         assert main([*argv, "--out", str(tmp / "out.csv")]) == 0, argv
