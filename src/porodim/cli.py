@@ -349,7 +349,9 @@ def _table_flags(p) -> None:
                         "perfbench/workloads.py passes --jobs 1")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: every ``main`` parses with it."""
     parser = _Parser(
         prog="porodim",
         description="Porosity and packing-dimension experiments on dyadic tree measures",
@@ -408,15 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``'s tree, built once per process for every ``main``."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit:  # --help and --version print and exit while parsing
         return 0

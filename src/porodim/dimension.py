@@ -29,6 +29,11 @@ from .measure import (
 )
 
 
+def entropy(weights: Weights) -> float:
+    """Shannon entropy in nats, 0 log 0 = 0."""
+    return math.fsum(psi(w) for w in weights)
+
+
 def _exact_sum(col: np.ndarray) -> float:
     """``math.fsum(col)`` bit for bit.  fsum rounds the exact sum once, so a
     column of n copies of x sums to the IEEE product x * n (n <= 2^53), and to
@@ -44,11 +49,9 @@ def _exact_sum(col: np.ndarray) -> float:
 
 
 def _entropy_and_lyapunov(level: int, children, dist: Weights) -> tuple[float, float]:
-    """H = E(-log w), in nats with 0 log 0 = 0, and lambda = E(log
-    side(parent)/side(child))."""
-    h = math.fsum([0.0 if w == 0.0 else -w * math.log(w) for w in dist])
-    lam = math.fsum([w * (c[0] - level) * LOG2 for w, c in zip(dist, children)])
-    return h, lam
+    """H = E(-log w) and lambda = E(log side(parent)/side(child))."""
+    lam = math.fsum(w * (c.level - level) * LOG2 for w, c in zip(dist, children))
+    return entropy(dist), lam
 
 
 @dataclass(frozen=True)

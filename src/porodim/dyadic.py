@@ -138,29 +138,30 @@ def _lex_order(d: int, k: int) -> tuple[int, ...]:
     descendants' coords.  Index i holds k base-2^d digits, the first one
     most significant, each a child digit as in ``_children``.  At d = 1
     digit order is coords order; at d >= 2 it is not, since a digit's bit 0
-    is the axis-0 offset.  The sort calls ``_offsets`` unmemoized, so that
-    a tie does not fill its memo with all 2^(dk) indices."""
-    return tuple(sorted(range(1 << (d * k)),
-                        key=lambda i: _offsets.__wrapped__(i, d, k)))
+    is the axis-0 offset."""
+    return tuple(sorted(range(1 << (d * k)), key=lambda i: _offsets(i, d, k)))
 
 
-@functools.cache
 def _offsets(index: int, d: int, k: int) -> tuple[int, ...]:
     """Per-axis coordinate offsets of the depth-k descendant at digit-order
-    ``index``: its coords are the parent's shifted left by k, plus these.
-    Memoized for the holes walks select: a pure function of its arguments,
-    with at most 2^(dk) entries per (d, k)."""
+    ``index``: its coords are the parent's shifted left by k, plus these."""
     offs = [0] * d
     for shift in range(d * (k - 1), -1, -d):
         offs = [(o << 1) | ((index >> (shift + i)) & 1) for i, o in enumerate(offs)]
     return tuple(offs)
 
 
+#: ``_offsets`` memoized for ``_descendant``, which walks call with the same
+#: few (index, d, k) again and again.  ``_lex_order`` sorts by the plain
+#: function, so that a tie does not fill this memo with all 2^(dk) indices.
+_hole_offsets = functools.cache(_offsets)
+
+
 def _descendant(parent: CubeAddress, k: int, index: int) -> CubeAddress:
     """The depth-k descendant of ``parent`` at digit-order ``index``."""
     coords = parent[1]
     return _addr(parent[0] + k, tuple(map(
-        operator.or_, [c << k for c in coords], _offsets(index, len(coords), k)
+        operator.or_, [c << k for c in coords], _hole_offsets(index, len(coords), k)
     )))
 
 

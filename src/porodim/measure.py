@@ -13,10 +13,10 @@ rebuilding with the same seed is identical.  Cascade nodes draw from one
 Philox per process, re-keyed for each node by assigning its state (the key
 the SeedSequence of (seed, node stream, level, *coords) derives, counter 0):
 the same stream as a Philox seeded by that SeedSequence, without building a
-generator per node.  A Dirichlet node draws its gammas with the numpy calls
-``Generator.dirichlet`` makes, in its order, and normalizes them as it does,
-without its per-call checks; below a largest concentration of 0.1, where
-numpy draws by betas, it calls ``dirichlet`` itself (see ``node_weights``).
+generator per node.  A Dirichlet node with equal concentrations a >= 0.1
+makes the one gamma call ``Generator.dirichlet`` makes and normalizes the
+draws as it does, without its per-call checks; any other Dirichlet node
+calls ``dirichlet`` itself (see ``node_weights``).
 """
 
 from __future__ import annotations
@@ -203,6 +203,11 @@ class CascadeDirichlet:
             raise ValueError(f"concentration must be positive and finite, got {conc}")
         object.__setattr__(self, "concentration", conc)
 
+    @functools.cached_property
+    def _alpha(self) -> np.ndarray:
+        """The concentration as the float array ``Generator.dirichlet`` reads."""
+        return np.array(self.concentration)
+
 
 @dataclass(frozen=True)
 class CantorMiddleHalf:
@@ -251,12 +256,13 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
 
     A cascade node draws from its own stream (``_node_generator``).  A
     Dirichlet node's vector is ``Generator.dirichlet``'s on that stream, bit
-    for bit: the same gamma draws in the same order, one
-    ``standard_gamma(a, 2^d)`` call when every concentration is a, else one
-    call per component, summed left to right into acc and each multiplied
-    by 1 / acc.  Where the largest concentration is below 0.1, numpy draws
-    by stick-breaking with betas instead, and ``dirichlet`` itself is called.
-    The node-stream tests compare every path with ``dirichlet``.
+    for bit.  When every concentration is the same a >= 0.1, the node makes
+    the one call ``dirichlet`` makes, ``standard_gamma(a, 2^d)``, sums the
+    draws left to right into acc and multiplies each by 1 / acc, as
+    ``dirichlet`` does, without its per-call checks.  Any other node
+    (unequal concentrations, or a < 0.1, where numpy breaks a stick with
+    betas) calls ``dirichlet`` itself.  The node-stream tests compare both
+    paths with ``dirichlet``.
     """
     m = spec.model
     if isinstance(m, Uniform):
@@ -278,12 +284,10 @@ def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
         return m.components[-1]
     # CascadeDirichlet: GeneratorSpec admits no other model
     conc = m.concentration
-    if max(conc) < 0.1:
-        return tuple(rng.dirichlet(conc).tolist())
-    if conc.count(conc[0]) == len(conc):
-        gammas = rng.standard_gamma(conc[0], len(conc)).tolist()
-    else:
-        gammas = [rng.standard_gamma(a) for a in conc]
+    a = conc[0]
+    if a < 0.1 or conc.count(a) != len(conc):
+        return tuple(rng.dirichlet(m._alpha).tolist())
+    gammas = rng.standard_gamma(a, len(conc)).tolist()
     acc = 0.0
     for g in gammas:  # not sum(), which compensates from Python 3.12
         acc += g

@@ -5,10 +5,10 @@ change is deliberate (say, a new RNG keying), update the digest and say why.
 Cascade coverage is two mixtures, at d = 1 and d = 2, whose node draws use
 only Philox ``random()``, and two d = 2 Dirichlet runs, whose draws follow
 numpy's gamma sampler: equal concentrations draw a node's four gammas in one
-call, unequal ones one gamma per component.  The d = 2 Bernoulli translate
-run (k = 4) pins the pushforward and its porosity tests in two dimensions,
-and the d = 1 mixture translate run pins a pushforward of a cascade source,
-whose nodes each draw their own weights.  The three oracle tables (the
+``standard_gamma`` call, unequal ones through ``Generator.dirichlet``.  The
+d = 2 Bernoulli translate run (k = 4) pins the pushforward and its porosity
+tests in two dimensions, and the d = 1 mixture translate run pins a
+pushforward of a cascade source, whose nodes each draw their own weights.  The three oracle tables (the
 default battery, d = 2, k = 3 at grid 500, and d = 1, k = 3 at grid 1000,
 where the brute force skips the most grid tiles) pin every grid maximum and
 golden-section polish of the brute force to the last digit.

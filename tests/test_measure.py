@@ -201,9 +201,9 @@ def test_rekeyed_node_generator_replays_node_rng(level, d, seed):
         assert got.tobytes() == want.tobytes()
 
 
-#: Concentration vectors of n components for the node-stream tests, by the
-#: draw path they take: one gamma call (equal), one per component
-#: (unequal), and numpy's beta route below a largest concentration of 0.1
+#: Concentration vectors of n components for the node-stream tests: equal
+#: ones from 0.1 up take the one-gamma-call path, the rest call dirichlet,
+#: which takes numpy's beta route below a largest concentration of 0.1
 _EDGE_LOW, _EDGE_HIGH = math.nextafter(0.1, 0.0), math.nextafter(0.1, 1.0)
 _CONCENTRATIONS = {
     "equal": lambda n: (0.5,) * n,
@@ -222,8 +222,8 @@ _CONCENTRATIONS = {
 @pytest.mark.parametrize("kind", _CONCENTRATIONS)
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_node_stream_is_dirichlets(d, kind):
-    # a Dirichlet node draws numpy's gammas itself; its vector is
-    # Generator.dirichlet's on numpy's own keying of the node, bit for bit
+    # on either draw path a Dirichlet node's vector is Generator.dirichlet's
+    # on numpy's own keying of the node, bit for bit
     conc = _CONCENTRATIONS[kind](1 << d)
     spec = GeneratorSpec(d, CascadeDirichlet(conc), 2**64 - 7)
     for level in (0, 31, 32, 33, 64, 65):  # word-count edges
