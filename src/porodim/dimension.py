@@ -14,6 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -52,6 +53,10 @@ def _entropy_and_lyapunov(level: int, children, dist: Weights) -> tuple[float, f
     """H = E(-log w) and lambda = E(log side(parent)/side(child))."""
     lam = math.fsum(w * (c.level - level) * LOG2 for w, c in zip(dist, children))
     return entropy(dist), lam
+
+
+#: Rows ``PathTrajectory.csv_rows`` converts to Python objects at once.
+_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -98,15 +103,29 @@ class PathTrajectory:
 
     def csv_rows(self):
         """Rows n,I,L,H,lambda,Mbar,Dn,resH,resL,porous; the Mbar column,
-        the length drop on the dyadic frame, repeats L."""
-        I, L, H, lam, D, res_H, res_L = (
-            c.tolist() for c in (self.I, self.L, self.H, self.lam, self.D,
-                                 self.res_H, self.res_L))
-        yield from zip(range(self.steps), I, L, H, lam, L, D, res_H, res_L,
-                       map(int, self.porous.tolist()))
+        the length drop on the dyadic frame, repeats L.  Columns become
+        Python floats one block of rows at a time, so a deep path's rows
+        never exist as objects all at once."""
+        columns = (self.I, self.L, self.H, self.lam, self.D, self.res_H, self.res_L,
+                   self.porous)
+        for lo in range(0, self.steps, _CSV_BLOCK):
+            I, L, H, lam, D, res_H, res_L, porous = (
+                c[lo:lo + _CSV_BLOCK].tolist() for c in columns)
+            yield from zip(range(lo, lo + len(I)), I, L, H, lam, L, D, res_H, res_L,
+                           map(int, porous))
 
 
-def _trajectory_from_steps(steps) -> PathTrajectory:
+def _trajectory_from_steps(steps: list) -> PathTrajectory:
+    """``_trajectory`` of a list of walk steps.  It takes a list, never an
+    iterator: the benchmark's tracer (perfbench/tracer.py) wraps it by name
+    and counts the steps with ``len()``."""
+    return _trajectory(steps)
+
+
+def _trajectory(steps: Iterable) -> PathTrajectory:
+    """The trajectory of walk steps (node, partition, weights, idx), each
+    appended to the columns as it comes: a generator of steps is recorded
+    without any step being kept."""
     # typed arrays: appends cost less than numpy item writes, and memory
     # stays at 8 bytes per value on walks of 10^4-10^5 steps
     I, L, H, lam, porous = (array(code) for code in "ddddb")

@@ -30,6 +30,7 @@ from .dyadic import (
     porous_split,
     subdivide_uniform,
 )
+from .dimension import PathTrajectory, _trajectory
 from .measure import (
     _PATH_STREAM,
     _TRIAL_STREAM,
@@ -125,43 +126,42 @@ class LineageClassifier:
         _check_porosity(base.d, k, eps)
 
         def realizer(q: CubeAddress) -> tuple[CubePartition, Weights]:
-            hole, frontiers = _classify_full(self, q, k, eps)
-            if hole is None:
+            index, frontiers = _classify_full(self, q, k, eps)
+            if index is None:
                 return subdivide_uniform(q), self.weights(q)
-            return porous_split(q, hole, k), _split_weights(frontiers, hole, k)
+            return (porous_split(q, _descendant(q, k, index), k),
+                    _split_weights(frontiers, index, base.d))
 
         return TreeMeasure(base.d, base.depth, realizer)
 
 
 def _classify_full(
     clf: LineageClassifier, q: CubeAddress, k: int, eps: float
-) -> tuple[CubeAddress | None, list[list[float]]]:
-    """q's selected hole, None when q is not porous, and q's conditional-mass
-    frontiers at levels 1..k."""
+) -> tuple[int | None, list[list[float]]]:
+    """The digit-order index of q's selected hole among its depth-k
+    descendants (``dyadic._descendant`` builds the hole), None when q is not
+    porous, and q's conditional-mass frontiers at levels 1..k."""
     frontiers = list(islice(clf.frontiers(q), k))
     last = frontiers[-1]
     least = min(last)
     if least > eps:
         return None, frontiers
     if last.count(least) == 1:
-        index = last.index(least)
-    else:
-        index = next(i for i in _lex_order(len(q[1]), k) if last[i] == least)
-    return _descendant(q, k, index), frontiers
+        return last.index(least), frontiers
+    return next(i for i in _lex_order(len(q[1]), k) if last[i] == least), frontiers
 
 
-def _split_weights(frontiers: list[list[float]], hole: CubeAddress, k: int) -> Weights:
-    """The conditional masses of ``porous_split(q, hole, k)``'s children, in
-    its order, read from q's frontiers 1..k along the hole's digits."""
-    d = len(hole[1])
-    low = [c & ((1 << k) - 1) for c in hole[1]]
+def _split_weights(frontiers: list[list[float]], index: int, d: int) -> Weights:
+    """The conditional masses of the children of q's porous split around the
+    hole at digit-order ``index``, in ``porous_split``'s order, read from q's
+    frontiers 1..k: the hole's level-j ancestor has index ``index >> d(k-j)``
+    in frontier j, and its siblings share all but its last digit."""
+    mask = (1 << d) - 1
     weights: list[float] = []
-    index = 0
-    for shift, frontier in zip(range(k - 1, -1, -1), frontiers):
-        digit = sum(((c >> shift) & 1) << i for i, c in enumerate(low))
-        index <<= d
-        weights += [frontier[index + t] for t in _lex_order(d, 1) if t != digit]
-        index += digit
+    for shift, frontier in zip(range(d * (len(frontiers) - 1), -1, -d), frontiers):
+        spine = index >> shift
+        first = spine & ~mask
+        weights += [frontier[first | t] for t in _lex_order(d, 1) if first | t != spine]
     weights.append(frontiers[-1][index])
     return tuple(weights)
 
@@ -180,7 +180,8 @@ def classify_porous(
     """
     _check_porosity(mu.d, k, eps)
     mu.check_reach(q.level + k, f"the depth-{k} porosity test at {q.serialize()}")
-    return _classify_full(LineageClassifier(mu), q, k, eps)[0]
+    index = _classify_full(LineageClassifier(mu), q, k, eps)[0]
+    return None if index is None else _descendant(q, k, index)
 
 
 def por2_depth(mu: TreeMeasure, q: CubeAddress, eps: float,
@@ -243,29 +244,35 @@ def porous_walk(
 
 def sample_porous_path(
     base: TreeMeasure, k: int, eps: float, seed: int | np.random.Generator, steps: int
-) -> tuple[list[tuple[CubeAddress, CubePartition, Weights, int]], list[bool]]:
-    """One walk of the porous re-tree of ``base`` and its porous levels.
+) -> tuple[PathTrajectory, list[bool]]:
+    """One walk of the porous re-tree of ``base``: its trajectory and its
+    porous levels.
 
-    Returns the walk steps (node, partition, weights, chosen child index) and
-    ``flags[n]``: is the lineage's level-n cube porous at (k, eps), for every
-    level n below the terminal one.  Each node is realized once.  Raises
-    UnrealizedNodeError, a ValueError, before any node is realized unless
-    steps - 1 + k <= base.depth, the least any walk reads; a walk whose porous
-    jumps go deeper raises it at the first node past the depth.
+    Returns the walk's ``PathTrajectory``, each step recorded as the walk
+    yields it, and ``flags[n]``: is the lineage's level-n cube porous at
+    (k, eps), for every level n below the terminal one.  No step is kept,
+    so memory grows linearly with ``steps``: the trajectory's five columns
+    and the flags.  Each node is realized once.  Raises UnrealizedNodeError,
+    a ValueError, before any node is realized unless steps - 1 + k <=
+    base.depth, the least any walk reads; a walk whose porous jumps go
+    deeper raises it at the first node past the depth.
     """
     clf = LineageClassifier(base)
     view = clf.retree(k, eps)
     steps = _index(steps, "steps", 0)
     base.check_reach(steps - 1 + k, f"the {steps}-step walk of the depth-{k} re-tree")
-    walk, flags = [], []
-    for step in view.walk(seed, steps):
-        node, part, _, idx = step
-        child = part.children[idx]
-        walk.append(step)
-        flags.append(part.hole is not None)
-        flags += [clf.por2(child.ancestor(level), eps, k) <= k
-                  for level in range(node.level + 1, child.level)]
-    return walk, flags
+    flags: list[bool] = []
+
+    def flagged():
+        for step in view.walk(seed, steps):
+            node, part, _, idx = step
+            child = part.children[idx]
+            flags.append(part.hole is not None)
+            flags.extend(clf.por2(child.ancestor(level), eps, k) <= k
+                         for level in range(node.level + 1, child.level))
+            yield step
+
+    return _trajectory(flagged()), flags
 
 
 def porous_fraction_trajectory(mu: TreeMeasure, x: CubeAddress, k: int,

@@ -25,7 +25,8 @@ from porodim.measure import (
 )
 from porodim.dimension import _trajectory_from_steps
 from porodim.oracle import fixed_point_candidate, maximize_bruteforce
-from porodim.porosity import run_translation_trials, sample_porous_path, translation_report
+from porodim.porosity import (porous_retree, run_translation_trials, sample_porous_path,
+                              translation_report)
 
 from references import eta_exact, raw_objective
 
@@ -264,8 +265,9 @@ def test_criterion_09_per_split_and_prefix_bounds():
             s, t = solve_s(d, k, eps), t_dk(d, k, eps)
             mu = build_tree_measure(spec, "uniform", steps * k + k, max_level=steps * k + k)
             for i in range(2):
-                walk, _ = sample_porous_path(
-                    mu, k, eps, derived_rng(spec.seed, _PATH_STREAM, i), steps)
+                # the walk simulate streams, kept as a step list to read each split
+                walk = list(porous_retree(mu, k, eps).walk(
+                    derived_rng(spec.seed, _PATH_STREAM, i), steps))
                 traj = _trajectory_from_steps(walk)
                 for (_, part, w, _), h, lam in zip(walk, traj.H, traj.lam):
                     splits += 1
@@ -285,6 +287,46 @@ def test_criterion_09_per_split_and_prefix_bounds():
     assert splits == 9000 and 0 < porous < splits
 
 
+def _components(cfg):
+    """A mixture's or Bernoulli's offspring vectors and their probabilities,
+    else None: a Bernoulli is a one-component mixture."""
+    gen = cfg["generator"]
+    if gen["type"] == "mixture":
+        return ([item["weights"] for item in gen["mixture"]],
+                [item["prob"] for item in gen["mixture"]])
+    if gen["type"] == "bernoulli":
+        return [gen["weights"]], [1.0]
+    return None
+
+
+def test_criterion_09_exact_dimension_within_bound():
+    # Criterion 9 with no walk: on the dyadic frame a cascade's dimension is
+    # exactly E[H(W)]/log 2 and its porous fraction exactly eta, so the
+    # bound's inequality can be checked in closed form.  The tolerance is
+    # the solver's absolute 1e-12 on s, times eta <= 1.  At k = 1 two
+    # configurations meet the bound: a porous node's vector is (eps, 1 - eps),
+    # whose entropy is s(1, 1, eps) log 2, and any other node's is uniform
+    # (every node of the Bernoulli is porous).  They are checked two-sided.
+    equality = {(101, 1), (102, 1)}
+    checked = []
+    for cfg, eps1 in CASCADE_BATTERY:
+        mixture = _components(cfg)
+        if mixture is None:
+            continue
+        comps, probs = mixture
+        d = cfg["d"]
+        dim = math.fsum(p * math.fsum(psi(w) for w in c) for c, p in zip(comps, probs)) / LOG2
+        for k in (1, 2, 3):
+            eps = eps1 * 2.0 ** (-(k - 1) * d)
+            margin = d - eta_exact(comps, probs, k, eps) * t_dk(d, k, eps) - dim
+            print(f"seed {cfg['seed']}, k={k}: margin {margin:.3e}")
+            assert margin >= -2e-12, (cfg["seed"], k, margin)
+            if (cfg["seed"], k) in equality:
+                assert margin <= 2e-12, (cfg["seed"], k, margin)
+            checked.append((cfg["seed"], k))
+    assert len(checked) == 15 and equality <= set(checked)
+
+
 def test_criterion_09_exact_porous_fraction():
     # Below a mu-random node a cascade's subtree has the unbiased cascade
     # law, so each level of a walk is porous with probability eta_exact, and
@@ -295,14 +337,10 @@ def test_criterion_09_exact_porous_fraction():
     # one-component mixtures; eps scales as in the per-split test.
     paths, steps = 16, 300
     for cfg, eps1 in CASCADE_BATTERY:
-        gen = cfg["generator"]
-        if gen["type"] == "mixture":
-            comps = [item["weights"] for item in gen["mixture"]]
-            probs = [item["prob"] for item in gen["mixture"]]
-        elif gen["type"] == "bernoulli":
-            comps, probs = [gen["weights"]], [1.0]
-        else:
+        mixture = _components(cfg)
+        if mixture is None:
             continue
+        comps, probs = mixture
         spec, _ = spec_from_json(cfg)
         for k in (1, 2, 3):
             eps = eps1 * 2.0 ** (-(k - 1) * spec.d)

@@ -152,6 +152,23 @@ class TestSimulate:
         _, parallel = run(tmp_path, *args, "--jobs", "2")
         assert body(serial) == body(parallel)
 
+    def test_jobs_parallel_matches_serial_with_trajectories(self, tmp_path):
+        # a cascade with porous k = 2 jumps: workers return trajectories,
+        # which the parent writes after every path is in
+        config = tmp_path / "dirichlet.json"
+        config.write_text(json.dumps(
+            {"d": 2, "generator": {"type": "dirichlet", "concentration": [0.5] * 4}}))
+        files = {}
+        for jobs in ("1", "2"):
+            out, traj = tmp_path / f"out{jobs}.csv", tmp_path / f"traj{jobs}.csv"
+            assert main(["simulate", "--config", str(config), "--k", "2", "--eps", "0.001",
+                         "--depth", "80", "--paths", "4", "--seed", "106", "--jobs", jobs,
+                         "--out", str(out), "--trajectories", str(traj)]) == 0
+            files[jobs] = out.read_bytes(), traj.read_bytes()
+        assert files["2"] == files["1"]
+        porous = [row["porous"] for row in rows_of(files["1"][1].decode())]
+        assert len(porous) == 320 and 0 < porous.count("1") < 320
+
     def test_trajectory_file(self, tmp_path):
         traj = tmp_path / "traj.csv"
         code, _ = run(

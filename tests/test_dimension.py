@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porodim.bounds import LOG2, psi, solve_s
+from porodim.cli import _simulate_one_path
 from porodim.dimension import (
     PathTrajectory,
     _entropy_and_lyapunov,
@@ -140,7 +141,7 @@ class TestTrajectory:
         # the re-tree walk simulate runs: 30 steps of at most k = 2 levels,
         # probed k levels further down
         mu = make_measure(1, Bernoulli((0.1, 0.9)), depth=62)
-        traj = _trajectory_from_steps(sample_porous_path(mu, 2, 0.05, 8, 30)[0])
+        traj, _ = sample_porous_path(mu, 2, 0.05, 8, 30)
         assert traj.porous.all()  # every node of this measure is (2, .05)-porous
         jumps = traj.L / LOG2  # levels descended per step, exact
         assert set(jumps.tolist()) <= {1.0, 2.0}
@@ -177,6 +178,54 @@ def assert_same_bytes(a: PathTrajectory, b: PathTrajectory) -> None:
         assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
         assert x.tobytes() == y.tobytes(), field.name
     assert a.terminal_D.hex() == b.terminal_D.hex()
+
+
+#: (d, model, seed) of the streamed-walk checks: a mixture, an equal- and an
+#: unequal-concentration Dirichlet and a Bernoulli, at d = 1 and d = 2
+STREAM_SPECS = [
+    *(spec for spec in SPECS if not isinstance(spec[1], Bernoulli)),
+    (1, CascadeDirichlet((0.3, 1.7)), 104),
+    (2, CascadeDirichlet((0.3, 1.7, 2.5, 0.9)), 107),
+    *(spec for spec in SPECS if isinstance(spec[1], Bernoulli)),
+]
+
+
+class TestStreamedWalk:
+    """``sample_porous_path`` records the walk as it goes and keeps no step."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d, model, seed", STREAM_SPECS,
+                             ids=[f"d{d}-{type(m).__name__}-{s}" for d, m, s in STREAM_SPECS])
+    def test_streamed_walk_matches_step_list(self, d, model, seed, k):
+        steps, eps = 40, 0.5 * 2.0 ** -(k * d)
+        mu = make_measure(d, model, depth=steps * k + k, seed=seed)
+        traj, flags = sample_porous_path(mu, k, eps, derived_rng(seed, _PATH_STREAM, 0),
+                                         steps)
+        walk = list(porous_retree(mu, k, eps).walk(derived_rng(seed, _PATH_STREAM, 0),
+                                                   steps))
+        assert_same_bytes(traj, _trajectory_from_steps(walk))
+        _, part, _, idx = walk[-1]
+        assert len(flags) == part.children[idx].level
+
+    def test_streamed_walk_memory_linear_in_depth(self):
+        # one path as simulate runs it, the d = 1 mixture at k = 1, eps 0.1; a
+        # kept step list grows with the square of the depth, as each step's
+        # addresses have level bits: 8000 steps would take about 7 times the
+        # peak of 2000
+        spec = GeneratorSpec(*SPECS[2])
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _simulate_one_path(spec, 1, 0.1, steps, spec.seed, 0)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # warm-up: lazy imports and caches are not the path's
+        small, large = peak(2000), peak(8000)
+        assert large < 5 * small, (small, large)
 
 
 class Draws(np.random.Generator):

@@ -166,10 +166,12 @@ class TestLineageClassifier:
     def test_walk_flags_match_reference(self, d, model, eps_of_k, k):
         eps, steps = eps_of_k[k], 30
         mu = make_measure(d, model, depth=steps * k + k, seed=106)
-        walk, flags = sample_porous_path(
+        traj, flags = sample_porous_path(
             mu, k, eps, derived_rng(106, _PATH_STREAM, 0), steps
         )
-        assert len(walk) == steps
+        # the same walk of the same view, as a step list
+        walk = list(porous_retree(mu, k, eps).walk(derived_rng(106, _PATH_STREAM, 0), steps))
+        assert len(walk) == traj.steps == steps
         last = walk[-1][1].children[walk[-1][3]]
         assert len(flags) == last.level
         assert 0 < sum(flags) < len(flags)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porodim.cli import _simulate_one_path, _translate_chunk
-from porodim.dyadic import CubeAddress, porous_split, subdivide_uniform
+from porodim.dyadic import CubeAddress, _descendant, porous_split, subdivide_uniform
 from porodim.measure import (
     _PATH_STREAM,
     Bernoulli,
@@ -73,7 +73,8 @@ def test_classifier_matches_node_by_node_reference(spec, k, level, data):
     top = 2.0 ** -(k * d)
     eps = data.draw(st.sampled_from([0.0, min(least, top), top]) | st.floats(0.0, top))
 
-    got_hole, got = _classify_full(LineageClassifier(mu), q, k, eps)
+    got_index, got = _classify_full(LineageClassifier(mu), q, k, eps)
+    got_hole = None if got_index is None else _descendant(q, k, got_index)
     # every frontier entry, bit for bit, in digit order
     assert got == [list(ref.values()) for ref in reference]
     assert min(got[-1]) == least
@@ -132,9 +133,11 @@ def _check_walk_flags(d, model, spec_seed, k, depth, share, seed, draws, reach=N
     t = tuple(i * 2.0 ** -depth for i in draws)
     nu = apply_homothety(mu, Homothety(0.125, t), reach)
     eps = share * 2.0 ** -(k * d)
-    walk, flags = sample_porous_path(nu, k, eps, derived_rng(seed, _PATH_STREAM, 0),
-                                     depth // k + 1)
-    _, part, _, idx = walk[-1]
+    steps = depth // k + 1
+    _, flags = sample_porous_path(nu, k, eps, derived_rng(seed, _PATH_STREAM, 0), steps)
+    # the lineage from the same walk of the same view
+    *_, (_, part, _, idx) = porous_retree(nu, k, eps).walk(
+        derived_rng(seed, _PATH_STREAM, 0), steps)
     x = part.children[idx]
     assert porous_fraction_trajectory(nu, x.ancestor(x.level - 1), k, eps) == tuple(flags)
 
