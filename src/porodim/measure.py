@@ -10,13 +10,16 @@ Realization is lazy: node data is produced on demand by a
 deterministic realizer keyed by (seed, node address) through a counter-based
 generator (numpy Philox), so parallel and serial builds agree bit for bit and
 rebuilding with the same seed is identical.  Cascade nodes draw from one
-Philox per process, re-keyed for each node by assigning its state (the key
-the SeedSequence of (seed, node stream, level, *coords) derives, counter 0):
-the same stream as a Philox seeded by that SeedSequence, without building a
-generator per node.  A Dirichlet node with equal concentrations a >= 0.1
-makes the one gamma call ``Generator.dirichlet`` makes and normalizes the
-draws as it does, without its per-call checks; any other Dirichlet node
-calls ``dirichlet`` itself (see ``node_weights``).
+Philox per process, re-keyed for each node by assigning its state: the key is
+a 16-byte keyed BLAKE2b digest of the node's address, counter 0, the stream a
+fresh Philox with that key gives (see ``_node_generator``).  The hash reads
+d * ceil(level / 8) coordinate bytes, so a node's cost still grows with its
+level, as does address arithmetic: one d = 1 mixture re-tree path takes
+23-28 us a step at 5000 steps, 29-34 us at 20000 and 61-65 us at 10^5
+(2-core host).  A Dirichlet node with equal concentrations a >= 0.1 makes
+the one gamma call ``Generator.dirichlet`` makes and normalizes the draws as
+it does, without its per-call checks; any other Dirichlet node calls
+``dirichlet`` itself (see ``node_weights``).
 """
 
 from __future__ import annotations
@@ -36,10 +39,13 @@ from .dyadic import CubeAddress, CubePartition, _addr, _index, root, subdivide_u
 
 Weights = tuple[float, ...]
 
-#: Stream tags keeping node draws, path draws and trial draws independent.
+#: Stream tags of ``derived_rng``: path draws and trial draws.  Node draws
+#: are keyed apart, by a BLAKE2b hash of the address tagged ``_NODE_PERSON``,
+#: and no derived generator takes ``_NODE_STREAM``.
 _NODE_STREAM = 0
 _PATH_STREAM = 1
 _TRIAL_STREAM = 2
+_NODE_PERSON = b"porodim-node"
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -63,7 +69,7 @@ def _seed_sequence(*key: int) -> np.random.SeedSequence:
     """numpy's ``SeedSequence`` of ``key``, a tuple of non-negative ints taken
     as max(1, ceil(bits / 32)) uint32 words each, least significant first.
     The words are built here in one pass: numpy converts an int a word at a
-    time in a Python loop, slow for deep nodes."""
+    time in a Python loop, slow for large indices."""
     words = b"".join([n.to_bytes(((n.bit_length() + 31) >> 5 or 1) << 2, "little")
                       for n in key])
     return np.random.SeedSequence(np.frombuffer(words, "<u4"))
@@ -74,25 +80,6 @@ def _keyed_rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_seed_sequence(*key)))
 
 
-def _philox_key(pool: Sequence[int]) -> tuple[int, int]:
-    """``generate_state(2, np.uint64)`` of the SeedSequence whose pool is
-    ``pool``: the key a Philox seeded by it takes.  This is the hash numpy's
-    ``generate_state`` applies to the four pool words, part of
-    SeedSequence's stable stream.  It is written out because numpy's call
-    costs three times the hash, about a tenth of cascade_bound's time; the
-    node-generator tests check it against the call and every re-keyed
-    stream against numpy's own keying of the node.  Word j is xored with
-    INIT_B * MULT_B^j and multiplied by INIT_B * MULT_B^(j + 1), mod 2^32,
-    where INIT_B = 0x8B51F9DD and MULT_B = 0x58F38DED; the products are
-    written out."""
-    a, b, c, d = pool
-    a = ((a ^ 0x8B51F9DD) * 0x464A0A99) & 0xFFFFFFFF
-    b = ((b ^ 0x464A0A99) * 0x819D14A5) & 0xFFFFFFFF
-    c = ((c ^ 0x819D14A5) * 0xD369FDC1) & 0xFFFFFFFF
-    d = ((d ^ 0xD369FDC1) * 0x501638AD) & 0xFFFFFFFF
-    return (a ^ a >> 16) | (b ^ b >> 16) << 32, (c ^ c >> 16) | (d ^ d >> 16) << 32
-
-
 @functools.cache
 def _process_generator() -> np.random.Generator:
     """The one node generator of this process, built on first use: importing
@@ -100,17 +87,40 @@ def _process_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
+@functools.cache
+def _blake2b():
+    """hashlib's BLAKE2b, imported on first use, as numpy.random is (and
+    numpy.random imports hashlib itself): importing hashlib with this
+    package loads OpenSSL, 3.7 MB of RSS, into runs that realize no cascade
+    node, such as ``solve``, ``oracle`` and ``hmin``."""
+    import hashlib
+    return hashlib.blake2b
+
+
 def _node_generator(seed: int, q: CubeAddress) -> np.random.Generator:
-    """The process's node generator, re-keyed to node ``q``'s stream: the
-    key a Philox takes from the SeedSequence of (seed, node stream, level,
-    *coords), counter 0 and an empty buffer, as a fresh Philox starts.  The
-    next call re-keys it, so draw from it before realizing another node."""
+    """The process's node generator, re-keyed to node ``q``'s stream: counter
+    0 and an empty buffer, as a fresh Philox starts, under the 16-byte
+    BLAKE2b digest of q's address with key ``_u64(seed)`` and tag
+    ``_NODE_PERSON``, taken as ``Philox(key=int.from_bytes(digest,
+    "little"))`` takes it.  The address is the level as 8 bytes and each
+    coordinate as max(1, ceil(level / 8)) bytes, all little-endian: one
+    width per level, so the encoding is injective for a given d.  A hash of
+    the address keeps the stream a pure function of (seed, q), whatever was
+    realized before.  hashlib hashes in C, but d * level / 8 bytes, so the
+    cost grows with the level: about 1.5 us at level 1000 and 7.5 us at
+    20000 for d = 1.  The next call re-keys the generator, so draw from it
+    before realizing another node."""
     level, coords = q
-    seq = _seed_sequence(_u64(seed), _NODE_STREAM, level, *coords)
+    width = (level + 7) >> 3 or 1
+    h = _blake2b()(level.to_bytes(8, "little"), digest_size=16,
+                   key=_u64(seed).to_bytes(8, "little"), person=_NODE_PERSON)
+    for c in coords:
+        h.update(c.to_bytes(width, "little"))
+    key = int.from_bytes(h.digest(), "little")
     rng = _process_generator()
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": _philox_key(seq.pool.tolist())},
+        "state": {"counter": (0, 0, 0, 0), "key": (key & 0xFFFFFFFFFFFFFFFF, key >> 64)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return rng
@@ -254,7 +264,8 @@ class GeneratorSpec:
 def node_weights(spec: GeneratorSpec, q: CubeAddress) -> Weights:
     """Offspring vector at node ``q``; a pure function of (spec, q).
 
-    A cascade node draws from its own stream (``_node_generator``).  A
+    A cascade node draws from its own stream (``_node_generator``), keyed
+    by a hash of its address whose cost grows with the level.  A
     Dirichlet node's vector is ``Generator.dirichlet``'s on that stream, bit
     for bit.  When every concentration is the same a >= 0.1, the node makes
     the one call ``dirichlet`` makes, ``standard_gamma(a, 2^d)``, sums the

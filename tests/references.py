@@ -1,6 +1,7 @@
 """Plain references the tests compare the library against: each computes a
 quantity the direct way, or checks what no library path needs checked."""
 
+import hashlib
 import itertools
 import math
 
@@ -8,13 +9,19 @@ import numpy as np
 
 from porodim.bounds import psi
 from porodim.dyadic import subdivide_uniform
-from porodim.measure import _NODE_STREAM, _u64
 
 
 def node_rng(seed, q):
-    """Node ``q``'s generator, keyed by numpy's own SeedSequence."""
-    seq = np.random.SeedSequence((_u64(seed), _NODE_STREAM, q.level, *q.coords))
-    return np.random.Generator(np.random.Philox(seq))
+    """Node ``q``'s generator, a fresh Philox keyed by the 16-byte BLAKE2b
+    digest, under the key seed mod 2^64 (8 bytes) and the tag b"porodim-node",
+    of q's level (8 bytes) and coordinates (max(1, ceil(level / 8)) bytes
+    each), all little-endian."""
+    width = max(1, math.ceil(q.level / 8))
+    address = q.level.to_bytes(8, "little") + b"".join(
+        c.to_bytes(width, "little") for c in q.coords)
+    digest = hashlib.blake2b(address, digest_size=16, key=(seed % 2**64).to_bytes(8, "little"),
+                             person=b"porodim-node").digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 
 
 def log_mass(mu, q):

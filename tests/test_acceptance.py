@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porodim.bounds import LOG2, psi, solve_s, t_dk
 from porodim.cli import main
@@ -325,6 +327,35 @@ def test_criterion_09_exact_dimension_within_bound():
                 assert margin <= 2e-12, (cfg["seed"], k, margin)
             checked.append((cfg["seed"], k))
     assert len(checked) == 15 and equality <= set(checked)
+
+
+@st.composite
+def _two_component_mixtures(draw):
+    """(d, k, components, probs, eps): two offspring vectors at d <= 2, each
+    normalized from draws that may be 0 or 1, either drawn with any
+    probability, k <= 3 and eps anywhere in [0, 2^-kd]."""
+    d, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    weight = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    comps = []
+    for _ in range(2):
+        raw = draw(st.lists(weight, min_size=1 << d, max_size=1 << d)
+                   .filter(lambda w: math.fsum(w) > 0.0))
+        comps.append([w / math.fsum(raw) for w in raw])
+    p = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    eps = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) * 2.0 ** (-k * d)
+    return d, k, comps, [p, 1.0 - p], eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_component_mixtures())
+def test_criterion_09_exact_dimension_within_bound_on_random_mixtures(case):
+    # the closed-form check above over random two-component mixtures: the
+    # exact dimension E[H(W)]/log 2 is at most d - eta_exact * t(d, k, eps),
+    # to the solver's 1e-12 on s
+    d, k, comps, probs, eps = case
+    dim = math.fsum(p * math.fsum(psi(w) for w in c) for c, p in zip(comps, probs)) / LOG2
+    margin = d - eta_exact(comps, probs, k, eps) * t_dk(d, k, eps) - dim
+    assert margin >= -2e-12, margin
 
 
 def test_criterion_09_exact_porous_fraction():

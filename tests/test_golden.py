@@ -5,7 +5,9 @@ change is deliberate (say, a new RNG keying), update the digest and say why.
 Cascade coverage is two mixtures, at d = 1 and d = 2, whose node draws use
 only Philox ``random()``, and two d = 2 Dirichlet runs, whose draws follow
 numpy's gamma sampler: equal concentrations draw a node's four gammas in one
-``standard_gamma`` call, unequal ones through ``Generator.dirichlet``.  The
+``standard_gamma`` call, unequal ones through ``Generator.dirichlet``.  All
+four pin the node keying, a BLAKE2b digest of each node's address: its
+level as 8 bytes and each coordinate as max(1, ceil(level / 8)) bytes.  The
 d = 2 Bernoulli translate run (k = 4) pins the pushforward and its porosity
 tests in two dimensions, and the d = 1 mixture translate run pins a
 pushforward of a cascade source, whose nodes each draw their own weights.  The three oracle tables (the
@@ -50,22 +52,22 @@ RUNS = {
     "simulate_mixture": (
         ["simulate", "--config", "{dir}/mixture.json", "--k", "2", "--eps", "0.01",
          "--depth", "150", "--paths", "2"],
-        "1cd33183bae7e785a1044962ed721d67dc6982b1a98594b1d2c36ba717aebca5",
+        "7ed063e12c403dc3f9e02539021b655cc8e8bf229b7e4fc750b0c55901416159",
     ),
     "simulate_mixture_d2": (
         ["simulate", "--config", "{dir}/mixture_d2.json", "--k", "2", "--eps", "0.02",
          "--depth", "120", "--paths", "2"],
-        "8a18f35a37fdafda1afd7f660010ec83344c7e2a090113f316f743c7580799d6",
+        "bd292da87b28e771e798375cb7eb33e79210e83f3424e1cced217a0a7cef3f43",
     ),
     "simulate_dirichlet_equal": (
         ["simulate", "--config", "{dir}/dirichlet_equal.json", "--k", "2", "--eps", "0.01",
          "--depth", "200", "--paths", "2"],
-        "75ff854a00fdfe7c856ce6c7bce22f6f3337a92c613c5eae578226393b0a65e3",
+        "0b8cc90042ba76f264dbdbc7ec1484331801173d320e91b8430c6e16b873f714",
     ),
     "simulate_dirichlet_unequal": (
         ["simulate", "--config", "{dir}/dirichlet_unequal.json", "--k", "2", "--eps", "0.01",
          "--depth", "200", "--paths", "2"],
-        "e5eb20192eab0d07ed5f449c776f344ccf6b3c3c6933bfe5afd6f3b1386aaf9c",
+        "5eb3c7dbbf92c26beb6b8c52514d20e3ce0a78b006c11b5a7a4aa62682d1d821",
     ),
     "translate_cantor": (
         ["translate", "--gen", "cantor_middle_half", "--eta", "1", "--seed", "2024",

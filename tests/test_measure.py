@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,9 +25,7 @@ from porodim.measure import (
     _PATH_STREAM,
     _TRIAL_STREAM,
     _node_generator,
-    _philox_key,
     _process_generator,
-    _seed_sequence,
     _u64,
     apply_homothety,
     build_tree_measure,
@@ -124,24 +123,26 @@ class TestBuildAndMass:
         assert log_mass(mu, CubeAddress(600, (0,))) == pytest.approx(-1200 * math.log(2))
 
 
-#: Levels where a coordinate's uint32 word count changes, drawn on purpose
-_WORD_EDGES = st.one_of(
+#: Levels where a coordinate's byte width, ceil(level / 8), changes, drawn on
+#: purpose
+_BYTE_EDGES = st.one_of(
     st.integers(0, 5000),
-    st.sampled_from([31, 32, 33, 63, 64, 65]),
-    st.integers(0, 5000 // 32).map(lambda j: 32 * j),
+    st.sampled_from([0, 7, 8, 9, 63, 64, 65, 2000]),
+    st.integers(0, 5000 // 8).map(lambda j: 8 * j),
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    level=_WORD_EDGES,
+    level=_BYTE_EDGES,
     d=st.integers(1, 3),
     seed=st.one_of(st.sampled_from([-1, 0, 2**64 - 1]), st.integers(-2**70, 2**70)),
     data=st.data(),
 )
-def test_node_rng_matches_numpy_keying(level, d, seed, data):
-    # node realization builds SeedSequence's words itself and re-keys one
-    # Philox; numpy's own keying of the node is the reference, draw for draw
+def test_node_generator_matches_blake2b_node_rng(level, d, seed, data):
+    # node realization hashes the address itself and re-keys one Philox; a
+    # fresh Philox keyed by the reference's digest is the reference, draw
+    # for draw
     top = (1 << level) - 1
     coords = tuple(
         data.draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top)))
@@ -176,7 +177,8 @@ def test_derived_rng_takes_any_integer_type():
     assert got.tobytes() == derived_rng(-3, _PATH_STREAM, 7).random(4).tobytes()
 
 
-@pytest.mark.parametrize("level", [0, 31, 32, 33, 64, 2000])  # word-count edges
+#: levels where a coordinate's byte width changes, and levels between them
+@pytest.mark.parametrize("level", [0, 7, 8, 9, 31, 32, 33, 63, 64, 65, 2000])
 @pytest.mark.parametrize("d", [1, 2, 8])
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64 + 12345])
 def test_rekeyed_node_generator_replays_node_rng(level, d, seed):
@@ -187,9 +189,6 @@ def test_rekeyed_node_generator_replays_node_rng(level, d, seed):
     middle = tuple(top * (i + 1) // (d + 1) for i in range(d))
     for coords in ((0,) * d, (top,) * d, middle):
         q = CubeAddress(level, coords)
-        seq = _seed_sequence(_u64(seed), _NODE_STREAM, level, *coords)
-        assert _philox_key(seq.pool.tolist()) == tuple(
-            seq.generate_state(2, np.uint64).tolist())
         _node_generator(seed + 1, q).random(3)  # leaves a part-used buffer
         got = _node_generator(seed, q).random(5)
         assert got.tobytes() == node_rng(seed, q).random(5).tobytes()
@@ -223,10 +222,10 @@ _CONCENTRATIONS = {
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_node_stream_is_dirichlets(d, kind):
     # on either draw path a Dirichlet node's vector is Generator.dirichlet's
-    # on numpy's own keying of the node, bit for bit
+    # on the reference keying of the node, bit for bit
     conc = _CONCENTRATIONS[kind](1 << d)
     spec = GeneratorSpec(d, CascadeDirichlet(conc), 2**64 - 7)
-    for level in (0, 31, 32, 33, 64, 65):  # word-count edges
+    for level in (0, 7, 8, 9, 63, 64, 65, 2000):  # byte-width edges
         top = (1 << level) - 1
         for coords in ((0,) * d, (top,) * d, tuple(top // (i + 2) for i in range(d))):
             q = CubeAddress(level, coords)
@@ -245,6 +244,61 @@ def test_node_stream_ignores_a_part_used_buffer(kind):
                   lambda g: g.standard_gamma(0.3, 5)):
         leave(_process_generator())
         assert np.array(node_weights(spec, q)).tobytes() == want
+
+
+def _node_key(seed, q):
+    """The Philox key node realization gives ``q``'s stream."""
+    return tuple(_node_generator(seed, q).bit_generator.state["state"]["key"].tolist())
+
+
+def test_node_keys_separate_near_collisions():
+    # addresses a careless encoding could merge: one coordinate at levels
+    # 7, 8 and 9, across a byte-width edge; d = 1 and d = 2 at one level,
+    # where (c,)'s encoding is a prefix of (c, 0)'s; coordinates equal but
+    # for their top byte; swapped coordinates; seeds one apart.  Seeds s and
+    # s + 2^64 share every key: the seed is taken mod 2^64
+    nodes = [CubeAddress(level, (c,) * d) for level in (7, 8, 9) for d in (1, 2)
+             for c in (0, 1, 2, 127)]
+    for level in (9, 16, 17, 63, 64, 65, 2000):
+        top = 1 << 8 * ((level + 7) // 8 - 1)  # the top byte's unit
+        for c in (0, 1, 255, (1 << level) - 1 - top):
+            nodes += [CubeAddress(level, coords) for coords in (
+                (c,), (c + top,), (c, 0), (0, c), (c, c + 1), (c + 1, c), (c, top), (top, c))
+                if max(coords) < 1 << level]
+    nodes = list(dict.fromkeys(nodes))
+    keys = [_node_key(s, q) for s in (101, 102) for q in nodes]
+    assert len(set(keys)) == len(keys)
+    for seed in (0, 101, 2**64 - 1):
+        for q in nodes[::7]:
+            assert _node_key(seed, q) == _node_key(seed + 2**64, q)
+
+
+def test_node_keys_give_balanced_draws():
+    # seed 101's mixture takes its first component with probability 1/2 at
+    # every node, independently: over about 20k nodes at levels 0-2000 the
+    # first-component frequency, and the agreement rates of sibling pairs and
+    # of parent-child pairs, lie within 4 binomial standard errors of 1/2
+    spec = GeneratorSpec(1, CascadeFiniteMixture(((0.5, 0.5), (0.1, 0.9)), (0.5, 0.5)), 101)
+    first = {}
+
+    def is_first(q):
+        if q not in first:
+            first[q] = node_weights(spec, q) == (0.5, 0.5)
+        return first[q]
+
+    draw = random.Random(2024)
+    siblings, lineages = set(), set()
+    for _ in range(7000):
+        level = draw.randrange(1, 2001)
+        parent = CubeAddress(level - 1, (draw.getrandbits(level - 1),))
+        left, right = subdivide_uniform(parent).children
+        siblings.add((left, right))
+        lineages.add((parent, (left, right)[draw.getrandbits(1)]))
+    for pairs in (siblings, lineages):
+        agree = [is_first(a) == is_first(b) for a, b in pairs]
+        assert abs(sum(agree) / len(agree) - 0.5) <= 4 * math.sqrt(0.25 / len(agree))
+    assert len(first) > 19000
+    assert abs(sum(first.values()) / len(first) - 0.5) <= 4 * math.sqrt(0.25 / len(first))
 
 
 def test_node_realization_leaves_path_draws_alone():

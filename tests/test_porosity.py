@@ -365,7 +365,7 @@ class TestTranslation:
 
     @pytest.mark.parametrize("d, model, seed, alpha, depth, trials, realized", [
         (1, CantorMiddleHalf(), 2024, 0.25, 12, 20, 339),
-        (2, CascadeDirichlet((0.5,) * 4), 3, 0.5, 8, 2, 540),
+        (2, CascadeDirichlet((0.5,) * 4), 3, 0.5, 8, 2, 497),
     ])
     def test_one_descent_per_pushforward_node(self, monkeypatch, d, model, seed,
                                               alpha, depth, trials, realized):
