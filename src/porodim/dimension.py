@@ -116,9 +116,11 @@ class PathTrajectory:
 
 
 def _trajectory_from_steps(steps: list) -> PathTrajectory:
-    """``_trajectory`` of a list of walk steps.  It takes a list, never an
-    iterator: the benchmark's tracer (perfbench/tracer.py) wraps it by name
-    and counts the steps with ``len()``."""
+    """``_trajectory`` of a list of walk steps.  No library code calls it:
+    every walk is recorded as a stream by ``_trajectory``.  It stays because
+    the benchmark's tracer (perfbench/tracer.py) wraps it by name and counts
+    the steps with ``len()``, and the tests take it as the step-list
+    reference."""
     return _trajectory(steps)
 
 
@@ -164,14 +166,16 @@ def sampled_trajectory(
     """Sample one lineage of ``depth`` steps, an integer in 1..mu.depth checked
     before any node is realized, and record its trajectory in a single pass.
     A product measure (``mu.product_weights`` set) is walked in numpy; its
-    trajectory equals the one of ``mu.walk`` bit for bit."""
+    trajectory equals the one of ``mu.walk`` bit for bit.  Any other measure
+    streams ``mu.walk`` into the columns and keeps no step, so memory grows
+    linearly in the depth."""
     depth = _index(depth, "walk depth")
     if depth < 1:
         raise ValueError("empty walk")
     mu.check_reach(depth, f"the {depth}-step walk")
     if mu.product_weights is not None:
         return _product_trajectory(mu, depth, seed)
-    return _trajectory_from_steps(list(mu.walk(seed, steps=depth)))
+    return _trajectory(mu.walk(seed, steps=depth))
 
 
 def _pick(cum: list[float], targets: np.ndarray) -> np.ndarray:

@@ -97,6 +97,15 @@ def _blake2b():
     return hashlib.blake2b
 
 
+@functools.lru_cache(maxsize=4)
+def _node_hasher(seed: int):
+    """The BLAKE2b state keyed by ``seed`` (an unsigned 64-bit int) and
+    tagged ``_NODE_PERSON``, before any data: keying compresses a 128-byte
+    key block, so each node copies this state instead of keying afresh.  A
+    few seeds are kept, for runs that alternate between measures."""
+    return _blake2b()(digest_size=16, key=seed.to_bytes(8, "little"), person=_NODE_PERSON)
+
+
 def _node_generator(seed: int, q: CubeAddress) -> np.random.Generator:
     """The process's node generator, re-keyed to node ``q``'s stream: counter
     0 and an empty buffer, as a fresh Philox starts, under the 16-byte
@@ -106,14 +115,15 @@ def _node_generator(seed: int, q: CubeAddress) -> np.random.Generator:
     coordinate as max(1, ceil(level / 8)) bytes, all little-endian: one
     width per level, so the encoding is injective for a given d.  A hash of
     the address keeps the stream a pure function of (seed, q), whatever was
-    realized before.  hashlib hashes in C, but d * level / 8 bytes, so the
-    cost grows with the level: about 1.5 us at level 1000 and 7.5 us at
-    20000 for d = 1.  The next call re-keys the generator, so draw from it
-    before realizing another node."""
+    realized before.  The hash starts from a copy of the seed's keyed
+    state (``_node_hasher``), which gives the digest keying afresh gives.
+    hashlib hashes in C, but d * level / 8 bytes, so the cost grows with
+    the level.  The next call re-keys the generator, so draw from it before
+    realizing another node."""
     level, coords = q
     width = (level + 7) >> 3 or 1
-    h = _blake2b()(level.to_bytes(8, "little"), digest_size=16,
-                   key=_u64(seed).to_bytes(8, "little"), person=_NODE_PERSON)
+    h = _node_hasher(_u64(seed)).copy()
+    h.update(level.to_bytes(8, "little"))
     for c in coords:
         h.update(c.to_bytes(width, "little"))
     key = int.from_bytes(h.digest(), "little")

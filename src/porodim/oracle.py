@@ -14,6 +14,15 @@ tiles halved level by level and a tangent-plane bound of slack O(h^2) in the
 tile width h, it evaluates about 0.2 % of the points at d = 2, k = 3,
 grid 500 and eps 2^-10.
 
+The polish searches one free coordinate at a time.  Each search forms the
+terms the other coordinates contribute to the objective's two sums once,
+and a probe adds only its own coordinate's terms and q_k's (see _line).
+Every sum is one math.fsum over all its terms, correctly rounded whatever
+their order, so each probe is the value reduced_objective gives bit for
+bit.  After each search the objective is evaluated again at the returned
+point, which the search itself never probed; reusing the search's values
+there instead would move the pinned digits.
+
 tests/test_golden.py pins the CSV of the default oracle battery, of the
 d = 2, k = 3 table at grid 500 and of the d = 1, k = 3 table at grid 1000,
 so every grid maximum and polished point is held to the last digit.
@@ -243,6 +252,11 @@ def maximize_bruteforce(
     a small share of the points go unevaluated: a tile of points is skipped
     only when an upper bound on its values lies below a value the grid
     attains, and tiles are halved until they are points (see _grid_max).
+    Each coordinate's golden-section search probes _line, which forms the
+    other coordinates' terms once per search and sums all terms in one
+    fsum per sum, so a probe equals reduced_objective bit for bit; the
+    point a search returns is evaluated once more for the 1e-14 acceptance
+    test.
     The search stays independent of the implicit-equation solver: nothing
     here assumes the geometric-decay structure of the maximizer.
     """
@@ -255,19 +269,8 @@ def maximize_bruteforce(
                          f"{MAX_GRID_POINTS}, got grid={grid}, k={k}")
     L = (1 << d) - 1
     _, best_free = _grid_max(d, k, eps, grid)
-
-    def point(z) -> tuple[tuple[float, ...], float]:
-        """(q, p) at the free coordinates z = (q_1..q_{k-1}, p); q_k takes the
-        rest of the budget.  The polish bounds keep every probe feasible up
-        to rounding, which the clamp at 0 absorbs."""
-        qk = (1.0 - z[-1]) / L - math.fsum(z[:-1])
-        return (*z[:-1], max(qk, 0.0)), z[-1]
-
-    def func(z) -> float:
-        return reduced_objective(d, k, *point(z))
-
     z = list(best_free)
-    fz = func(z)
+    fz = _line(d, k, z, 0)(z[0])
     for _ in range(60):
         improved = False
         for i in range(len(z)):
@@ -277,12 +280,7 @@ def maximize_bruteforce(
                 hi_i = (1.0 - z[-1]) / L - (math.fsum(z[:-1]) - z[i])
             if hi_i <= 0.0:
                 continue
-
-            def along(x, i=i):
-                trial = z.copy()
-                trial[i] = x
-                return func(trial)
-
+            along = _line(d, k, z, i)
             xi = _golden_section(along, 0.0, hi_i)
             fxi = along(xi)
             if fxi > fz + 1e-14:
@@ -290,7 +288,57 @@ def maximize_bruteforce(
                 improved = True
         if not improved:
             break
-    return BruteForceResult(value=fz, argmax=ReducedPoint(d, k, *point(z)))
+    return BruteForceResult(value=fz, argmax=ReducedPoint(d, k, *_point(z, L)))
+
+
+def _point(z, L: int) -> tuple[tuple[float, ...], float]:
+    """(q, p) at the free coordinates z = (q_1..q_{k-1}, p); q_k takes the
+    rest of the budget (1 - p)/L.  The polish bounds keep every probe
+    feasible up to rounding, which the clamp at 0 absorbs."""
+    qk = (1.0 - z[-1]) / L - math.fsum(z[:-1])
+    return (*z[:-1], max(qk, 0.0)), z[-1]
+
+
+def _line(d: int, k: int, z, i: int):
+    """The objective along free coordinate i of z = (q_1..q_{k-1}, p): the
+    function x -> reduced_objective(d, k, *_point(z with z[i] = x)), bit for
+    bit.  The terms the other coordinates contribute (their psi and
+    (j + 1) q_j, psi(p) and k p when p is fixed, the budget (1 - p)/L on a
+    q-line and fsum(q) on the p-line) are formed here once; a probe forms
+    only x's terms and q_k's.  Each sum still goes through one fsum over
+    all its terms, and fsum is correctly rounded whatever the order of its
+    terms, so no value moves."""
+    L = (1 << d) - 1
+    fsum = math.fsum
+    q = z[:-1]
+    if i == len(q):
+        qsum = fsum(q)
+        ent = [psi(qj) for qj in q]
+        lin = [(j + 1) * qj for j, qj in enumerate(q)]
+
+        def along(x: float) -> float:
+            qk = max((1.0 - x) / L - qsum, 0.0)
+            num = L * fsum([*ent, psi(qk)]) + psi(x)
+            den = LOG2 * (L * fsum([*lin, k * qk]) + k * x)
+            if den == 0.0:
+                raise ValueError("degenerate point: zero Lyapunov denominator")
+            return num / den
+    else:
+        p = z[-1]
+        budget = (1.0 - p) / L
+        rest = q[:i] + q[i + 1:]
+        ent = [psi(qj) for qj in rest]
+        lin = [(j + 1) * qj for j, qj in enumerate(q) if j != i]
+        psi_p, kp, m = psi(p), k * p, i + 1
+
+        def along(x: float) -> float:
+            qk = max(budget - fsum([*rest, x]), 0.0)
+            num = L * fsum([*ent, psi(x), psi(qk)]) + psi_p
+            den = LOG2 * (L * fsum([*lin, m * x, k * qk]) + kp)
+            if den == 0.0:
+                raise ValueError("degenerate point: zero Lyapunov denominator")
+            return num / den
+    return along
 
 
 @dataclass(frozen=True)

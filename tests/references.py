@@ -9,6 +9,7 @@ import numpy as np
 
 from porodim.bounds import psi
 from porodim.dyadic import subdivide_uniform
+from porodim.oracle import _golden_section, reduced_objective
 
 
 def node_rng(seed, q):
@@ -93,6 +94,45 @@ def to_raw(point):
     """An oracle ReducedPoint's masses in porous_split's order."""
     return tuple(q for q in point.q for _ in range((1 << point.d) - 1)) + (point.p,)
 
+
+def polish(d, k, eps, start):
+    """Coordinate-wise golden-section ascent from the free coordinates
+    ``start`` = (q_1..q_{k-1}, p), each probe a full point and a full
+    reduced_objective call: (value, (q, p)) at the final point."""
+    L = (1 << d) - 1
+
+    def point(z):
+        qk = (1.0 - z[-1]) / L - math.fsum(z[:-1])
+        return (*z[:-1], max(qk, 0.0)), z[-1]
+
+    def func(z):
+        return reduced_objective(d, k, *point(z))
+
+    z = list(start)
+    fz = func(z)
+    for _ in range(60):
+        improved = False
+        for i in range(len(z)):
+            if i == len(z) - 1:
+                hi_i = min(eps, 1.0 - L * math.fsum(z[:-1]))
+            else:
+                hi_i = (1.0 - z[-1]) / L - (math.fsum(z[:-1]) - z[i])
+            if hi_i <= 0.0:
+                continue
+
+            def along(x, i=i):
+                trial = z.copy()
+                trial[i] = x
+                return func(trial)
+
+            xi = _golden_section(along, 0.0, hi_i)
+            fxi = along(xi)
+            if fxi > fz + 1e-14:
+                z[i], fz = xi, fxi
+                improved = True
+        if not improved:
+            break
+    return fz, point(z)
 
 def eta_exact(components, probs, k, eps):
     """The chance that a node of the cascade drawing ``components`` by

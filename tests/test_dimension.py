@@ -227,6 +227,25 @@ class TestStreamedWalk:
         small, large = peak(2000), peak(8000)
         assert large < 5 * small, (small, large)
 
+    def test_streamed_walk_estimate_memory_linear_in_depth(self):
+        # estimate_packing_dim's scalar walk, one path of the d = 1 mixture
+        # (seed 101): a kept step list grows with the square of the depth,
+        # about 7.7 times the 2000-step peak at 8000 steps
+        mu = make_measure(*SPECS[2][:2], depth=8000, seed=SPECS[2][2])
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                estimate_packing_dim(mu, steps, 1, 0)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # warm-up: lazy imports and caches are not the path's
+        small, large = peak(2000), peak(8000)
+        assert large < 5 * small, (small, large)
+
 
 class Draws(np.random.Generator):
     """A generator whose ``random(n)`` returns the first n given draws, so a

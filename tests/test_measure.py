@@ -25,6 +25,7 @@ from porodim.measure import (
     _PATH_STREAM,
     _TRIAL_STREAM,
     _node_generator,
+    _node_hasher,
     _process_generator,
     _u64,
     apply_homothety,
@@ -249,6 +250,25 @@ def test_node_stream_ignores_a_part_used_buffer(kind):
 def _node_key(seed, q):
     """The Philox key node realization gives ``q``'s stream."""
     return tuple(_node_generator(seed, q).bit_generator.state["state"]["key"].tolist())
+
+
+def test_node_key_survives_seed_interleaving():
+    # each node's hash starts from a copy of its seed's memoized keyed state:
+    # runs of nodes under one seed reuse it, and cycling through more seeds
+    # than the memo holds evicts and rebuilds it, without moving a draw
+    seeds = [-1, 0, 101, 2**64 + 101, 7, 2**63, 12345]
+    assert len(set(map(_u64, seeds))) > _node_hasher.cache_info().maxsize
+    nodes = [CubeAddress(level, (top, top // 3)) for level, top in (
+        (0, 0), (9, 511), (64, 2**64 - 1), (1000, 2**999 + 5))]
+    for _ in range(2):
+        for seed in seeds:
+            for q in nodes:
+                got = _node_generator(seed, q).random(3)
+                assert got.tobytes() == node_rng(seed, q).random(3).tobytes()
+        for q in nodes:
+            for seed in seeds:
+                got = _node_generator(seed, q).random(3)
+                assert got.tobytes() == node_rng(seed, q).random(3).tobytes()
 
 
 def test_node_keys_separate_near_collisions():

@@ -13,6 +13,8 @@ from porodim.oracle import (
     _axis,
     _grid_max,
     _grid_values,
+    _line,
+    _point,
     _tangent_bounds,
     _tile_bounds,
     _xlogx,
@@ -21,7 +23,7 @@ from porodim.oracle import (
     reduced_objective,
 )
 
-from references import alpha_vector, raw_objective, reduce_within_levels, to_raw
+from references import alpha_vector, polish, raw_objective, reduce_within_levels, to_raw
 
 
 def test_alpha_vector_layout():
@@ -351,3 +353,65 @@ class TestPrunedGridIsExact:
         finally:
             tracemalloc.stop()
         assert peak < limit_mb * 1e6
+
+
+def assert_same_polish(d, k, eps, grid):
+    want_val, (want_q, want_p) = polish(d, k, eps, _grid_max(d, k, eps, grid)[1])
+    got = maximize_bruteforce(d, k, eps, grid)
+    assert got.value.hex() == want_val.hex()
+    assert [x.hex() for x in (*got.argmax.q, got.argmax.p)] == [
+        x.hex() for x in (*want_q, want_p)]
+
+
+class TestPolishIsExact:
+    """The polish evaluates each probe from terms formed once per search;
+    every iterate matches full reduced_objective calls to the last bit."""
+
+    @pytest.mark.parametrize("grid", [2, 3, 17, 101])
+    @pytest.mark.parametrize("frac", [0.0, 1e-6, 0.5, 1.0])
+    @pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+    def test_matches_reference_polish(self, d, k, frac, grid):
+        assert_same_polish(d, k, frac * 2.0 ** (-k * d), grid)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 2),
+        k=st.integers(1, 3),
+        frac=st.floats(0.0, 1.0),
+        grid=st.integers(2, 300),
+    )
+    def test_matches_reference_polish_randomized(self, d, k, frac, grid):
+        assert_same_polish(d, k, frac * 2.0 ** (-k * d), grid)
+
+    @staticmethod
+    def assert_line_is_pointwise(d, k, z, i, x):
+        trial = list(z)
+        trial[i] = x
+        want = reduced_objective(d, k, *_point(trial, (1 << d) - 1))
+        assert _line(d, k, z, i)(x).hex() == want.hex()
+
+    @pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+    def test_line_at_the_ends(self, d, k):
+        # x = 0 and x = hi_i, the golden section's bracket, on every line
+        rng = np.random.default_rng(17 + 3 * d + k)
+        L = (1 << d) - 1
+        for _ in range(50):
+            eps = rng.random() * 2.0 ** (-k * d)
+            p = eps * rng.random()
+            z = [*(rng.random() * (1.0 - p) / L / k for _ in range(k - 1)), p]
+            for i in range(k):
+                if i == k - 1:
+                    hi_i = min(eps, 1.0 - L * math.fsum(z[:-1]))
+                else:
+                    hi_i = (1.0 - z[-1]) / L - (math.fsum(z[:-1]) - z[i])
+                for x in (0.0, hi_i, float(rng.random() * hi_i)):
+                    self.assert_line_is_pointwise(d, k, z, i, x)
+
+    def test_line_clamps_q_k(self):
+        # at x = hi_i the budget minus the level masses rounds below zero,
+        # and q_k is clamped to 0
+        d, k, i = 1, 3, 0
+        z = [0.25041401603992297, 0.06976796562454464, 0.10979373769773441]
+        hi_i = (1.0 - z[-1]) - (math.fsum(z[:-1]) - z[i])
+        assert (1.0 - z[-1]) - math.fsum([hi_i, z[1]]) < 0.0
+        self.assert_line_is_pointwise(d, k, z, i, hi_i)

@@ -29,6 +29,7 @@ ALLOWED = {
     "porosity.porous_retree": TRACER,
     "dyadic.CubeAddress.uniform_child": TRACER,
     "dyadic.CubeAddress.contains": TRACER,
+    "dimension._trajectory_from_steps": TRACER,
     "bounds.c_const": EUCLIDEAN,
     "bounds.t_dalpha": EUCLIDEAN,
     "dyadic.CubeAddress.__getnewargs__": PINNED,
