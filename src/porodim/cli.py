@@ -170,7 +170,7 @@ def _cmd_simulate(args) -> int:
         trajs.append(traj)
 
     dim_estimate = max(r[2] for r in rows)
-    eta_hat = sum(r[5] for r in rows) / len(rows)
+    eta_hat = math.fsum(r[5] for r in rows) / len(rows)  # not sum(): 3.12 made it compensate
     t = bounds.t_dk(d, k, eps)
     bound = d - eta_hat * t
     passed = dim_estimate <= bound + args.slack

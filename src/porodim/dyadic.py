@@ -58,8 +58,7 @@ class CubeAddress(tuple):
         level = _index(level, "ancestor level")
         if not 0 <= level <= self.level:
             raise ValueError(f"ancestor level {level} outside [0, {self.level}]")
-        shift = self.level - level
-        return _addr(level, tuple(c >> shift for c in self.coords))
+        return _ancestor(self, level)
 
     def contains(self, other: "CubeAddress") -> bool:
         """True when ``other`` is this cube or a descendant of it."""
@@ -84,6 +83,11 @@ def _addr(level: int, coords: tuple[int, ...]) -> CubeAddress:
     """An address derived from a valid one, built without the constructor's
     check: the caller guarantees int coords with 0 <= coords[i] < 2^level."""
     return tuple.__new__(CubeAddress, (level, coords))
+
+
+def _ancestor(q: CubeAddress, level: int) -> CubeAddress:
+    """``q.ancestor(level)`` unchecked: the caller guarantees 0 <= level <= q.level."""
+    return _addr(level, tuple([c >> (q[0] - level) for c in q[1]]))
 
 
 def _index(value: int, what: str, least: int | None = None) -> int:
@@ -129,7 +133,8 @@ def _children(parent: CubeAddress) -> tuple[CubeAddress, ...]:
     digit is its offset on axis i, so axis 0 varies fastest."""
     level = parent[0] + 1
     pairs = [(c << 1, (c << 1) | 1) for c in reversed(parent[1])]
-    return tuple([_addr(level, coords[::-1]) for coords in itertools.product(*pairs)])
+    # each built as _addr builds it, without a call per child
+    return tuple([tuple.__new__(CubeAddress, (level, c[::-1])) for c in itertools.product(*pairs)])
 
 
 @functools.cache

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import CubeAddress, CubePartition, _addr, _index, root, subdivide_uniform
+from .dyadic import CubeAddress, CubePartition, _addr, _ancestor, _index, root, subdivide_uniform
 
 Weights = tuple[float, ...]
 
@@ -358,14 +358,16 @@ class TreeMeasure:
 
     def offspring(self, q: CubeAddress) -> tuple[CubePartition, Weights]:
         """Partition and conditional offspring vector at ``q``."""
-        self.check_reach(q.level + 1, q)
+        if q[0] >= self.depth:  # check_reach(q.level + 1), without a call per node
+            self.check_reach(q[0] + 1, q)
         if self._realizer is None:
             return subdivide_uniform(q), self._weights(q)
         return self._realizer(q)
 
     def weights(self, q: CubeAddress) -> Weights:
         """The offspring vector at ``q``: ``offspring(q)[1]``."""
-        self.check_reach(q.level + 1, q)
+        if q[0] >= self.depth:
+            self.check_reach(q[0] + 1, q)
         if self._weights is None:
             return self._realizer(q)[1]
         return self._weights(q)
@@ -596,41 +598,36 @@ class Homothety:
         return nums, grid
 
 
-def _box_mass(
-    offspring: Callable[[CubeAddress], tuple[CubePartition, Weights]],
-    anchor: CubeAddress,
-    lo: tuple[int, ...],
-    hi: tuple[int, ...],
-    scale: int,
-    mid: tuple[int, ...],
-) -> tuple[float, list[float]]:
+def _box_mass(offspring: Callable[[CubeAddress], tuple[CubePartition, Weights]],
+              anchor: CubeAddress, lo: Sequence[int], hi: Sequence[int], scale: int,
+              mid: Sequence[int]) -> tuple[float, list[float]]:
     """mu(box) / mu(anchor) for the box prod [lo_i 2^-scale, hi_i 2^-scale)
     inside the cube ``anchor``, and the same for the box's 2^d halves cut at
     ``mid``, in ``_children`` digit order (bit i set: the half above mid_i),
     exactly on addresses, where ``offspring`` is mu's node data.
 
     One descent from the anchor on an explicit stack, so depth costs no stack
-    frames; a child's mass is its parent's times its weight.  A massless node
-    or one disjoint from the box is dropped, one straddling it splits.  One
-    inside it is counted once in the box (a flag keeps its descendants out)
-    and, if it lies on one side of mid on every axis, in that half; else it
-    splits.  Box corners and mid are integers at ``scale``, so level-``scale``
-    nodes never split.
+    frames; a child's mass is its parent's times its weight, and only a child
+    of nonzero mass is pushed.  A node disjoint from the box is dropped, one
+    straddling it splits.  One inside it is counted once in the box (a flag
+    keeps its descendants out) and, if it lies on one side of mid on every
+    axis, in that half; else it splits.  Box corners and mid are integers at
+    ``scale``, so level-``scale`` nodes never split.
     """
     box, halves = [], [[] for _ in range(1 << len(mid))]
     stack = [(anchor, 1.0, False)]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, node_mass, counted = stack.pop()
-        if node_mass == 0.0:
-            continue
-        shift = scale - node.level
+        node, node_mass, counted = pop()
+        level, coords = node
+        shift = scale - level
         inside, split, half, bit = True, False, 0, 1
-        for c, l, h, m in zip(node.coords, lo, hi, mid):
+        for c, l, h, m in zip(coords, lo, hi, mid):
             nlo = c << shift
-            nhi = nlo + (1 << shift)
+            nhi = (c + 1) << shift
             if nhi <= l or h <= nlo:
                 break  # disjoint from the box
-            if not (l <= nlo and nhi <= h):
+            if nlo < l or h < nhi:
                 inside = False
             elif m <= nlo:
                 half |= bit
@@ -645,8 +642,10 @@ def _box_mass(
                 halves[half].append(node_mass)
             else:
                 part, w = offspring(node)
-                stack.extend((ch, node_mass * wj, counted)
-                             for ch, wj in zip(part.children, w))
+                for child, wj in zip(part.children, w):
+                    child_mass = node_mass * wj
+                    if child_mass:
+                        push((child, child_mass, counted))
     return math.fsum(box), [math.fsum(p) for p in halves]
 
 
@@ -659,18 +658,18 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
     matching grid, and masses come out exact because box/cube intersections
     are resolved in integer coordinates.  A node's weights are the masses of
     its children's source boxes, the halves of its own box, relative to the
-    source cube anchoring that box, so they do not underflow with depth; one
-    ``_box_mass`` descent of the source weighs the box and all its halves,
-    and each node's vector is computed once and kept.  Descents overlap from
-    node to node, so each source node is realized once per pushforward too: a
-    memo of the source's offspring lives as long as the returned measure and
-    holds the distinct source nodes its realizations touched: one trial's, in
-    the translation experiment.  The check that a box's anchor cube carries
-    mass reads the same memo down the anchor's lineage, from the nearest
-    ancestor already known to carry mass.  Known limit: a translation with
-    hundreds of binary digits can leave a box's anchor hundreds of levels
-    above it, and then its relative mass can underflow; the translation
-    experiment draws translations of at most 50 digits (depth <= 50).
+    source cube anchoring that box, so they do not underflow with depth.  One
+    pass over the axes clips the box and finds its mid and anchor, and one
+    ``_box_mass`` descent weighs the box and all its halves; a node's vector
+    is computed once and kept.  The descents realize source nodes through one
+    memo of the source's offspring, kept as long as the returned measure, so
+    each is realized once per pushforward (one trial's nodes, in the
+    translation experiment).  The check that an anchor carries mass reads
+    the memo down its lineage from the nearest ancestor known to carry mass.
+    Known limit: a translation with hundreds of binary digits can leave a
+    box's anchor hundreds of levels above it, and then its relative mass can
+    underflow; the translation experiment draws translations of at most 50
+    digits (depth <= 50).
     """
     _require_dyadic(mu)
     if len(h.translation) != mu.d:
@@ -690,31 +689,35 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
         ancestor known to carry mass; relative masses cannot see a zero there."""
         if anchor in positive:
             return True
-        top = anchor.level
-        while anchor.ancestor(top) not in positive:
+        top = anchor[0] - 1
+        while (node := _ancestor(anchor, top)) not in positive:
             top -= 1
-        for level in range(top, anchor.level):
-            part, w = offspring(anchor.ancestor(level))
-            child = anchor.ancestor(level + 1)
-            if w[part.children.index(child)] == 0.0:
+        for level in range(top + 1, anchor[0] + 1):
+            part, w = offspring(node)
+            node = _ancestor(anchor, level)
+            if w[part.children.index(node)] == 0.0:
                 return False
-            positive.add(child)
+            positive.add(node)
         return True
 
     def weights(q: CubeAddress) -> Weights:
         # q's preimage at its children's scale, halved before it is clipped
-        scale = max(q.level + 1 - m, t_grid - m, 0)
-        shift = scale + m - q.level
-        ulo = [(c << shift) - (tn << (scale + m - t_grid))
-               for c, tn in zip(q.coords, t_num)]
-        lo = tuple(max(l, 0) for l in ulo)
-        hi = tuple(min(l + (1 << shift), 1 << scale) for l in ulo)
-        parent_mass = 0.0
-        if all(l < h for l, h in zip(lo, hi)):
+        level, coords = q
+        scale = max(level + 1 - m, t_grid - m, 0)
+        shift, t_shift, top = scale + m - level, scale + m - t_grid, 1 << scale
+        lo, hi, mid, up, parent_mass = [], [], [], 0, 0.0
+        for c, tn in zip(coords, t_num):
+            u = (c << shift) - (tn << t_shift)  # the unclipped lower corner
+            l, h = max(u, 0), min(u + (1 << shift), top)
+            if h <= l:
+                break  # the box is empty
+            lo.append(l)
+            hi.append(h)
+            mid.append(u + (1 << (shift - 1)))
+            up = max(up, (l ^ (h - 1)).bit_length())
+        else:
             # the anchor: the deepest source cube containing the box
-            level = scale - max((l ^ (h - 1)).bit_length() for l, h in zip(lo, hi))
-            anchor = _addr(level, tuple(l >> (scale - level) for l in lo))
-            mid = tuple(l + (1 << (shift - 1)) for l in ulo)
+            anchor = _addr(scale - up, tuple([l >> up for l in lo]))
             parent_mass, child_masses = _box_mass(offspring, anchor, lo, hi, scale, mid)
         if parent_mass == 0.0 or not has_mass(anchor):
             raise UnrealizedNodeError(f"zero-mass node {q.serialize()} is not expanded")
@@ -724,6 +727,6 @@ def apply_homothety(mu: TreeMeasure, h: Homothety, depth: int) -> TreeMeasure:
                 f"mass conservation violated at {q.serialize()}: "
                 f"{total} vs {parent_mass}"
             )
-        return tuple(cm / total for cm in child_masses)
+        return tuple([cm / total for cm in child_masses])
 
     return TreeMeasure(mu.d, depth, weights=functools.cache(weights))

@@ -23,6 +23,7 @@ from .bounds import _check_eps, _check_eta, k_of_alpha
 from .dyadic import (
     CubeAddress,
     CubePartition,
+    _ancestor,
     _children,
     _descendant,
     _index,
@@ -96,18 +97,19 @@ class LineageClassifier:
     def frontiers(self, q: CubeAddress) -> Iterator[list[float]]:
         """q's frontiers at levels 1, 2, ..., each built when it is read; the
         nodes above q are forgotten when the first is read."""
-        for key in [key for key in self._weights if key.level < q.level]:
+        for key in [key for key in self._weights if key[0] < q[0]]:
             del self._weights[key]
         n = 1 << len(q[1])
         zeros, nones = [0.0] * n, [None] * n
-        nodes, masses = [q], [1.0]
+        nodes, masses, hit = [q], [1.0], self._weights.get
         while True:
             frontier = []
             for node, mass in zip(nodes, masses):
                 if mass == 0.0:
                     frontier += zeros
                 else:
-                    frontier += [mass * wj for wj in self.weights(node)]
+                    # a memo hit makes no call
+                    frontier += [mass * wj for wj in hit(node) or self.weights(node)]
             yield frontier
             kids = chain.from_iterable(_children(node) if node else nones for node in nodes)
             nodes = [kid if mass else None for kid, mass in zip(kids, frontier)]
@@ -205,7 +207,7 @@ def por2_profile(mu: TreeMeasure, x: CubeAddress, eps: float,
     _check_porosity(mu.d, cap, 0.0)
     mu.check_reach(x.level + cap, f"por2 with cap {cap} along {x.serialize()}")
     clf = LineageClassifier(mu)
-    return tuple(clf.por2(x.ancestor(n), eps, cap) for n in range(x.level + 1))
+    return tuple([clf.por2(_ancestor(x, n), eps, cap) for n in range(x[0] + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def sample_porous_path(
             node, part, _, idx = step
             child = part.children[idx]
             flags.append(part.hole is not None)
-            flags.extend(clf.por2(child.ancestor(level), eps, k) <= k
+            flags.extend(clf.por2(_ancestor(child, level), eps, k) <= k
                          for level in range(node.level + 1, child.level))
             yield step
 

@@ -1,14 +1,17 @@
 """Plain references the tests compare the library against: each computes a
 quantity the direct way, or checks what no library path needs checked."""
 
+import functools
 import hashlib
 import itertools
 import math
+from typing import Callable
 
 import numpy as np
 
 from porodim.bounds import psi
-from porodim.dyadic import subdivide_uniform
+from porodim.dyadic import CubeAddress, CubePartition, _addr, subdivide_uniform
+from porodim.measure import TreeMeasure, UnrealizedNodeError, Weights, _require_dyadic
 from porodim.oracle import _golden_section, reduced_objective
 
 
@@ -145,3 +148,123 @@ def eta_exact(components, probs, k, eps):
         return math.fsum(p * math.prod(g(j - 1, x / ci) if ci > 0.0 else 0.0 for ci in c)
                          for c, p in zip(components, probs))
     return 1.0 - g(k, eps)
+
+
+# ---------------------------------------------------------------------------
+# The pushforward written plainly: boxes built as tuples, a box descent that
+# pushes every child and drops massless nodes when popped, and ancestors from
+# the public CubeAddress.ancestor.  measure.apply_homothety must give the same
+# weights, bit for bit, and raise UnrealizedNodeError at the same nodes.
+
+
+def box_mass(
+    offspring: Callable[[CubeAddress], tuple[CubePartition, Weights]],
+    anchor: CubeAddress,
+    lo: tuple[int, ...],
+    hi: tuple[int, ...],
+    scale: int,
+    mid: tuple[int, ...],
+) -> tuple[float, list[float]]:
+    """mu(box) / mu(anchor) for the box prod [lo_i 2^-scale, hi_i 2^-scale)
+    inside the cube ``anchor``, and the same for the box's 2^d halves cut at
+    ``mid``, in ``_children`` digit order (bit i set: the half above mid_i),
+    exactly on addresses, where ``offspring`` is mu's node data.
+
+    One descent from the anchor on an explicit stack, so depth costs no stack
+    frames; a child's mass is its parent's times its weight.  A massless node
+    or one disjoint from the box is dropped, one straddling it splits.  One
+    inside it is counted once in the box (a flag keeps its descendants out)
+    and, if it lies on one side of mid on every axis, in that half; else it
+    splits.  Box corners and mid are integers at ``scale``, so level-``scale``
+    nodes never split.
+    """
+    box, halves = [], [[] for _ in range(1 << len(mid))]
+    stack = [(anchor, 1.0, False)]
+    while stack:
+        node, node_mass, counted = stack.pop()
+        if node_mass == 0.0:
+            continue
+        shift = scale - node.level
+        inside, split, half, bit = True, False, 0, 1
+        for c, l, h, m in zip(node.coords, lo, hi, mid):
+            nlo = c << shift
+            nhi = nlo + (1 << shift)
+            if nhi <= l or h <= nlo:
+                break  # disjoint from the box
+            if not (l <= nlo and nhi <= h):
+                inside = False
+            elif m <= nlo:
+                half |= bit
+            elif m < nhi:
+                split = True  # straddles mid
+            bit <<= 1
+        else:
+            if inside and not counted:
+                box.append(node_mass)
+                counted = True
+            if inside and not split:
+                halves[half].append(node_mass)
+            else:
+                part, w = offspring(node)
+                stack.extend((ch, node_mass * wj, counted)
+                             for ch, wj in zip(part.children, w))
+    return math.fsum(box), [math.fsum(p) for p in halves]
+
+
+def pushforward(mu, h, depth):
+    """``measure.apply_homothety`` written plainly, with ``box_mass``."""
+    _require_dyadic(mu)
+    if len(h.translation) != mu.d:
+        raise ValueError("translation dimension does not match the measure")
+    m = h.log2_ratio
+    t_num, t_grid = h.translation_grid()
+    for t in h.translation:
+        if t + h.ratio > 1.0:
+            raise ValueError("image support would leave the unit cube")
+    mu.check_reach(max(depth, t_grid) - m, f"the pushforward to depth {depth}")
+
+    offspring = functools.cache(mu.offspring)
+    positive = {mu.root}  # source cubes known to carry mass
+
+    def has_mass(anchor: CubeAddress) -> bool:
+        """mu(anchor) > 0, testing only the weights below the nearest
+        ancestor known to carry mass; relative masses cannot see a zero there."""
+        if anchor in positive:
+            return True
+        top = anchor.level
+        while anchor.ancestor(top) not in positive:
+            top -= 1
+        for level in range(top, anchor.level):
+            part, w = offspring(anchor.ancestor(level))
+            child = anchor.ancestor(level + 1)
+            if w[part.children.index(child)] == 0.0:
+                return False
+            positive.add(child)
+        return True
+
+    def weights(q: CubeAddress) -> Weights:
+        # q's preimage at its children's scale, halved before it is clipped
+        scale = max(q.level + 1 - m, t_grid - m, 0)
+        shift = scale + m - q.level
+        ulo = [(c << shift) - (tn << (scale + m - t_grid))
+               for c, tn in zip(q.coords, t_num)]
+        lo = tuple(max(l, 0) for l in ulo)
+        hi = tuple(min(l + (1 << shift), 1 << scale) for l in ulo)
+        parent_mass = 0.0
+        if all(l < h for l, h in zip(lo, hi)):
+            # the anchor: the deepest source cube containing the box
+            level = scale - max((l ^ (h - 1)).bit_length() for l, h in zip(lo, hi))
+            anchor = _addr(level, tuple(l >> (scale - level) for l in lo))
+            mid = tuple(l + (1 << (shift - 1)) for l in ulo)
+            parent_mass, child_masses = box_mass(offspring, anchor, lo, hi, scale, mid)
+        if parent_mass == 0.0 or not has_mass(anchor):
+            raise UnrealizedNodeError(f"zero-mass node {q.serialize()} is not expanded")
+        total = math.fsum(child_masses)
+        if abs(total - parent_mass) > 1e-10 * parent_mass:
+            raise ArithmeticError(
+                f"mass conservation violated at {q.serialize()}: "
+                f"{total} vs {parent_mass}"
+            )
+        return tuple(cm / total for cm in child_masses)
+
+    return TreeMeasure(mu.d, depth, weights=functools.cache(weights))

@@ -3,6 +3,7 @@ import math
 import re
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,39 @@ class TestSimulate:
         assert float(summary["Dn"]) == pytest.approx(0.811278, abs=1e-4)
         assert float(summary["bound"]) == pytest.approx(0.881291, abs=1e-5)
         assert summary["pass"] == "1"
+
+    def test_eta_hat_is_the_fsum_mean(self, tmp_path, monkeypatch):
+        # criterion 9's d = 1 Dirichlet(1, 1) run.  The builtin sum is not the
+        # rule: from Python 3.12 it compensates float sums, and on this run
+        # its mean differs in the last bit between 3.11 and 3.12.  math.fsum
+        # is correctly rounded on every version, so eta_hat is too.
+        import porodim.cli
+
+        written = []
+        real = porodim.cli.write_csv
+
+        def capturing(path, command, params, header, rows):
+            rows = list(rows)
+            written.append(rows)
+            return real(path, command, params, header, rows)
+
+        monkeypatch.setattr(porodim.cli, "write_csv", capturing)
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"d": 1, "seed": 104, "generator": {
+            "type": "dirichlet", "concentration": [1.0, 1.0]}}))
+        code, _ = run(tmp_path, "simulate", "--config", str(cfg), "--k", "1",
+                      "--eps", "0.25", "--depth", "1200", "--paths", "16")
+        assert code == 0
+        *paths, summary = written[0]
+        eta_hat, fractions = summary[5], [row[5] for row in paths]
+        assert len(fractions) == 16
+        assert eta_hat == math.fsum(fractions) / 16
+        # at k = 1 each level is one walk step: a path's fraction is its
+        # porous steps over its levels, and their exact mean rounds once to
+        # eta_hat
+        assert fractions == [row[6] / row[7] for row in paths]
+        assert eta_hat == float(sum(Fraction(row[6], row[7]) for row in paths) / 16)
+        assert eta_hat == 0.4996875
 
     def test_strict_failure_exit_code(self, tmp_path):
         code, _ = run(

@@ -10,12 +10,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from porodim.dyadic import CubeAddress
-from porodim.measure import Homothety, _box_mass, apply_homothety
+from porodim.dyadic import CubeAddress, _children
+from porodim.measure import (
+    Bernoulli,
+    CantorMiddleHalf,
+    Homothety,
+    UnrealizedNodeError,
+    Uniform,
+    _box_mass,
+    apply_homothety,
+)
 from porodim.porosity import porous_retree
 
 from conftest import SPECS, make_measure
-from references import log_mass
+from references import log_mass, pushforward
 
 specs = st.sampled_from(SPECS)
 #: (k, eps as a fraction of 2^-kd); 1.0 is the threshold itself, 0.0 the
@@ -157,3 +165,54 @@ def test_one_descent_matches_per_box_descents(case):
     box, got = _box_mass(mu.offspring, anchor, lo, hi, scale, mid)
     assert box == _reference_box_mass(mu.offspring, anchor, lo, hi, scale)
     assert got == halves
+
+
+#: (d, model, seed) of the pushforward sources checked node by node against
+#: ``references.pushforward``: Lebesgue, product measures at d = 1 and 2, the
+#: d = 1 mixture, the d = 2 Dirichlet(0.5^4) and the middle-half Cantor measure
+PUSHFORWARD_SOURCES = [
+    (2, Uniform(), 0),
+    (1, Bernoulli((0.3, 0.7)), 0),
+    (2, Bernoulli((0.1, 0.4, 0.4, 0.1)), 0),
+    SPECS[2],
+    SPECS[5],
+    (1, CantorMiddleHalf(), 0),
+]
+
+
+def _node_data(nu, q):
+    """q's weights in float.hex, or None when q raises UnrealizedNodeError."""
+    try:
+        return [w.hex() for w in nu.weights(q)]
+    except UnrealizedNodeError:
+        return None
+
+
+@pytest.mark.parametrize("source", PUSHFORWARD_SOURCES, ids=[
+    "uniform_d2", "bernoulli_d1", "bernoulli_d2", "mixture_d1", "dirichlet_d2", "cantor"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(m=st.integers(2, 3), grid=st.integers(0, 10), data=st.data())
+def test_pushforward_equals_reference_node_by_node(source, m, grid, data):
+    # every node of the pushforward's subtree to depth 8: the same weights to
+    # the last bit, and UnrealizedNodeError at the same zero-mass nodes
+    d, model, seed = source
+    mu = make_measure(d, model, depth=16, seed=seed)
+    # a translation on the 2^-grid grid that keeps the image inside the unit cube
+    t = tuple(data.draw(st.integers(0, (1 << grid) - (1 << max(grid - m, 0)))) / (1 << grid)
+              for _ in range(d))
+    h, depth = Homothety(2.0**-m, t), 8
+    nu, ref = apply_homothety(mu, h, depth), pushforward(mu, h, depth)
+    level, realized, raised = [mu.root], 0, 0
+    while level:
+        deeper = []
+        for q in level:
+            got = _node_data(nu, q)
+            assert got == _node_data(ref, q), q
+            if got is None:
+                raised += 1
+            else:
+                realized += 1
+                if q.level + 1 < depth:
+                    deeper += _children(q)
+        level = deeper
+    assert realized >= depth and raised

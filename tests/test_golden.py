@@ -9,11 +9,14 @@ numpy's gamma sampler: equal concentrations draw a node's four gammas in one
 four pin the node keying, a BLAKE2b digest of each node's address: its
 level as 8 bytes and each coordinate as max(1, ceil(level / 8)) bytes.  The
 d = 2 Bernoulli translate run (k = 4) pins the pushforward and its porosity
-tests in two dimensions, and the d = 1 mixture translate run pins a
-pushforward of a cascade source, whose nodes each draw their own weights.  The three oracle tables (the
-default battery, d = 2, k = 3 at grid 500, and d = 1, k = 3 at grid 1000,
-where the brute force skips the most grid tiles) pin every grid maximum and
-golden-section polish of the brute force to the last digit.
+tests in two dimensions, and the d = 1 mixture translate runs pin a
+pushforward of a cascade source, whose nodes each draw their own weights.
+At eps 0 (``translate_mixture``) the CSV did not move when the node key's
+tag was changed; at eps 0.002 (``translate_mixture_eps``, fractions 0.7 to
+1) it did.  The three oracle tables (the default battery, d = 2, k = 3 at
+grid 500, and d = 1, k = 3 at grid 1000, where the brute force skips the
+most grid tiles) pin every grid maximum and golden-section polish of the
+brute force to the last digit.
 """
 
 import hashlib
@@ -77,6 +80,11 @@ RUNS = {
     "translate_mixture": (
         ["translate", "--config", "{dir}/mixture.json", "--depth", "10", "--trials", "5"],
         "e26bf69bc9a11c1c6ebfd0aa721ee5bcdfaaeaff3a92e3b9a57ad7bc4430fec8",
+    ),
+    "translate_mixture_eps": (
+        ["translate", "--config", "{dir}/mixture.json", "--depth", "10", "--trials", "5",
+         "--eps", "0.002"],
+        "51e6db82b60b4edf6e8d294fa04e6246bc82790b9abb6ddbe61cff7e467ae2a1",
     ),
     "translate_bernoulli_d2": (
         ["translate", "--gen", "bernoulli", "--d", "2", "--weights", "0.1,0.4,0.4,0.1",

@@ -27,6 +27,7 @@ ALLOWED = {
     "porosity.por2_depth": TRACER,
     "porosity.classify_porous": TRACER,
     "porosity.porous_retree": TRACER,
+    "dyadic.CubeAddress.ancestor": TRACER,
     "dyadic.CubeAddress.uniform_child": TRACER,
     "dyadic.CubeAddress.contains": TRACER,
     "dimension._trajectory_from_steps": TRACER,
