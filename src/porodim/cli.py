@@ -38,8 +38,7 @@ from .porosity import (MAX_KD, _check_porosity, run_translation_trials,
 #: d = 1 mixture path peaks at 38 MB RSS at 2 x 10^4 steps and 45 MB at
 #: 10^5 (2-core host).  Time per step still grows with depth, as a node's
 #: key hashes d * level / 8 address bytes and address arithmetic works on
-#: level-bit integers: 23-28 us a step at 5000 steps, 29-34 us at 2 x 10^4
-#: and 61-65 us at 10^5.
+#: level-bit integers.
 MAX_PATH_STEPS = 100_000
 #: Largest translate run, in trials.
 MAX_TRIALS = 10_000

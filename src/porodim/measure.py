@@ -14,9 +14,9 @@ Philox per process, re-keyed for each node by assigning its state: the key is
 a 16-byte keyed BLAKE2b digest of the node's address, counter 0, the stream a
 fresh Philox with that key gives (see ``_node_generator``).  The hash reads
 d * ceil(level / 8) coordinate bytes, so a node's cost still grows with its
-level, as does address arithmetic: one d = 1 mixture re-tree path takes
-23-28 us a step at 5000 steps, 29-34 us at 20000 and 61-65 us at 10^5
-(2-core host).  A Dirichlet node with equal concentrations a >= 0.1 makes
+level, as does address arithmetic.  Path and trial draws come from numpy's
+``Philox(SeedSequence((seed mod 2^64, stream, index)))`` (``derived_rng``).
+A Dirichlet node with equal concentrations a >= 0.1 makes
 the one gamma call ``Generator.dirichlet`` makes and normalizes the draws as
 it does, without its per-call checks; any other Dirichlet node calls
 ``dirichlet`` itself (see ``node_weights``).
@@ -40,9 +40,7 @@ from .dyadic import CubeAddress, CubePartition, _addr, _ancestor, _index, root, 
 Weights = tuple[float, ...]
 
 #: Stream tags of ``derived_rng``: path draws and trial draws.  Node draws
-#: are keyed apart, by a BLAKE2b hash of the address tagged ``_NODE_PERSON``,
-#: and no derived generator takes ``_NODE_STREAM``.
-_NODE_STREAM = 0
+#: are keyed apart, by a BLAKE2b hash of the address tagged ``_NODE_PERSON``.
 _PATH_STREAM = 1
 _TRIAL_STREAM = 2
 _NODE_PERSON = b"porodim-node"
@@ -65,21 +63,6 @@ def _u64(seed: int) -> int:
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
-def _seed_sequence(*key: int) -> np.random.SeedSequence:
-    """numpy's ``SeedSequence`` of ``key``, a tuple of non-negative ints taken
-    as max(1, ceil(bits / 32)) uint32 words each, least significant first.
-    The words are built here in one pass: numpy converts an int a word at a
-    time in a Python loop, slow for large indices."""
-    words = b"".join([n.to_bytes(((n.bit_length() + 31) >> 5 or 1) << 2, "little")
-                      for n in key])
-    return np.random.SeedSequence(np.frombuffer(words, "<u4"))
-
-
-def _keyed_rng(*key: int) -> np.random.Generator:
-    """Philox generator seeded from ``_seed_sequence(*key)``."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(*key)))
-
-
 @functools.cache
 def _process_generator() -> np.random.Generator:
     """The one node generator of this process, built on first use: importing
@@ -87,23 +70,18 @@ def _process_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
-@functools.cache
-def _blake2b():
-    """hashlib's BLAKE2b, imported on first use, as numpy.random is (and
-    numpy.random imports hashlib itself): importing hashlib with this
-    package loads OpenSSL, 3.7 MB of RSS, into runs that realize no cascade
-    node, such as ``solve``, ``oracle`` and ``hmin``."""
-    import hashlib
-    return hashlib.blake2b
-
-
 @functools.lru_cache(maxsize=4)
 def _node_hasher(seed: int):
     """The BLAKE2b state keyed by ``seed`` (an unsigned 64-bit int) and
     tagged ``_NODE_PERSON``, before any data: keying compresses a 128-byte
     key block, so each node copies this state instead of keying afresh.  A
-    few seeds are kept, for runs that alternate between measures."""
-    return _blake2b()(digest_size=16, key=seed.to_bytes(8, "little"), person=_NODE_PERSON)
+    few seeds are kept, for runs that alternate between measures.  hashlib is
+    imported here, on the first cascade node, as numpy.random is (and
+    numpy.random imports hashlib itself): importing it with this package
+    loads OpenSSL, 3.7 MB of RSS, into runs that realize no cascade node,
+    such as ``solve``, ``oracle`` and ``hmin``."""
+    import hashlib
+    return hashlib.blake2b(digest_size=16, key=seed.to_bytes(8, "little"), person=_NODE_PERSON)
 
 
 def _node_generator(seed: int, q: CubeAddress) -> np.random.Generator:
@@ -137,8 +115,10 @@ def _node_generator(seed: int, q: CubeAddress) -> np.random.Generator:
 
 
 def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    """Generator for the ``index``-th path/trial, independent of schedule."""
-    return _keyed_rng(_u64(_index(seed, "seed")), stream, _index(index, "index", 0))
+    """Generator for the ``index``-th path/trial, independent of schedule:
+    numpy's Philox seeded by ``SeedSequence((seed mod 2^64, stream, index))``."""
+    key = (_u64(_index(seed, "seed")), stream, _index(index, "index", 0))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def _path_rng(seed: int | np.random.Generator) -> np.random.Generator:

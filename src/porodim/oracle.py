@@ -307,7 +307,8 @@ def _line(d: int, k: int, z, i: int):
     q-line and fsum(q) on the p-line) are formed here once; a probe forms
     only x's terms and q_k's.  Each sum still goes through one fsum over
     all its terms, and fsum is correctly rounded whatever the order of its
-    terms, so no value moves."""
+    terms, so no value moves.  A probe's denominator terms are all >= 0 and
+    q_k = 1/L when the others are 0, so it needs no zero check."""
     L = (1 << d) - 1
     fsum = math.fsum
     q = z[:-1]
@@ -320,8 +321,6 @@ def _line(d: int, k: int, z, i: int):
             qk = max((1.0 - x) / L - qsum, 0.0)
             num = L * fsum([*ent, psi(qk)]) + psi(x)
             den = LOG2 * (L * fsum([*lin, k * qk]) + k * x)
-            if den == 0.0:
-                raise ValueError("degenerate point: zero Lyapunov denominator")
             return num / den
     else:
         p = z[-1]
@@ -335,8 +334,6 @@ def _line(d: int, k: int, z, i: int):
             qk = max(budget - fsum([*rest, x]), 0.0)
             num = L * fsum([*ent, psi(x), psi(qk)]) + psi_p
             den = LOG2 * (L * fsum([*lin, m * x, k * qk]) + kp)
-            if den == 0.0:
-                raise ValueError("degenerate point: zero Lyapunov denominator")
             return num / den
     return along
 

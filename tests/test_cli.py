@@ -2,6 +2,8 @@ import json
 import math
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -642,6 +644,35 @@ def test_fmt():
     assert _fmt(7) == "7"
     assert _fmt("") == ""
     assert _fmt(-0.0) == _fmt(0.0) == "0"
+
+
+#: Runs ``main`` on argv[2:] in a fresh interpreter with argv[1] on the
+#: path, then prints which of hashlib and numpy.random it imported.
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from porodim.cli import main
+assert main(sys.argv[2:]) == 0
+print("hashlib" in sys.modules, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, imported", [
+    (["solve", "--points", "3"], "False False"),
+    (["oracle", "--d", "1", "--k", "2", "--grid", "20"], "False False"),
+    (["hmin", "--points", "3"], "False False"),
+    (["simulate", "--gen", "bernoulli", "--weights", "0.25,0.75", "--depth", "8",
+      "--paths", "1"], "True True"),
+], ids=["solve", "oracle", "hmin", "simulate"])
+def test_tables_import_neither_hashlib_nor_numpy_random(tmp_path, argv, imported):
+    # the solver tables realize no node and draw nothing, so they leave out
+    # numpy.random and hashlib, whose OpenSSL adds about 3.7 MB of RSS; a
+    # simulate run, which draws a path, imports both
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src, *argv,
+                          "--out", str(tmp_path / "out.csv")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == imported
 
 
 SIMULATE = ["simulate", "--gen", "bernoulli", "--weights", "0.25,0.75", "--depth", "8",
